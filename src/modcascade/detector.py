@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import subprocess
 import threading
 from dataclasses import dataclass, field
@@ -40,8 +41,8 @@ class ConfidenceLaw:
     def validate(self) -> None:
         if not (0.0 <= self.mean_correct <= 1.0 and 0.0 <= self.mean_wrong <= 1.0):
             raise ValidationError("confidence means must be in [0, 1]")
-        if self.spread < 0.0:
-            raise ValidationError("confidence spread must be >= 0")
+        if not (math.isfinite(self.spread) and self.spread >= 0.0):
+            raise ValidationError("confidence spread must be finite and >= 0")
 
     def sample(self, rng: np.random.Generator, correct: bool) -> float:
         mean = self.mean_correct if correct else self.mean_wrong
@@ -110,20 +111,24 @@ class DetectorProfile:
                     raise ValidationError(
                         f"confusion row {true!r} emits {label!r} outside the label space"
                     )
-                if p < 0.0:
-                    raise ValidationError(f"negative probability in row {true!r}")
+                if not (math.isfinite(p) and p >= 0.0):
+                    raise ValidationError(
+                        f"negative or non-finite probability in row {true!r}"
+                    )
                 total += p
             if total > 1.0 + _ROW_TOL:
                 raise ValidationError(f"confusion row {true!r} sums to {total} > 1")
         if not (0.0 <= self.negative_fp_rate <= 1.0):
             raise ValidationError("negative_fp_rate outside [0, 1]")
         if self.fp_label_dist is not None:
+            if not all(math.isfinite(p) for p in self.fp_label_dist.values()):
+                raise ValidationError("fp_label_dist holds a non-finite value")
             if abs(sum(self.fp_label_dist.values()) - 1.0) > _ROW_TOL:
                 raise ValidationError("fp_label_dist must sum to 1")
             if any(l not in space for l in self.fp_label_dist):
                 raise ValidationError("fp_label_dist emits outside the label space")
-        if self.loc_noise_sigma < 0.0:
-            raise ValidationError("loc_noise_sigma must be >= 0")
+        if not (math.isfinite(self.loc_noise_sigma) and self.loc_noise_sigma >= 0.0):
+            raise ValidationError("loc_noise_sigma must be finite and >= 0")
         self.confidence_law.validate()
 
     def miss_rate(self, true_label: str) -> float:

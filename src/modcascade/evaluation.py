@@ -6,6 +6,12 @@ wrong label"), which keeps classification error measurable separately
 from localization. AP uses all-points interpolation computed in exact
 rational arithmetic, so results are bit-reproducible and independent of
 summation order.
+
+IoU and greedy matching have one plain-Python implementation, in
+``_kernels``: there is no compiled backend to build or select.
+Benchmark with ``python3 perfbench/run.py --workload W --seed 1
+--seconds 30 --trace 0|1``; ``python3 perfbench/selftest.py`` checks
+the benchmark itself.
 """
 
 from __future__ import annotations
@@ -14,9 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
-from . import _kernels
+from ._kernels import greedy_match, iou  # iou is re-exported
 from .core import MISS, AnnotatedImage, ClassTaxonomy, Detection, GroundTruthObject
 from .errors import ValidationError
 
@@ -27,19 +31,6 @@ class NoGroundTruthError(ValidationError):
 
 class NoMatchesError(ValidationError):
     """Classification error requested on a result with no matched detections."""
-
-
-def iou(a, b) -> float:
-    """Intersection area over union area of two boxes; 0 when disjoint."""
-    ax1, ay1, ax2, ay2 = a.as_xyxy()
-    bx1, by1, bx2, by2 = b.as_xyxy()
-    iw = max(min(ax2, bx2) - max(ax1, bx1), 0.0)
-    ih = max(min(ay2, by2) - max(ay1, by1), 0.0)
-    inter = iw * ih
-    union = (a.w * a.h) + (b.w * b.h) - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
 
 
 @dataclass(frozen=True)
@@ -78,35 +69,24 @@ def match_detections(
 
     Detections are processed in descending confidence (ties keep input
     order); each claims the unclaimed ground truth with the highest
-    IoU >= threshold. ``gt_label_fn`` maps a ground truth to the label a
-    detection must carry to count as correct (default: its fine label).
+    IoU >= threshold, IoU ties going to the lowest index. ``gt_label_fn``
+    maps a ground truth to the label a detection must carry to count as
+    correct (default: its fine label).
     """
     if not (0.0 < iou_threshold <= 1.0):
         raise ValidationError(f"iou_threshold {iou_threshold} outside (0, 1]")
     if gt_label_fn is None:
         gt_label_fn = lambda gt: gt.fine_label
-    if not dets or not gts:
-        matched = tuple(MatchedDetection(d, None, False) for d in dets)
-        return MatchResult(matched, tuple(gts), iou_threshold)
-
-    det_boxes = np.array([[d.box.x, d.box.y, d.box.w, d.box.h] for d in dets])
-    gt_boxes = np.array([[g.box.x, g.box.y, g.box.w, g.box.h] for g in gts])
-    mat = _kernels.iou_matrix(det_boxes, gt_boxes)
-    confs = np.array([-d.confidence for d in dets])
-    order = np.argsort(confs, kind="stable").astype(np.int64)
-    assign = _kernels.greedy_match(mat, order, iou_threshold)
-
+    assign = greedy_match(dets, gts, iou_threshold)
     matched = []
-    claimed = set()
-    for i, det in enumerate(dets):
-        g = int(assign[i])
+    for det, g in zip(dets, assign):
         if g < 0:
             matched.append(MatchedDetection(det, None, False))
         else:
             gt = gts[g]
-            claimed.add(g)
             matched.append(MatchedDetection(det, gt, det.label == gt_label_fn(gt)))
-    fns = tuple(gts[g] for g in range(len(gts)) if g not in claimed)
+    claimed = set(assign)
+    fns = tuple(gt for g, gt in enumerate(gts) if g not in claimed)
     return MatchResult(tuple(matched), fns, iou_threshold)
 
 

@@ -247,6 +247,16 @@ class TestRun:
         cfg = write_config(tmp_path, "run.json", cfg_dict)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    def test_nan_in_profile_is_config_error(self, tmp_path, taxonomy, small_dataset, capsys):
+        cfg_dict = run_config(taxonomy, small_dataset)
+        cfg_dict["profiles"]["baseline"]["loc_noise_sigma"] = math.nan
+        cfg = write_config(tmp_path, "run.json", cfg_dict)
+        assert "NaN" in cfg.read_text()
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):

@@ -51,6 +51,25 @@ class TestProfileValidation:
         with pytest.raises(ValidationError, match="negative"):
             DetectorProfile(("a", "b"), {"a": {"a": 1.1, "b": -0.1}})
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"confusion": {"a": {"a": math.nan}}},
+            {"confusion": {"a": {"a": math.inf}}},
+            {"fp_label_dist": {"a": math.nan, "b": 1.0}},
+            {"loc_noise_sigma": math.nan},
+            {"loc_noise_sigma": math.inf},
+            {"confidence_law": ConfidenceLaw(spread=math.nan)},
+            {"confidence_law": ConfidenceLaw(spread=math.inf)},
+        ],
+        ids=["confusion-nan", "confusion-inf", "fp-dist-nan", "sigma-nan", "sigma-inf",
+             "spread-nan", "spread-inf"],
+    )
+    def test_non_finite_rejected(self, kwargs):
+        fields = {"label_space": ("a", "b"), "confusion": {"a": {"a": 0.5}}, **kwargs}
+        with pytest.raises(ValidationError, match="finite"):
+            DetectorProfile(**fields)
+
     def test_miss_rate_is_remainder(self):
         p = DetectorProfile(("a",), {"a": {"a": 0.7}})
         assert p.miss_rate("a") == pytest.approx(0.3)

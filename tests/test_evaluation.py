@@ -16,6 +16,7 @@ from modcascade import (
     map_with_fn_accounting,
     match_detections,
 )
+from modcascade._kernels import greedy_match
 from modcascade.core import (
     MISS,
     AnnotatedImage,
@@ -55,6 +56,13 @@ class TestIoU:
             b = B(rng.uniform(0, 50), rng.uniform(0, 50), rng.uniform(1, 40), rng.uniform(1, 40))
             assert iou(a, b) == iou(b, a)
             assert 0.0 <= iou(a, b) <= 1.0
+
+    def test_against_independent_scalar(self):
+        rng = random.Random(1)
+        for _ in range(200):
+            a = (rng.uniform(0, 100), rng.uniform(0, 100), rng.uniform(0.5, 50), rng.uniform(0.5, 50))
+            b = (rng.uniform(0, 100), rng.uniform(0, 100), rng.uniform(0.5, 50), rng.uniform(0.5, 50))
+            assert iou(B(*a), B(*b)) == _iou_raw(a, b)  # same arithmetic, bit-exact
 
 
 def _iou_raw(a, b):
@@ -157,6 +165,68 @@ class TestMatching:
             for i, g in got.items():
                 db, gb = dets[i].box, gts[g].box
                 assert iou(db, gb) >= thr
+
+
+def _det(box, confidence):
+    return Detection(B(*box), "pekinese", confidence)
+
+
+def _gt(box):
+    return GroundTruthObject(B(*box), "pekinese")
+
+
+class TestGreedyMatch:
+    # gt0 and gt1 overlap; A sits on gt0, C straddles gt0 and gt1:
+    # iou(A, gt0) = 1, iou(A, gt1) = 7/13; iou(C, gt0) = 9/11, iou(C, gt1) = 6/14
+    GT0, GT1 = (0, 0, 10, 10), (3, 0, 10, 10)
+    A, C = (0, 0, 10, 10), (-1, 0, 10, 10)
+
+    def test_claims_best_unclaimed(self):
+        gts = [_gt(self.GT0), _gt(self.GT1)]
+        dets = [_det(self.A, 0.9), _det(self.C, 0.8)]
+        # A takes gt0; C's best remaining is gt1, below the threshold
+        assert greedy_match(dets, gts, 0.5) == [0, -1]
+        res = match_detections(dets, gts, 0.5)
+        assert res.matched[0].ground_truth is gts[0]
+        assert res.matched[1].ground_truth is None
+        assert res.false_negatives == (gts[1],)
+
+    def test_confidence_order_decides(self):
+        gts = [_gt(self.GT0), _gt(self.GT1)]
+        dets = [_det(self.A, 0.8), _det(self.C, 0.9)]
+        # C goes first and claims gt0; A falls back to gt1
+        assert greedy_match(dets, gts, 0.5) == [1, 0]
+        res = match_detections(dets, gts, 0.5)
+        assert [m.ground_truth for m in res.matched] == [gts[1], gts[0]]
+        assert res.false_negatives == ()
+
+    def test_equal_confidence_keeps_input_order(self):
+        gts = [_gt(self.GT0)]
+        a, c = _det(self.A, 0.7), _det(self.C, 0.7)
+        # the first detection in input order claims gt0, whatever its IoU
+        assert greedy_match([a, c], gts, 0.5) == [0, -1]
+        assert greedy_match([c, a], gts, 0.5) == [0, -1]
+
+    def test_iou_tie_prefers_lower_index(self):
+        left, right = _gt((-2, 0, 10, 10)), _gt((2, 0, 10, 10))
+        det = _det((0, 0, 10, 10), 0.9)
+        assert iou(det.box, left.box) == iou(det.box, right.box) == 2 / 3
+        assert greedy_match([det], [left, right], 0.5) == [0]
+        assert greedy_match([det], [right, left], 0.5) == [0]
+        assert match_detections([det], [right, left], 0.5).matched[0].ground_truth is right
+
+    def test_empty_dets_or_gts(self):
+        gts = [_gt(self.GT0), _gt(self.GT1)]
+        dets = [_det(self.A, 0.9), _det(self.C, 0.8)]
+        assert greedy_match([], gts, 0.5) == []
+        assert greedy_match(dets, [], 0.5) == [-1, -1]
+        assert greedy_match([], [], 0.5) == []
+        no_gts = match_detections(dets, [], 0.5)
+        assert [m.ground_truth for m in no_gts.matched] == [None, None]
+        assert no_gts.false_negatives == ()
+        no_dets = match_detections([], gts, 0.5)
+        assert no_dets.matched == ()
+        assert no_dets.false_negatives == tuple(gts)
 
 
 class TestAveragePrecision:
