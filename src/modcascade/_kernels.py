@@ -37,15 +37,32 @@ def greedy_match(dets, gts, iou_threshold: float) -> list[int]:
     one ground-truth index per detection in input order, -1 if none.
     """
     assign = [-1] * len(dets)
+    # each ground truth's corners and area once; the IoU below is `iou`
+    # inlined with the same operations in the same order, so the doubles
+    # are bit-identical
+    targets = []
+    for gt in gts:
+        b = gt.box
+        targets.append((b.x, b.y, b.x + b.w, b.y + b.h, b.w * b.h))
     claimed = [False] * len(gts)
     for d in sorted(range(len(dets)), key=lambda i: -dets[i].confidence):
-        box = dets[d].box
+        a = dets[d].box
+        ax1, ay1 = a.x, a.y
+        ax2, ay2 = ax1 + a.w, ay1 + a.h
+        a_area = a.w * a.h
         best = -1
         best_iou = -1.0
-        for g, gt in enumerate(gts):
+        for g, (bx1, by1, bx2, by2, b_area) in enumerate(targets):
             if claimed[g]:
                 continue
-            v = iou(box, gt.box)
+            iw = min(ax2, bx2) - max(ax1, bx1)
+            ih = min(ay2, by2) - max(ay1, by1)
+            if iw <= 0.0 or ih <= 0.0:
+                v = 0.0  # what `iou` returns for a zero intersection
+            else:
+                inter = iw * ih
+                union = a_area + b_area - inter
+                v = inter / union if union > 0.0 else 0.0
             if v >= iou_threshold and v > best_iou:
                 best, best_iou = g, v
         if best >= 0:

@@ -11,7 +11,6 @@ protocol error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -22,41 +21,37 @@ from .core import (
     AnnotatedImage,
     BoundingBox,
     ClassTaxonomy,
-    Detection,
     GroundTruthObject,
     make_dataset,
 )
-from .detector import DetectorHandle, DetectorProfile, detect
 from .errormodel import (
     bayes_error,
     feature_count,
     model_file_to_parts,
-    modular_advantage,
     over_capacity,
     pdf_curves,
 )
 from .errors import DetectorError, ValidationError
-from .evaluation import evaluate_run, map_with_fn_accounting
+from .experiment import parse_run_config, run_experiment
 from .reporting import dump_canonical
-from .router import RoutingConfig, compare_tree_vs_flat, route_v1, route_v2
-
-
-def _role_seed(seed: int, role: str) -> int:
-    digest = hashlib.blake2b(f"{seed}|{role}".encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
 
 
 def _load_config(path: Path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config {path}: {exc}") from None
+    if not isinstance(config, dict):
+        raise ValidationError(f"config {path}: expected a JSON object")
+    return config
 
 
-def _resolve(base: Path, value: str) -> Path:
-    p = Path(value)
-    return p if p.is_absolute() else base / p
+def _config_seed(config: dict) -> int:
+    seed = config.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValidationError(f"seed {seed!r} is not an integer")
+    return seed
 
 
 # ---------------------------------------------------------------- synth
@@ -115,175 +110,11 @@ def cmd_synth(config: dict, seed: int, out_dir: Path) -> Path:
 # ------------------------------------------------------------------ run
 
 
-def _profile_for(config_profiles: dict, key: str) -> DetectorProfile:
-    try:
-        return DetectorProfile.from_json(config_profiles[key])
-    except KeyError:
-        raise ValidationError(f"config missing profile {key!r}") from None
-
-
-def _check_label_spaces(
-    taxonomy: ClassTaxonomy,
-    baseline: DetectorProfile,
-    stage1: DetectorProfile,
-    stage2: dict[str, DetectorProfile],
-) -> None:
-    if set(baseline.label_space) != set(taxonomy.fine_labels):
-        raise ValidationError("baseline profile must emit exactly the fine labels")
-    if set(stage1.label_space) != set(taxonomy.generals):
-        raise ValidationError("stage-1 profile must emit exactly the general labels")
-    if set(stage2) != set(taxonomy.generals):
-        raise ValidationError("stage-2 profiles must cover exactly the general classes")
-    for g, prof in stage2.items():
-        if set(prof.label_space) != set(taxonomy.fine_of[g]):
-            raise ValidationError(
-                f"stage-2 profile for {g!r} must emit exactly fine_of({g!r})"
-            )
-
-
-def _det_json(d: Detection) -> dict:
-    return {
-        "box": [d.box.x, d.box.y, d.box.w, d.box.h],
-        "label": d.label,
-        "confidence": d.confidence,
-    }
-
-
-def run_experiment(config: dict, seed: int, base_dir: Path) -> dict:
-    """Execute a full baseline-vs-cascade comparison; returns the report."""
-    from .core import load_dataset
-
-    dataset = load_dataset(_resolve(base_dir, config["dataset"]))
-    taxonomy = dataset.taxonomy
-    profiles = config.get("profiles", {})
-    baseline_prof = _profile_for(profiles, "baseline")
-    stage1_prof = _profile_for(profiles, "stage1")
-    stage2_prof = {
-        g: DetectorProfile.from_json(p) for g, p in profiles.get("stage2", {}).items()
-    }
-    _check_label_spaces(taxonomy, baseline_prof, stage1_prof, stage2_prof)
-
-    routing_cfg = config.get("routing", {})
-    routing = RoutingConfig(
-        tau=routing_cfg.get("tau", 0.5), mode=routing_cfg.get("mode", "v1")
-    )
-    iou_threshold = config.get("eval", {}).get("iou_threshold", 0.5)
-    workers = int(config.get("workers", 1))
-
-    baseline_handle = DetectorHandle.simulated(baseline_prof, _role_seed(seed, "baseline"))
-    stage1_handle = DetectorHandle.simulated(stage1_prof, _role_seed(seed, "stage1"))
-    stage2_handles = {
-        g: DetectorHandle.simulated(p, _role_seed(seed, f"stage2|{g}"))
-        for g, p in stage2_prof.items()
-    }
-
-    baseline_dets = {img.id: tuple(detect(baseline_handle, img)) for img in dataset.images}
-    route = route_v1 if routing.mode == "v1" else route_v2
-    cascade = route(dataset, stage1_handle, stage2_handles, taxonomy, routing, workers=workers)
-
-    baseline_report = evaluate_run(
-        dataset.images,
-        baseline_dets,
-        taxonomy,
-        iou_threshold=iou_threshold,
-        stage1_inferences=len(dataset.images),
-    )
-    modular_report = evaluate_run(
-        dataset.images,
-        cascade.detections,
-        taxonomy,
-        iou_threshold=iou_threshold,
-        invoked_by_image=cascade.trace.invoked_by_image(),
-        stage1_inferences=cascade.trace.stage1_inferences,
-        stage2_inferences=cascade.trace.stage2_inferences,
-    )
-    stage1_report = evaluate_run(
-        dataset.images,
-        cascade.trace.stage1_by_image(),
-        taxonomy,
-        level="general",
-        iou_threshold=iou_threshold,
-        stage1_inferences=cascade.trace.stage1_inferences,
-    )
-
-    # FN-aware total mAP: stage-2 mAP over the images that actually
-    # reached stage 2, scaled down by the positives stage 1 dropped
-    invoked = cascade.trace.invoked_by_image()
-    routed_images = [
-        img
-        for img in dataset.images
-        if img.objects
-        and all(taxonomy.general_of(o.fine_label) in invoked.get(img.id, ()) for o in img.objects)
-    ]
-    fn_images = modular_report.fn_image_count
-    if routed_images:
-        stage2_routed_map = evaluate_run(
-            routed_images, cascade.detections, taxonomy, iou_threshold=iou_threshold
-        ).map
-    else:
-        stage2_routed_map = 0.0
-    if routed_images or fn_images:
-        map_fn_adjusted = map_with_fn_accounting(
-            stage2_routed_map, len(routed_images), fn_images
-        )
-    else:
-        map_fn_adjusted = modular_report.map
-
-    a = 1.0 - baseline_report.classification_error
-    acc_s1 = 1.0 - stage1_report.classification_error
-    acc_mod = 1.0 - modular_report.classification_error
-    delta1 = acc_s1 - a
-    # composite accuracy factors through the stages: acc_mod =
-    # (a+delta1)(a+delta2); the measured ratio can stray above 1 on
-    # small runs (sampling noise, v2 recovery), so cap the factor
-    s2_factor = min(acc_mod / acc_s1, 1.0) if acc_s1 > 0 else 0.0
-    delta2 = s2_factor - a
-    adv = modular_advantage(a, delta1, delta2)
-
-    tree_vs_flat = compare_tree_vs_flat(cascade.trace, n_fine_networks=len(stage2_handles))
-
-    modular_json = modular_report.to_json()
-    modular_json["map_stage2_routed"] = stage2_routed_map
-    modular_json["map_fn_adjusted"] = map_fn_adjusted
-    modular_json["routed_positive_images"] = len(routed_images)
-
-    trace_json = {
-        "mode": routing.mode,
-        "tau": routing.tau,
-        "iou_threshold": iou_threshold,
-        "stage1_inferences": cascade.trace.stage1_inferences,
-        "stage2_inferences": cascade.trace.stage2_inferences,
-        "images": [
-            {
-                "id": t.image_id,
-                "baseline": [_det_json(d) for d in baseline_dets[t.image_id]],
-                "stage1": [_det_json(d) for d in t.stage1],
-                "triggered": list(t.triggered),
-                "invoked": list(t.invoked),
-                "stage2": {g: [_det_json(d) for d in ds] for g, ds in t.stage2.items()},
-            }
-            for t in cascade.trace.images
-        ],
-    }
-    return {
-        "baseline": baseline_report.to_json(),
-        "modular": modular_json,
-        "trace": trace_json,
-        "tree_vs_flat": tree_vs_flat,
-        "advantage": {
-            "a": a,
-            "delta1": delta1,
-            "delta2": delta2,
-            "lhs": adv.lhs,
-            "rhs": adv.rhs,
-            "advantage": adv.advantage,
-        },
-    }
-
-
 def cmd_run(config: dict, seed: int, out_dir: Path, base_dir: Path) -> Path:
-    report = run_experiment(config, seed, base_dir)
-    out_path = out_dir / config.get("report_filename", "report.json")
+    """Run the experiment of ``experiment.py`` and write its report."""
+    run_config = parse_run_config(config, base_dir)
+    report = run_experiment(run_config, seed)
+    out_path = out_dir / run_config.report_filename
     dump_canonical(report, out_path)
     return out_path
 
@@ -294,7 +125,7 @@ def cmd_run(config: dict, seed: int, out_dir: Path, base_dir: Path) -> Path:
 def cmd_errormodel(config: dict, out_dir: Path, base_dir: Path) -> tuple[Path, Path]:
     model_doc = config["model"]
     if isinstance(model_doc, str):
-        with open(_resolve(base_dir, model_doc), "r", encoding="utf-8") as fh:
+        with open(base_dir / model_doc, "r", encoding="utf-8") as fh:
             try:
                 model_doc = json.load(fh)
             except json.JSONDecodeError as exc:
@@ -348,7 +179,7 @@ def main(argv=None) -> int:
     try:
         config_path = Path(args.config)
         config = _load_config(config_path)
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+        seed = args.seed if args.seed is not None else _config_seed(config)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         base_dir = config_path.parent

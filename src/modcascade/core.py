@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -96,6 +97,20 @@ class ClassTaxonomy:
             fine_of={g: tuple(fs) for g, fs in obj["generals"].items()},
             negative_label=obj.get("negative_label", "negative"),
         )
+
+
+def is_finite_real(value) -> bool:
+    """True for a real number (not a bool) that is neither NaN nor infinite.
+
+    The one type-and-finiteness check behind every numeric config field,
+    so a string or a NaN is rejected as a ValidationError instead of
+    failing later in arithmetic.
+    """
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 def validate_taxonomy(taxonomy: ClassTaxonomy) -> list[str]:

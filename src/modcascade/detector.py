@@ -9,9 +9,9 @@ results regardless of call order or thread.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
-import math
 import subprocess
 import threading
 from dataclasses import dataclass, field
@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import AnnotatedImage, BoundingBox, ClassTaxonomy, Detection
+from .core import AnnotatedImage, BoundingBox, ClassTaxonomy, Detection, is_finite_real
 from .errors import DetectorError, ProtocolError, UnknownLabelError, ValidationError
 
 _ROW_TOL = 1e-9
@@ -39,10 +39,12 @@ class ConfidenceLaw:
     spread: float = 0.08
 
     def validate(self) -> None:
-        if not (0.0 <= self.mean_correct <= 1.0 and 0.0 <= self.mean_wrong <= 1.0):
-            raise ValidationError("confidence means must be in [0, 1]")
-        if not (math.isfinite(self.spread) and self.spread >= 0.0):
-            raise ValidationError("confidence spread must be finite and >= 0")
+        if not all(
+            is_finite_real(m) and 0.0 <= m <= 1.0 for m in (self.mean_correct, self.mean_wrong)
+        ):
+            raise ValidationError("confidence means must be numbers in [0, 1]")
+        if not (is_finite_real(self.spread) and self.spread >= 0.0):
+            raise ValidationError("confidence spread must be a finite number >= 0")
 
     def sample(self, rng: np.random.Generator, correct: bool) -> float:
         mean = self.mean_correct if correct else self.mean_wrong
@@ -84,20 +86,20 @@ class DetectorProfile:
     def __post_init__(self) -> None:
         object.__setattr__(self, "label_space", tuple(self.label_space))
         self.validate()
-        # per-row sampling tables, precomputed once
+        # per-row sampling tables, precomputed once; cumulative sums as
+        # plain-float lists, searched with bisect
         tables = {}
         for true, row in self.confusion.items():
             labels = tuple(row)
-            cum = np.cumsum(np.array([row[l] for l in labels], dtype=np.float64))
+            cum = np.cumsum(np.array([row[l] for l in labels], dtype=np.float64)).tolist()
             tables[true] = (labels, cum)
         object.__setattr__(self, "_row_tables", tables)
         if self.fp_label_dist is not None:
             fp_labels = tuple(self.fp_label_dist)
-            fp_cum = np.cumsum(np.array([self.fp_label_dist[l] for l in fp_labels]))
+            fp_cum = np.cumsum(np.array([self.fp_label_dist[l] for l in fp_labels])).tolist()
         else:
             fp_labels = self.label_space
-            n = len(fp_labels)
-            fp_cum = np.cumsum(np.full(n, 1.0 / n)) if n else np.array([])
+            fp_cum = np.cumsum(np.full(len(fp_labels), 1.0 / len(fp_labels))).tolist()
         object.__setattr__(self, "_fp_table", (fp_labels, fp_cum))
 
     def validate(self) -> None:
@@ -111,24 +113,27 @@ class DetectorProfile:
                     raise ValidationError(
                         f"confusion row {true!r} emits {label!r} outside the label space"
                     )
-                if not (math.isfinite(p) and p >= 0.0):
+                if not (is_finite_real(p) and p >= 0.0):
                     raise ValidationError(
-                        f"negative or non-finite probability in row {true!r}"
+                        f"confusion row {true!r}: probability {p!r} is negative "
+                        "or not a finite number"
                     )
                 total += p
             if total > 1.0 + _ROW_TOL:
                 raise ValidationError(f"confusion row {true!r} sums to {total} > 1")
-        if not (0.0 <= self.negative_fp_rate <= 1.0):
-            raise ValidationError("negative_fp_rate outside [0, 1]")
+        if not (is_finite_real(self.negative_fp_rate) and 0.0 <= self.negative_fp_rate <= 1.0):
+            raise ValidationError("negative_fp_rate must be a number in [0, 1]")
         if self.fp_label_dist is not None:
-            if not all(math.isfinite(p) for p in self.fp_label_dist.values()):
-                raise ValidationError("fp_label_dist holds a non-finite value")
+            if not all(is_finite_real(p) and p >= 0.0 for p in self.fp_label_dist.values()):
+                raise ValidationError("fp_label_dist values must be finite numbers >= 0")
             if abs(sum(self.fp_label_dist.values()) - 1.0) > _ROW_TOL:
                 raise ValidationError("fp_label_dist must sum to 1")
             if any(l not in space for l in self.fp_label_dist):
                 raise ValidationError("fp_label_dist emits outside the label space")
-        if not (math.isfinite(self.loc_noise_sigma) and self.loc_noise_sigma >= 0.0):
-            raise ValidationError("loc_noise_sigma must be finite and >= 0")
+        if not (is_finite_real(self.loc_noise_sigma) and self.loc_noise_sigma >= 0.0):
+            raise ValidationError("loc_noise_sigma must be a finite number >= 0")
+        if self.correct_for is not None and not isinstance(self.correct_for, Mapping):
+            raise ValidationError("correct_for must map true labels to emitted labels")
         self.confidence_law.validate()
 
     def miss_rate(self, true_label: str) -> float:
@@ -162,20 +167,26 @@ class DetectorProfile:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "DetectorProfile":
-        law = obj.get("confidence_law", {})
-        return cls(
-            label_space=tuple(obj["label_space"]),
-            confusion={t: dict(r) for t, r in obj["confusion"].items()},
-            negative_fp_rate=obj.get("negative_fp_rate", 0.0),
-            fp_label_dist=obj.get("fp_label_dist"),
-            loc_noise_sigma=obj.get("loc_noise_sigma", 0.0),
-            confidence_law=ConfidenceLaw(
-                mean_correct=law.get("mean_correct", 0.9),
-                mean_wrong=law.get("mean_wrong", 0.6),
-                spread=law.get("spread", 0.08),
-            ),
-            correct_for=obj.get("correct_for"),
-        )
+        """Build and validate a profile; a malformed document is a ValidationError."""
+        try:
+            law = obj.get("confidence_law", {})
+            return cls(
+                label_space=tuple(obj["label_space"]),
+                confusion={t: dict(r) for t, r in obj["confusion"].items()},
+                negative_fp_rate=obj.get("negative_fp_rate", 0.0),
+                fp_label_dist=obj.get("fp_label_dist"),
+                loc_noise_sigma=obj.get("loc_noise_sigma", 0.0),
+                confidence_law=ConfidenceLaw(
+                    mean_correct=law.get("mean_correct", 0.9),
+                    mean_wrong=law.get("mean_wrong", 0.6),
+                    spread=law.get("spread", 0.08),
+                ),
+                correct_for=obj.get("correct_for"),
+            )
+        except ValidationError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed detector profile: {exc!r}") from None
 
 
 @dataclass(frozen=True)
@@ -214,9 +225,9 @@ def object_rng(seed: int, image_id: str, tag) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
 
 
-def _draw_from_table(rng: np.random.Generator, labels, cum) -> str | None:
+def _draw_from_table(rng: np.random.Generator, labels, cum: list[float]) -> str | None:
     u = rng.random()
-    idx = int(np.searchsorted(cum, u, side="right"))
+    idx = bisect.bisect_right(cum, u)
     if idx >= len(labels):
         return None  # remainder mass = miss
     return labels[idx]
@@ -227,7 +238,8 @@ def _noisy_box(
 ) -> BoundingBox:
     if sigma == 0.0:
         return box
-    nx, ny, nw, nh = rng.normal(0.0, sigma, 4)
+    # plain floats: the same doubles, cheaper arithmetic downstream
+    nx, ny, nw, nh = rng.normal(0.0, sigma, 4).tolist()
     w = min(max(box.w + nw, _MIN_EXTENT), width)
     h = min(max(box.h + nh, _MIN_EXTENT), height)
     x = min(max(box.x + nx, 0.0), width - w)

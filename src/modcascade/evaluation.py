@@ -3,9 +3,21 @@
 Matching is class-agnostic greedy: a detection may claim a ground truth
 of another class and then count as a classification error ("right box,
 wrong label"), which keeps classification error measurable separately
-from localization. AP uses all-points interpolation computed in exact
-rational arithmetic, so results are bit-reproducible and independent of
-summation order.
+from localization.
+
+AP is the area under the all-points-interpolated precision-recall curve
+(PASCAL VOC; Everingham et al., IJCV 2010), computed exactly and rounded
+to float once, so results are bit-reproducible and independent of
+summation order. Every true positive at rank k raises recall by
+1/n_gt, so the area is (1/n_gt) times the sum of the precision envelope
+env(k) = max_{j >= k} tp_j / j over the TP ranks k. The ranks are walked
+backwards with the best precision kept as an integer pair (tp_j, j),
+compared by cross-multiplication; consecutive TP ranks under the same
+envelope value are counted and added as one ``Fraction``.
+
+``evaluate_run`` matches each image once and keeps the per-image
+``MatchResult``s on its report, so a report over a subset of the images
+(``score_matches``) needs no second matching pass.
 
 IoU and greedy matching have one plain-Python implementation, in
 ``_kernels``: there is no compiled backend to build or select.
@@ -16,7 +28,7 @@ the benchmark itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -99,28 +111,27 @@ def average_precision(records: Sequence[tuple[float, bool]], n_gt: int) -> float
     """
     if n_gt <= 0:
         raise NoGroundTruthError("average precision undefined without ground truth")
-    if not records:
+    # descending confidence, ties keep input order
+    hits = [bool(tp) for _, tp in sorted(records, key=lambda r: -r[0])]
+    tp = sum(hits)
+    if tp == 0:
         return 0.0
-    order = sorted(range(len(records)), key=lambda i: -records[i][0])
-    tp = 0
-    points = []  # (recall, precision) after each detection
-    for rank, i in enumerate(order, start=1):
-        if records[i][1]:
-            tp += 1
-        points.append((Fraction(tp, n_gt), Fraction(tp, rank)))
-    # monotone non-increasing precision envelope, area over recall steps
+    # walk the ranks backwards: (best_tp, best_rank) is the envelope
+    # max_{j >= rank} tp_j / j; `run` counts the TP ranks under it
     area = Fraction(0)
-    best = Fraction(0)
-    env = [Fraction(0)] * len(points)
-    for k in range(len(points) - 1, -1, -1):
-        best = max(best, points[k][1])
-        env[k] = best
-    prev_r = Fraction(0)
-    for k, (r, _) in enumerate(points):
-        if r > prev_r:
-            area += (r - prev_r) * env[k]
-            prev_r = r
-    return float(area)
+    best_tp, best_rank = 0, 1
+    run = 0
+    for rank in range(len(hits), 0, -1):
+        if tp * best_rank > best_tp * rank:
+            if run:
+                area += Fraction(run * best_tp, best_rank)
+                run = 0
+            best_tp, best_rank = tp, rank
+        if hits[rank - 1]:
+            run += 1
+            tp -= 1
+    area += Fraction(run * best_tp, best_rank)
+    return float(area / n_gt)
 
 
 def classification_error(match: MatchResult) -> float:
@@ -174,6 +185,8 @@ class EvalReport:
     detections (0.0 when nothing matched — counts stay visible in the
     confusion matrix). ``fn_image_count`` counts positive images whose
     objects' general class had no covering stage-2 invocation.
+    ``matches`` holds the per-image match results the report was scored
+    from, in image order; it is not serialized.
     """
 
     per_class_ap: Mapping[str, float]
@@ -184,6 +197,7 @@ class EvalReport:
     matched_count: int = 0
     stage1_inferences: int = 0
     stage2_inferences: int = 0
+    matches: tuple[MatchResult, ...] = field(default=(), compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -214,6 +228,74 @@ def count_fn_images(
     return count
 
 
+def score_matches(
+    matches: Sequence[MatchResult],
+    taxonomy: ClassTaxonomy,
+    *,
+    level: str = "fine",
+    fn_image_count: int = 0,
+    stage1_inferences: int = 0,
+    stage2_inferences: int = 0,
+) -> EvalReport:
+    """Score per-image match results at the given label level.
+
+    Every ground truth is either claimed by one detection or a false
+    negative, so the per-class ground-truth counts come from the
+    matches alone. AP ties break by the order of ``matches``.
+    """
+    records: dict[str, list[tuple[float, bool]]] = {}
+    gt_counts: dict[str, int] = {}
+    confusion: dict[str, dict[str, int]] = {}
+    at_level: dict[str, str] = {}
+    matched_total = 0
+    wrong_total = 0
+
+    def project(label: str) -> str:
+        lbl = at_level.get(label)
+        if lbl is None:
+            lbl = at_level[label] = taxonomy.label_at_level(label, level)
+        return lbl
+
+    for result in matches:
+        for m in result.matched:
+            det_lbl = project(m.detection.label)
+            records.setdefault(det_lbl, []).append((m.detection.confidence, m.correct_label))
+            if m.ground_truth is not None:
+                matched_total += 1
+                if not m.correct_label:
+                    wrong_total += 1
+                true = project(m.ground_truth.fine_label)
+                gt_counts[true] = gt_counts.get(true, 0) + 1
+                row = confusion.setdefault(true, {})
+                row[det_lbl] = row.get(det_lbl, 0) + 1
+        for gt in result.false_negatives:
+            true = project(gt.fine_label)
+            gt_counts[true] = gt_counts.get(true, 0) + 1
+            row = confusion.setdefault(true, {})
+            row[MISS] = row.get(MISS, 0) + 1
+
+    per_class_ap = {
+        lbl: average_precision(records.get(lbl, []), n)
+        for lbl, n in sorted(gt_counts.items())
+    }
+    if per_class_ap:
+        mean_ap = float(sum(Fraction(v) for v in per_class_ap.values()) / len(per_class_ap))
+    else:
+        mean_ap = 0.0
+    err = wrong_total / matched_total if matched_total else 0.0
+    return EvalReport(
+        per_class_ap=per_class_ap,
+        map=mean_ap,
+        classification_error=err,
+        confusion=confusion,
+        fn_image_count=fn_image_count,
+        matched_count=matched_total,
+        stage1_inferences=stage1_inferences,
+        stage2_inferences=stage2_inferences,
+        matches=tuple(matches),
+    )
+
+
 def evaluate_run(
     images: Sequence[AnnotatedImage],
     detections_by_image: Mapping[str, Sequence[Detection]],
@@ -230,59 +312,33 @@ def evaluate_run(
     Deterministic: images are folded in the given order, AP ties break
     by that order. ``invoked_by_image`` (image id -> invoked general
     classes) enables FN-image accounting for cascade runs; omit it for
-    flat baselines.
+    flat baselines. Each image is matched once, and the report keeps the
+    results in ``matches`` so that a subset can be rescored with
+    ``score_matches``.
     """
-    records: dict[str, list[tuple[float, bool]]] = {}
-    gt_counts: dict[str, int] = {}
-    confusion: dict[str, dict[str, int]] = {}
-    matched_total = 0
-    wrong_total = 0
 
     def gt_label(gt: GroundTruthObject) -> str:
         return taxonomy.label_at_level(gt.fine_label, level)
 
-    for img in images:
-        dets = list(detections_by_image.get(img.id, ()))
-        result = match_detections(dets, img.objects, iou_threshold, gt_label_fn=gt_label)
-        for obj in img.objects:
-            lbl = gt_label(obj)
-            gt_counts[lbl] = gt_counts.get(lbl, 0) + 1
-        for m in result.matched:
-            det_lbl = taxonomy.label_at_level(m.detection.label, level)
-            records.setdefault(det_lbl, []).append((m.detection.confidence, m.correct_label))
-            if m.ground_truth is not None:
-                matched_total += 1
-                if not m.correct_label:
-                    wrong_total += 1
-                true = gt_label(m.ground_truth)
-                row = confusion.setdefault(true, {})
-                row[det_lbl] = row.get(det_lbl, 0) + 1
-        for gt in result.false_negatives:
-            row = confusion.setdefault(gt_label(gt), {})
-            row[MISS] = row.get(MISS, 0) + 1
-
-    per_class_ap = {
-        lbl: average_precision(records.get(lbl, []), n)
-        for lbl, n in sorted(gt_counts.items())
-        if n > 0
-    }
-    if per_class_ap:
-        mean_ap = float(sum(Fraction(v) for v in per_class_ap.values()) / len(per_class_ap))
-    else:
-        mean_ap = 0.0
-    err = wrong_total / matched_total if matched_total else 0.0
+    matches = [
+        match_detections(
+            list(detections_by_image.get(img.id, ())),
+            img.objects,
+            iou_threshold,
+            gt_label_fn=gt_label,
+        )
+        for img in images
+    ]
     fn_images = (
         count_fn_images(images, invoked_by_image, taxonomy)
         if invoked_by_image is not None
         else 0
     )
-    return EvalReport(
-        per_class_ap=per_class_ap,
-        map=mean_ap,
-        classification_error=err,
-        confusion=confusion,
+    return score_matches(
+        matches,
+        taxonomy,
+        level=level,
         fn_image_count=fn_images,
-        matched_count=matched_total,
         stage1_inferences=stage1_inferences,
         stage2_inferences=stage2_inferences,
     )

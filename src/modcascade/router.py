@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import AnnotatedImage, ClassTaxonomy, Dataset, Detection
+from .core import AnnotatedImage, ClassTaxonomy, Dataset, Detection, is_finite_real
 from .detector import DetectorHandle, detect
 from .errors import ValidationError
 
@@ -31,8 +31,8 @@ class RoutingConfig:
     mode: str = "v1"
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.tau <= 1.0):
-            raise ValidationError(f"tau {self.tau} outside [0, 1]")
+        if not (is_finite_real(self.tau) and 0.0 <= self.tau <= 1.0):
+            raise ValidationError(f"tau {self.tau!r} is not a number in [0, 1]")
         if self.mode not in ("v1", "v2"):
             raise ValidationError(f"mode must be 'v1' or 'v2', got {self.mode!r}")
 

@@ -3,10 +3,13 @@
 These deliberately avoid the library's computation paths: the Bayes
 oracle samples the generative story directly (class by prior, feature
 by conditional, essential-flag by weight, classify by the larger
-weighted mass) instead of summing minima.
+weighted mass) instead of summing minima; the AP oracle builds the whole
+precision-recall curve as ``Fraction`` points; the escaper walks a
+string one character at a time.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -109,3 +112,48 @@ def random_model(rng: np.random.Generator, n_features: int, n_classes: int,
         conditional=conditional,
         weights=weights,
     )
+
+
+def fraction_average_precision(records, n_gt: int) -> float:
+    """All-points AP as the area under the full rational PR curve.
+
+    One (recall, precision) point per rank, a running-max precision
+    envelope from the right, and the area summed over every recall step.
+    """
+    order = sorted(range(len(records)), key=lambda i: -records[i][0])
+    tp = 0
+    points = []  # (recall, precision) after each detection
+    for rank, i in enumerate(order, start=1):
+        if records[i][1]:
+            tp += 1
+        points.append((Fraction(tp, n_gt), Fraction(tp, rank)))
+    area = Fraction(0)
+    best = Fraction(0)
+    env = [Fraction(0)] * len(points)
+    for k in range(len(points) - 1, -1, -1):
+        best = max(best, points[k][1])
+        env[k] = best
+    prev_r = Fraction(0)
+    for k, (r, _) in enumerate(points):
+        if r > prev_r:
+            area += (r - prev_r) * env[k]
+            prev_r = r
+    return float(area)
+
+
+_CHAR_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def char_loop_escape(s: str) -> str:
+    """A JSON string literal of ``s``: short escapes for quote, backslash,
+    newline, return and tab, ``\\u00XX`` for every other control character."""
+    parts = ['"']
+    for ch in s:
+        if ch in _CHAR_ESCAPES:
+            parts.append(_CHAR_ESCAPES[ch])
+        elif ord(ch) < 0x20:
+            parts.append(f"\\u{ord(ch):04x}")
+        else:
+            parts.append(ch)
+    parts.append('"')
+    return "".join(parts)

@@ -258,6 +258,56 @@ class TestRun:
         assert not (tmp_path / "report.json").exists()
 
 
+def _drop(key):
+    return lambda cfg: cfg.pop(key)
+
+
+def _set(value, *path):
+    def mutate(cfg):
+        doc = cfg
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    return mutate
+
+
+BAD_RUN_CONFIGS = {
+    "no-dataset": _drop("dataset"),
+    "dataset-number": _set(3, "dataset"),
+    "tau-string": _set("0.5", "routing", "tau"),
+    "tau-nan": _set(math.nan, "routing", "tau"),
+    "mode-unknown": _set("v3", "routing", "mode"),
+    "routing-list": _set([], "routing"),
+    "workers-string": _set("many", "workers"),
+    "workers-zero": _set(0, "workers"),
+    "iou-string": _set("0.5", "eval", "iou_threshold"),
+    "iou-zero": _set(0, "eval", "iou_threshold"),
+    "seed-string": _set("x", "seed"),
+    "profiles-string": _set("x", "profiles"),
+    "stage2-list": _set([], "profiles", "stage2"),
+    "no-stage1": lambda cfg: cfg["profiles"].pop("stage1"),
+    "sigma-string": _set("x", "profiles", "baseline", "loc_noise_sigma"),
+    "probability-string": _set("0.5", "profiles", "stage1", "confusion", "pekinese", "dog"),
+    "fp-dist-negative": _set({"dog": -1.0, "boat": 2.0}, "profiles", "stage1", "fp_label_dist"),
+    "profile-no-label-space": lambda cfg: cfg["profiles"]["baseline"].pop("label_space"),
+    "correct-for-list": _set([], "profiles", "stage1", "correct_for"),
+    "report-filename-number": _set(7, "report_filename"),
+}
+
+
+@pytest.mark.parametrize("mutate", list(BAD_RUN_CONFIGS.values()), ids=list(BAD_RUN_CONFIGS))
+def test_bad_run_config_is_one_line_error(tmp_path, taxonomy, small_dataset, capsys, mutate):
+    cfg_dict = run_config(taxonomy, small_dataset)
+    mutate(cfg_dict)
+    cfg = write_config(tmp_path, "run.json", cfg_dict)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(out.glob("*"))
+
+
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 4
@@ -266,6 +316,12 @@ class TestExitCodes:
         path = tmp_path / "bad.json"
         path.write_text("{oops")
         assert main(["synth", "--config", str(path)]) == 2
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_corrupt_dataset_is_validation_error(self, tmp_path, taxonomy):
         ds_path = tmp_path / "ds.json"

@@ -70,6 +70,40 @@ class TestProfileValidation:
         with pytest.raises(ValidationError, match="finite"):
             DetectorProfile(**fields)
 
+    def test_negative_fp_label_dist_rejected(self):
+        # sums to 1, but the -1 would hand every spurious detection to "b"
+        with pytest.raises(ValidationError, match="fp_label_dist"):
+            DetectorProfile(
+                ("a", "b"), {"a": {"a": 1.0}}, fp_label_dist={"a": -1.0, "b": 2.0}
+            )
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"confusion": {"a": {"a": "0.5"}}},
+            {"loc_noise_sigma": "x"},
+            {"negative_fp_rate": "0.1"},
+            {"fp_label_dist": {"a": "0.5", "b": 0.5}},
+            {"confidence_law": ConfidenceLaw(mean_correct="0.9")},
+            {"loc_noise_sigma": True},
+        ],
+        ids=["confusion-str", "sigma-str", "fp-rate-str", "fp-dist-str", "mean-str", "sigma-bool"],
+    )
+    def test_non_number_rejected(self, kwargs):
+        fields = {"label_space": ("a", "b"), "confusion": {"a": {"a": 0.5}}, **kwargs}
+        with pytest.raises(ValidationError):
+            DetectorProfile(**fields)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [[], {"confusion": {}}, {"label_space": ["a"], "confusion": []},
+         {"label_space": ["a"], "confusion": {"a": 0.5}}],
+        ids=["not-object", "no-label-space", "confusion-list", "row-number"],
+    )
+    def test_malformed_json_is_validation_error(self, doc):
+        with pytest.raises(ValidationError, match="malformed detector profile"):
+            DetectorProfile.from_json(doc)
+
     def test_miss_rate_is_remainder(self):
         p = DetectorProfile(("a",), {"a": {"a": 0.7}})
         assert p.miss_rate("a") == pytest.approx(0.3)

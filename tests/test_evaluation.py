@@ -1,10 +1,13 @@
 """Evaluation tests: IoU/matching against brute-force oracles, exact AP
 fixtures, FN-aware mAP arithmetic, error rates, confusion counts."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modcascade import (
     ClassTaxonomy,
@@ -25,7 +28,9 @@ from modcascade.core import (
     GroundTruthObject,
 )
 from modcascade.errors import ValidationError
-from modcascade.evaluation import NoGroundTruthError, NoMatchesError
+from modcascade.evaluation import NoGroundTruthError, NoMatchesError, score_matches
+
+from oracles import fraction_average_precision
 
 
 def B(x, y, w, h):
@@ -215,6 +220,31 @@ class TestGreedyMatch:
         assert greedy_match([det], [right, left], 0.5) == [0]
         assert match_detections([det], [right, left], 0.5).matched[0].ground_truth is right
 
+    def test_iou_equal_to_threshold_matches(self):
+        gt = _gt((0, 0, 100, 100))
+        det = _det((0, 0, 50, 100), 0.9)
+        assert iou(det.box, gt.box) == 0.5
+        assert greedy_match([det], [gt], 0.5) == [0]
+
+    def test_inlined_iou_is_bit_identical(self):
+        # a threshold equal to iou() must match and the next double above
+        # it must not, so the matcher's own IoU is exactly iou()'s double
+        rng = random.Random(8)
+
+        def box():
+            x, y = rng.uniform(0, 100), rng.uniform(0, 100)
+            return (x, y, rng.uniform(0.5, 60), rng.uniform(0.5, 60))
+
+        checked = 0
+        for _ in range(500):
+            gt, det = _gt(box()), _det(box(), 0.5)
+            v = iou(det.box, gt.box)
+            if v > 0.0:
+                checked += 1
+                assert greedy_match([det], [gt], v) == [0]
+                assert greedy_match([det], [gt], math.nextafter(v, 2.0)) == [-1]
+        assert checked > 100
+
     def test_empty_dets_or_gts(self):
         gts = [_gt(self.GT0), _gt(self.GT1)]
         dets = [_det(self.A, 0.9), _det(self.C, 0.8)]
@@ -267,6 +297,36 @@ class TestAveragePrecision:
             base = average_precision(records, n_gt)
             boosted = average_precision(records + [(0.99, True)], n_gt)
             assert boosted >= base
+
+
+@st.composite
+def ap_cases(draw):
+    """AP inputs: confidences from a few values (many ties) or anywhere
+    in [0, 1]; mixed, all-FP or all-TP lists; n_gt at or above the TP count."""
+    conf = draw(st.sampled_from(["ties", "any"]))
+    confs = st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]) if conf == "ties" else st.floats(0.0, 1.0)
+    kind = draw(st.sampled_from(["mixed", "all_fp", "all_tp"]))
+    hits = {"mixed": st.booleans(), "all_fp": st.just(False), "all_tp": st.just(True)}[kind]
+    records = draw(st.lists(st.tuples(confs, hits), max_size=80))
+    tp = sum(1 for _, hit in records if hit)
+    n_gt = max(tp, 1) + draw(st.integers(0, 6))
+    return records, n_gt
+
+
+class TestAveragePrecisionOracle:
+    @settings(max_examples=600, deadline=None)
+    @given(case=ap_cases())
+    def test_equals_fraction_curve_exactly(self, case):
+        records, n_gt = case
+        assert average_precision(records, n_gt) == fraction_average_precision(records, n_gt)
+
+    def test_long_random_lists(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            n = rng.randint(200, 2000)
+            records = [(rng.choice([0.3, 0.6, rng.random()]), rng.random() < 0.7) for _ in range(n)]
+            n_gt = sum(1 for _, hit in records if hit) + rng.randint(0, 50)
+            assert average_precision(records, n_gt) == fraction_average_precision(records, n_gt)
 
 
 class TestFnAccounting:
@@ -420,6 +480,30 @@ class TestEvaluateRun:
         r2 = evaluate_run(list(reversed(imgs)), dets, TAXONOMY)
         assert r1.map == r2.map
         assert r1.classification_error == r2.classification_error
+
+    def test_subset_rescored_from_matches(self):
+        # the routed-subset report of `modcascade run`: score the kept
+        # per-image matches instead of matching the subset again
+        from modcascade import DetectorHandle, DetectorProfile, detect
+        from conftest import synth_dataset, taxonomy_5x2
+
+        taxonomy = taxonomy_5x2()
+        ds = synth_dataset(taxonomy, per_fine=8, negatives=4, seed=21)
+        profile = DetectorProfile(
+            label_space=taxonomy.fine_labels,
+            confusion={f: {g: 0.45 for g in taxonomy.fine_of[taxonomy.general_of(f)]}
+                       for f in taxonomy.fine_labels},
+            negative_fp_rate=0.5,
+            loc_noise_sigma=20.0,
+        )
+        dets = {img.id: detect(DetectorHandle.simulated(profile, 4), img) for img in ds.images}
+        full = evaluate_run(ds.images, dets, taxonomy)
+        assert len(full.matches) == len(ds.images)
+        keep = [k for k in range(len(ds.images)) if k % 3 != 1]
+        subset = evaluate_run([ds.images[k] for k in keep], dets, taxonomy)
+        rescored = score_matches([full.matches[k] for k in keep], taxonomy)
+        assert rescored.to_json() == subset.to_json()
+        assert rescored.map == subset.map
 
     def test_map_degrades_with_localization_noise(self):
         # noiseless identity detector scores exactly 1.0; growing box
