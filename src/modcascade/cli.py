@@ -11,9 +11,12 @@ protocol error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -22,16 +25,20 @@ from .core import (
     BoundingBox,
     ClassTaxonomy,
     GroundTruthObject,
+    dataset_to_json,
+    is_finite_real,
     make_dataset,
 )
 from .errormodel import (
+    FeatureBudget,
+    FeatureClassModel,
     bayes_error,
     feature_count,
     model_file_to_parts,
     over_capacity,
     pdf_curves,
 )
-from .errors import DetectorError, ValidationError
+from .errors import DetectorError, UnknownLabelError, ValidationError
 from .experiment import parse_run_config, run_experiment
 from .reporting import dump_canonical
 
@@ -54,7 +61,66 @@ def _config_seed(config: dict) -> int:
     return seed
 
 
+def _integer(config: Mapping, key: str, default: int | None, minimum: int) -> int | None:
+    """An integer field >= ``minimum``; with ``default`` None the field is
+    optional and absent or null reads as None."""
+    value = config.get(key, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValidationError(f"{key} {value!r} is not an integer >= {minimum}")
+    return value
+
+
+def _positive(config: Mapping, key: str, default: float) -> float:
+    value = config.get(key, default)
+    if not (is_finite_real(value) and value > 0):
+        raise ValidationError(f"{key} {value!r} is not a finite number > 0")
+    return float(value)
+
+
+def _filename(config: Mapping, key: str, default: str) -> str:
+    value = config.get(key, default)
+    if not isinstance(value, str) or not value:
+        raise ValidationError(f"{key} must be a non-empty string")
+    return value
+
+
 # ---------------------------------------------------------------- synth
+
+
+@dataclass(frozen=True)
+class SynthConfig:
+    """A validated ``synth`` config."""
+
+    taxonomy: ClassTaxonomy
+    images_per_fine: int
+    negatives: int
+    width: float
+    height: float
+    min_box_size: float
+    max_box_size: float
+    seq_len: int | None
+    filename: str
+
+
+def parse_synth_config(config: Mapping) -> SynthConfig:
+    """Validate a synth config document; every fault is a ValidationError."""
+    if "taxonomy" not in config:
+        raise ValidationError("config needs 'taxonomy'")
+    width = _positive(config, "width", 800)
+    height = _positive(config, "height", 800)
+    return SynthConfig(
+        taxonomy=ClassTaxonomy.from_json(config["taxonomy"]),
+        images_per_fine=_integer(config, "images_per_fine", 100, 0),
+        negatives=_integer(config, "negatives", 0, 0),
+        width=width,
+        height=height,
+        min_box_size=_positive(config, "min_box_size", 80),
+        max_box_size=_positive(config, "max_box_size", min(width, height) / 2),
+        seq_len=_integer(config, "seq_len", None, 1),
+        filename=_filename(config, "filename", "dataset.json"),
+    )
 
 
 def cmd_synth(config: dict, seed: int, out_dir: Path) -> Path:
@@ -64,21 +130,17 @@ def cmd_synth(config: dict, seed: int, out_dir: Path) -> Path:
     negative images; optional grouping of each class's images into
     sequences of ``seq_len``. Deterministic given the seed.
     """
-    taxonomy = ClassTaxonomy.from_json(config["taxonomy"])
-    per_fine = int(config.get("images_per_fine", 100))
-    negatives = int(config.get("negatives", 0))
-    width = float(config.get("width", 800))
-    height = float(config.get("height", 800))
-    lo = float(config.get("min_box_size", 80))
-    hi = float(config.get("max_box_size", min(width, height) / 2))
-    seq_len = config.get("seq_len")
+    synth = parse_synth_config(config)
+    width, height = synth.width, synth.height
+    lo, hi = synth.min_box_size, synth.max_box_size
+    seq_len = synth.seq_len
     rng = np.random.default_rng(seed)
 
     images = []
     sequences: list[list[str]] = []
-    for fine in taxonomy.fine_labels:
+    for fine in synth.taxonomy.fine_labels:
         ids = []
-        for k in range(per_fine):
+        for k in range(synth.images_per_fine):
             w = rng.uniform(lo, hi)
             h = rng.uniform(lo, hi)
             x = rng.uniform(0.0, width - w)
@@ -94,15 +156,13 @@ def cmd_synth(config: dict, seed: int, out_dir: Path) -> Path:
             )
             ids.append(image_id)
         if seq_len:
-            for start in range(0, len(ids), int(seq_len)):
-                sequences.append(ids[start : start + int(seq_len)])
-    for k in range(negatives):
+            for start in range(0, len(ids), seq_len):
+                sequences.append(ids[start : start + seq_len])
+    for k in range(synth.negatives):
         images.append(AnnotatedImage(id=f"neg_{k:05d}", width=width, height=height))
 
-    dataset = make_dataset(taxonomy, images, sequences if seq_len else None)
-    from .core import dataset_to_json
-
-    out_path = out_dir / config.get("filename", "dataset.json")
+    dataset = make_dataset(synth.taxonomy, images, sequences if seq_len else None)
+    out_path = out_dir / synth.filename
     dump_canonical(dataset_to_json(dataset), out_path)
     return out_path
 
@@ -122,22 +182,59 @@ def cmd_run(config: dict, seed: int, out_dir: Path, base_dir: Path) -> Path:
 # ------------------------------------------------------------ errormodel
 
 
-def cmd_errormodel(config: dict, out_dir: Path, base_dir: Path) -> tuple[Path, Path]:
-    model_doc = config["model"]
-    if isinstance(model_doc, str):
+@dataclass(frozen=True)
+class ErrormodelConfig:
+    """A validated ``errormodel`` config, its model file already parsed."""
+
+    model: FeatureClassModel
+    budget: FeatureBudget | None
+    pair: tuple[str, str]
+    curves_filename: str
+    summary_filename: str
+
+
+def parse_errormodel_config(config: Mapping, base_dir: Path) -> ErrormodelConfig:
+    """Validate an errormodel config and parse its model document (inline,
+    or a file path relative to ``base_dir``); every fault is a ValidationError."""
+    model_doc = config.get("model")
+    if isinstance(model_doc, str) and model_doc:
         with open(base_dir / model_doc, "r", encoding="utf-8") as fh:
             try:
                 model_doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"model file: {exc}") from None
+    elif model_doc is None:
+        raise ValidationError("config needs 'model': a model file path or a model object")
+    if not isinstance(model_doc, Mapping):
+        raise ValidationError("the model must be a JSON object")
     model, budget = model_file_to_parts(model_doc)
-    try:
-        c0, c1 = config["pair"]
-    except (KeyError, ValueError):
-        raise ValidationError("config needs 'pair': [class0, class1]") from None
+    pair = config.get("pair")
+    if not (
+        isinstance(pair, list)
+        and len(pair) == 2
+        and all(isinstance(c, str) for c in pair)
+        and pair[0] != pair[1]
+    ):
+        raise ValidationError("config needs 'pair': [class0, class1], two distinct class names")
+    for c in pair:
+        if c not in model.classes:
+            raise UnknownLabelError(f"pair names unknown class {c!r}")
+    return ErrormodelConfig(
+        model=model,
+        budget=budget,
+        pair=(pair[0], pair[1]),
+        curves_filename=_filename(config, "curves_filename", "curves.csv"),
+        summary_filename=_filename(config, "summary_filename", "summary.json"),
+    )
+
+
+def cmd_errormodel(config: dict, out_dir: Path, base_dir: Path) -> tuple[Path, Path]:
+    em = parse_errormodel_config(config, base_dir)
+    model, budget = em.model, em.budget
+    c0, c1 = em.pair
 
     rows = pdf_curves(model, c0, c1)
-    curves_path = out_dir / config.get("curves_filename", "curves.csv")
+    curves_path = out_dir / em.curves_filename
     with open(curves_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("feature_index,w_density_c0,w_density_c1,min_term\n")
         for i, w0, w1, mn in rows:
@@ -148,7 +245,7 @@ def cmd_errormodel(config: dict, out_dir: Path, base_dir: Path) -> tuple[Path, P
         "feature_count": feature_count(budget) if budget is not None else None,
         "over_capacity": over_capacity(budget) if budget is not None else None,
     }
-    summary_path = out_dir / config.get("summary_filename", "summary.json")
+    summary_path = out_dir / em.summary_filename
     dump_canonical(summary, summary_path)
     return curves_path, summary_path
 
@@ -176,6 +273,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # a command frees its objects by reference counting; the cyclic
+    # collector, triggered by the allocation count alone, finds nothing
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         config_path = Path(args.config)
         config = _load_config(config_path)
@@ -203,6 +304,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

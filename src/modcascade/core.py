@@ -91,12 +91,13 @@ class ClassTaxonomy:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "ClassTaxonomy":
-        if not isinstance(obj, Mapping) or "generals" not in obj:
-            raise ValidationError("taxonomy must be an object with a 'generals' key")
-        return cls(
-            fine_of={g: tuple(fs) for g, fs in obj["generals"].items()},
-            negative_label=obj.get("negative_label", "negative"),
-        )
+        if not isinstance(obj, Mapping) or not isinstance(obj.get("generals"), Mapping):
+            raise ValidationError("taxonomy must be an object with a 'generals' object")
+        try:
+            fine_of = {g: tuple(fs) for g, fs in obj["generals"].items()}
+        except TypeError:
+            raise ValidationError("taxonomy 'generals' must map names to lists of labels") from None
+        return cls(fine_of=fine_of, negative_label=obj.get("negative_label", "negative"))
 
 
 def is_finite_real(value) -> bool:

@@ -4,18 +4,20 @@ wire protocol for plugging in external detector processes.
 The simulator stands in for trained networks. Each ground-truth object
 gets its own RNG stream keyed by (seed, image id, object index), so
 detection is a pure function of (profile, seed, image): bit-identical
-results regardless of call order or thread.
+results regardless of call order or thread. ``prepare`` seeds the
+streams of many images in one vectorised pass; it changes no result.
 """
 
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import hashlib
 import json
 import subprocess
 import threading
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -197,6 +199,11 @@ class DetectorHandle:
     profile: DetectorProfile | None = None
     seed: int | None = None
     command: tuple[str, ...] | None = None
+    # (image id, object count) -> PCG64 (state, inc) per stream tag; set by
+    # ``prepare``, a cache of values ``_stream_states`` derives from the rest
+    streams: Mapping[tuple[str, int], tuple[tuple[int, int], ...]] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.kind == "simulated":
@@ -217,12 +224,130 @@ class DetectorHandle:
         return cls(kind="external", command=tuple(command))
 
 
-def object_rng(seed: int, image_id: str, tag) -> np.random.Generator:
-    """Independent RNG stream keyed by (seed, image id, object tag)."""
-    digest = hashlib.blake2b(
-        f"{seed}|{image_id}|{tag}".encode("utf-8"), digest_size=16
-    ).digest()
-    return np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
+# numpy's SeedSequence (NEP 19): pool of four 32-bit words, hash
+# constants and multipliers, and the PCG64 LCG multiplier (O'Neill 2014)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``n`` values of a SeedSequence hash constant, before and
+    after each step; they do not depend on the data hashed."""
+    before, after = [], []
+    h = init
+    for _ in range(n):
+        before.append(h)
+        h = (h * mult) & 0xFFFFFFFF
+        after.append(h)
+    return np.array(before, dtype=np.uint32), np.array(after, dtype=np.uint32)
+
+
+# mix_entropy makes 4 + 4 * 3 hashmix calls; generate_state(4, uint64) 8
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 16)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(values: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    values = (values ^ before) * after  # uint32 arrays wrap mod 2**32
+    return values ^ (values >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _pcg64_states(entropy: bytes) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` seeded from each 16-byte little-endian entropy.
+
+    Equals ``np.random.PCG64(e).state["state"]`` for every entropy
+    ``e < 2**128``, computed for all of them at once. SeedSequence hashes
+    an entropy of fewer than four 32-bit words as if padded with zero
+    words, so every entropy here is four words. PCG64 then takes the
+    128-bit seed and stream from ``generate_state(4, uint64)`` and makes
+    the two setseq steps, done here in Python ints.
+    """
+    words = np.frombuffer(entropy, dtype="<u4").astype(np.uint32).reshape(-1, 4)
+    a_before, a_after = _HASH_A
+    pool = _hashmix(words, a_before[:4], a_after[:4])
+    k = 4
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        hashed = _hashmix(pool[:, src : src + 1], a_before[k : k + 3], a_after[k : k + 3])
+        pool[:, dst] = _mix(pool[:, dst], hashed)
+        k += 3
+    b_before, b_after = _HASH_B
+    out = _hashmix(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], b_before, b_after)
+    states = []
+    for seed_hi, seed_lo, inc_hi, inc_lo in out.astype("<u4", order="C").view("<u8").tolist():
+        inc = (((inc_hi << 64) | inc_lo) << 1 | 1) & _MASK128
+        state = ((((seed_hi << 64) | seed_lo) + inc) * _PCG_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+def _stream_tags(profile: DetectorProfile, image: AnnotatedImage):
+    """Tags of the RNG streams ``_simulate`` draws from for ``image``."""
+    if image.objects:
+        return range(len(image.objects))
+    return ("negfp",) if profile.negative_fp_rate > 0.0 else ()
+
+
+def _stream_states(handle: DetectorHandle, images: Sequence[AnnotatedImage]) -> list[tuple]:
+    """Per image, the PCG64 state of each stream keyed by (seed, image id, tag)."""
+    digests, counts = [], []
+    for img in images:
+        tags = _stream_tags(handle.profile, img)
+        counts.append(len(tags))
+        for tag in tags:
+            key = f"{handle.seed}|{img.id}|{tag}".encode("utf-8")
+            digests.append(hashlib.blake2b(key, digest_size=16).digest())
+    flat = _pcg64_states(b"".join(digests))
+    out, pos = [], 0
+    for n in counts:
+        out.append(tuple(flat[pos : pos + n]))
+        pos += n
+    return out
+
+
+def prepare(handle: DetectorHandle, images: Iterable[AnnotatedImage]) -> DetectorHandle:
+    """The handle with the RNG streams of ``images`` seeded in one pass.
+
+    ``detect`` gives the same detections on the returned handle as on
+    ``handle``, only faster; an image it was not prepared for is seeded
+    when it is detected. External handles are returned unchanged.
+    """
+    if handle.kind != "simulated":
+        return handle
+    images = tuple(images)
+    keys = [(img.id, len(img.objects)) for img in images]
+    return dataclasses.replace(handle, streams=dict(zip(keys, _stream_states(handle, images))))
+
+
+_thread = threading.local()
+
+
+def _thread_generator() -> tuple[np.random.PCG64, np.random.Generator]:
+    """This thread's PCG64 and the Generator drawing from it; every stream
+    sets the state before its first draw."""
+    try:
+        return _thread.generator
+    except AttributeError:
+        bitgen = np.random.PCG64(0)
+        _thread.generator = (bitgen, np.random.Generator(bitgen))
+        return _thread.generator
+
+
+def _set_stream(bitgen: np.random.PCG64, state: tuple[int, int]) -> None:
+    bitgen.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state[0], "inc": state[1]},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def _draw_from_table(rng: np.random.Generator, labels, cum: list[float]) -> str | None:
@@ -247,7 +372,12 @@ def _noisy_box(
     return BoundingBox(x, y, w, h)
 
 
-def _simulate(profile: DetectorProfile, seed: int, image: AnnotatedImage) -> list[Detection]:
+def _simulate(handle: DetectorHandle, image: AnnotatedImage) -> list[Detection]:
+    profile = handle.profile
+    states = handle.streams.get((image.id, len(image.objects))) if handle.streams else None
+    if states is None:
+        states = _stream_states(handle, (image,))[0]
+    bitgen, rng = _thread_generator()
     dets: list[Detection] = []
     law = profile.confidence_law
     if image.objects:
@@ -255,7 +385,7 @@ def _simulate(profile: DetectorProfile, seed: int, image: AnnotatedImage) -> lis
             table = profile._row_tables.get(obj.fine_label)
             if table is None:
                 continue  # unknown object class: this detector never fires
-            rng = object_rng(seed, image.id, idx)
+            _set_stream(bitgen, states[idx])
             label = _draw_from_table(rng, *table)
             if label is None:
                 continue
@@ -263,8 +393,8 @@ def _simulate(profile: DetectorProfile, seed: int, image: AnnotatedImage) -> lis
             correct = label == profile.correct_target(obj.fine_label)
             conf = law.sample(rng, correct)
             dets.append(Detection(box=box, label=label, confidence=conf))
-    elif profile.negative_fp_rate > 0.0:
-        rng = object_rng(seed, image.id, "negfp")
+    elif states:
+        _set_stream(bitgen, states[0])
         if rng.random() < profile.negative_fp_rate:
             labels, cum = profile._fp_table
             label = _draw_from_table(rng, labels, cum)
@@ -387,7 +517,7 @@ def detect(handle: DetectorHandle, image: AnnotatedImage) -> list[Detection]:
     child process.
     """
     if handle.kind == "simulated":
-        return _simulate(handle.profile, handle.seed, image)
+        return _simulate(handle, image)
     return _external_client(handle.command).detect(image)
 
 

@@ -14,12 +14,12 @@ Run config schema (unknown keys are ignored)::
                   "stage2": {"<general>": {...}, ...}},
      "routing": {"tau": 0.5, "mode": "v1" | "v2"},
      "eval": {"iou_threshold": 0.5},
-     "workers": 1,
      "report_filename": "report.json",
      "seed": 0}                           # read by the CLI
 
 ``parse_run_config`` raises ``ValidationError`` for every malformed value,
-before the dataset is loaded.
+before the dataset is loaded; ``run_experiment`` rejects a v2 run on a
+dataset without sequences before any detector runs.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .core import ClassTaxonomy, Dataset, Detection, is_finite_real, load_dataset
-from .detector import DetectorHandle, DetectorProfile, detect
+from .detector import DetectorHandle, DetectorProfile, detect, prepare
 from .errormodel import modular_advantage
 from .errors import ValidationError
 from .evaluation import evaluate_run, map_with_fn_accounting, score_matches
@@ -47,7 +47,6 @@ class RunConfig:
     stage2: Mapping[str, DetectorProfile]
     routing: RoutingConfig
     iou_threshold: float = 0.5
-    workers: int = 1
     report_filename: str = "report.json"
 
 
@@ -81,9 +80,6 @@ def parse_run_config(config: Mapping, base_dir: Path) -> RunConfig:
     iou_threshold = _object(config, "eval").get("iou_threshold", 0.5)
     if not (is_finite_real(iou_threshold) and 0.0 < iou_threshold <= 1.0):
         raise ValidationError(f"eval.iou_threshold {iou_threshold!r} is not a number in (0, 1]")
-    workers = config.get("workers", 1)
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ValidationError(f"workers {workers!r} is not an integer >= 1")
     report_filename = config.get("report_filename", "report.json")
     if not isinstance(report_filename, str) or not report_filename:
         raise ValidationError("report_filename must be a non-empty string")
@@ -94,7 +90,6 @@ def parse_run_config(config: Mapping, base_dir: Path) -> RunConfig:
         stage2={g: _profile(stage2, g, "stage2.") for g in stage2},
         routing=RoutingConfig(tau=routing.get("tau", 0.5), mode=routing.get("mode", "v1")),
         iou_threshold=iou_threshold,
-        workers=workers,
         report_filename=report_filename,
     )
 
@@ -119,6 +114,11 @@ def _check_label_spaces(taxonomy: ClassTaxonomy, config: RunConfig) -> None:
             )
 
 
+def _detect_all(handle: DetectorHandle, dataset: Dataset) -> dict[str, tuple[Detection, ...]]:
+    handle = prepare(handle, dataset.images)
+    return {img.id: tuple(detect(handle, img)) for img in dataset.images}
+
+
 def _det_json(d: Detection) -> dict:
     return {
         "box": [d.box.x, d.box.y, d.box.w, d.box.h],
@@ -133,6 +133,8 @@ def run_experiment(config: RunConfig, seed: int) -> dict:
     taxonomy = dataset.taxonomy
     _check_label_spaces(taxonomy, config)
     routing = config.routing
+    if routing.mode == "v2" and dataset.sequences is None:
+        raise ValidationError("routing mode 'v2' needs a dataset with 'sequences'")
     iou_threshold = config.iou_threshold
 
     baseline_handle = DetectorHandle.simulated(config.baseline, _role_seed(seed, "baseline"))
@@ -142,11 +144,9 @@ def run_experiment(config: RunConfig, seed: int) -> dict:
         for g, p in config.stage2.items()
     }
 
-    baseline_dets = {img.id: tuple(detect(baseline_handle, img)) for img in dataset.images}
+    baseline_dets = _detect_all(baseline_handle, dataset)
     route = route_v1 if routing.mode == "v1" else route_v2
-    cascade = route(
-        dataset, stage1_handle, stage2_handles, taxonomy, routing, workers=config.workers
-    )
+    cascade = route(dataset, stage1_handle, stage2_handles, taxonomy, routing)
 
     # the evaluation's per-image matches are freed before the trace
     # block, the largest part of the report, is built

@@ -6,16 +6,19 @@ image sequences: a general class triggered anywhere in a sequence sends
 every image of that sequence to that fine-grained detector, trading
 extra inferences for recovery from stage-1 misses. Images are passed on
 unchanged — no cropping or transformation.
+
+Both modes run stage by stage: stage 1 over every image, then each
+general's stage-2 detector over exactly the images routed to it, with
+each detector's RNG streams seeded in one pass (``detector.prepare``).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .core import AnnotatedImage, ClassTaxonomy, Dataset, Detection, is_finite_real
-from .detector import DetectorHandle, detect
+from .detector import DetectorHandle, detect, prepare
 from .errors import ValidationError
 
 
@@ -95,11 +98,32 @@ def _triggered(dets, tau: float, taxonomy: ClassTaxonomy, image_id: str) -> tupl
     return tuple(sorted(out))
 
 
-def _map_images(fn, images, workers: int):
-    if workers <= 1:
-        return [fn(img) for img in images]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, images))
+def _stage1(handle: DetectorHandle, images: Sequence[AnnotatedImage]) -> list[tuple]:
+    handle = prepare(handle, images)
+    return [tuple(detect(handle, img)) for img in images]
+
+
+def _stage2(
+    stage2: Mapping[str, DetectorHandle],
+    images: Sequence[AnnotatedImage],
+    invoked: Sequence[tuple[str, ...]],
+) -> list[dict[str, tuple[Detection, ...]]]:
+    """Per image, the detections of each invoked general's detector.
+
+    Each general's handle is prepared over exactly the images routed to
+    it. Generals run in sorted order, so every image's dict is keyed in
+    its (sorted) ``invoked`` order.
+    """
+    routed: dict[str, list[int]] = {}
+    for k, generals in enumerate(invoked):
+        for g in generals:
+            routed.setdefault(g, []).append(k)
+    out: list[dict[str, tuple[Detection, ...]]] = [{} for _ in images]
+    for g in sorted(routed):
+        handle = prepare(stage2[g], [images[k] for k in routed[g]])
+        for k in routed[g]:
+            out[k][g] = tuple(detect(handle, images[k]))
+    return out
 
 
 def route_v1(
@@ -108,7 +132,6 @@ def route_v1(
     stage2: Mapping[str, DetectorHandle],
     taxonomy: ClassTaxonomy,
     config: RoutingConfig,
-    workers: int = 1,
 ) -> CascadeOutput:
     """Per-image cascade routing.
 
@@ -116,20 +139,20 @@ def route_v1(
     detection at confidence >= tau sends the unchanged image through
     that class's fine-grained detector exactly once. Final detections
     are the union over invoked detectors (no cross-detector
-    suppression). Deterministic given seeds, independent of ``workers``.
+    suppression). Deterministic given seeds.
     """
     if config.mode != "v1":
         raise ValidationError(f"route_v1 called with mode {config.mode!r}")
     _check_stage2_coverage(stage2, taxonomy)
 
-    def process(img: AnnotatedImage):
-        s1 = tuple(detect(stage1, img))
-        triggered = _triggered(s1, config.tau, taxonomy, img.id)
-        s2 = {g: tuple(detect(stage2[g], img)) for g in triggered}
-        return ImageTrace(img.id, s1, triggered, triggered, s2)
-
-    traces = _map_images(process, dataset.images, workers)
-    return _assemble(traces)
+    images = dataset.images
+    s1 = _stage1(stage1, images)
+    triggered = [_triggered(dets, config.tau, taxonomy, img.id) for dets, img in zip(s1, images)]
+    s2 = _stage2(stage2, images, triggered)
+    return _assemble(
+        ImageTrace(img.id, dets, trig, trig, found)
+        for img, dets, trig, found in zip(images, s1, triggered, s2)
+    )
 
 
 def route_v2(
@@ -138,7 +161,6 @@ def route_v2(
     stage2: Mapping[str, DetectorHandle],
     taxonomy: ClassTaxonomy,
     config: RoutingConfig,
-    workers: int = 1,
 ) -> CascadeOutput:
     """Per-sequence cascade routing.
 
@@ -155,32 +177,26 @@ def route_v2(
         raise ValidationError("route_v2 requires dataset.sequences")
     _check_stage2_coverage(stage2, taxonomy)
 
-    covered = {i for seq in dataset.sequences for i in seq}
-    sequences = list(dataset.sequences) + [
-        (img.id,) for img in dataset.images if img.id not in covered
-    ]
-
-    def process(seq):
-        imgs = [dataset.image_by_id(i) for i in seq]
-        s1 = [tuple(detect(stage1, img)) for img in imgs]
-        per_image_triggered = [
-            _triggered(dets, config.tau, taxonomy, img.id)
-            for dets, img in zip(s1, imgs)
-        ]
-        invoked = tuple(sorted(set().union(*per_image_triggered) if per_image_triggered else ()))
-        traces = []
-        for img, dets, trig in zip(imgs, s1, per_image_triggered):
-            s2 = {g: tuple(detect(stage2[g], img)) for g in invoked}
-            traces.append(ImageTrace(img.id, dets, trig, invoked, s2))
-        return traces
-
-    per_seq = _map_images(process, sequences, workers)
-    by_id = {t.image_id: t for traces in per_seq for t in traces}
-    ordered = tuple(by_id[img.id] for img in dataset.images)
-    return _assemble(ordered)
+    images = dataset.images
+    s1 = _stage1(stage1, images)
+    triggered = [_triggered(dets, config.tau, taxonomy, img.id) for dets, img in zip(s1, images)]
+    # images outside every sequence keep their own triggered set
+    invoked = list(triggered)
+    position = {img.id: k for k, img in enumerate(images)}
+    for seq in dataset.sequences:
+        members = [position[i] for i in seq]
+        union = tuple(sorted(set().union(*(triggered[k] for k in members))))
+        for k in members:
+            invoked[k] = union
+    s2 = _stage2(stage2, images, invoked)
+    return _assemble(
+        ImageTrace(img.id, dets, trig, inv, found)
+        for img, dets, trig, inv, found in zip(images, s1, triggered, invoked, s2)
+    )
 
 
 def _assemble(traces) -> CascadeOutput:
+    traces = tuple(traces)
     stage2_count = 0
     detections = {}
     for t in traces:
@@ -190,7 +206,7 @@ def _assemble(traces) -> CascadeOutput:
             final.extend(t.stage2[g])
         detections[t.image_id] = tuple(final)
     trace = RoutingTrace(
-        images=tuple(traces),
+        images=traces,
         stage1_inferences=len(traces),
         stage2_inferences=stage2_count,
     )

@@ -5,15 +5,21 @@ oracle samples the generative story directly (class by prior, feature
 by conditional, essential-flag by weight, classify by the larger
 weighted mass) instead of summing minima; the AP oracle builds the whole
 precision-recall curve as ``Fraction`` points; the escaper walks a
-string one character at a time.
+string one character at a time; the object RNG is seeded through numpy's
+own ``SeedSequence`` and ``PCG64``, one stream at a time.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from modcascade import FeatureClassModel
+
+
+# numpy 2 renamed trapz; the oldest supported numpy has only the old name
+_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def beta_tail_above(mean: float, spread: float, tau: float) -> float:
@@ -23,7 +29,7 @@ def beta_tail_above(mean: float, spread: float, tau: float) -> float:
     x = np.linspace(1e-12, tau, 200_001)
     log_norm = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     logpdf = (a - 1) * np.log(x) + (b - 1) * np.log1p(-x) - log_norm
-    return 1.0 - float(np.trapezoid(np.exp(logpdf), x))
+    return 1.0 - float(_trapezoid(np.exp(logpdf), x))
 
 
 def cascade_v1_error_oracle(
@@ -157,3 +163,12 @@ def char_loop_escape(s: str) -> str:
             parts.append(ch)
     parts.append('"')
     return "".join(parts)
+
+
+def object_rng(seed: int, image_id: str, tag) -> np.random.Generator:
+    """Independent RNG stream keyed by (seed, image id, object tag): a
+    128-bit blake2b digest of the key seeds numpy's PCG64."""
+    digest = hashlib.blake2b(
+        f"{seed}|{image_id}|{tag}".encode("utf-8"), digest_size=16
+    ).digest()
+    return np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))

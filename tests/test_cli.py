@@ -2,11 +2,13 @@
 and report reproducibility from the serialized trace."""
 
 import csv
+import gc
 import json
 import math
 
 import pytest
 
+from modcascade import detector, experiment, router
 from modcascade import evaluate_run, load_dataset, map_with_fn_accounting
 from modcascade.cli import main
 from modcascade.core import BoundingBox, Detection
@@ -105,11 +107,15 @@ class TestSynth:
         assert (a / "dataset.json").read_bytes() != (b / "dataset.json").read_bytes()
 
 
-@pytest.fixture
-def small_dataset(tmp_path, taxonomy):
+def _small_dataset(tmp_path, taxonomy):
     cfg = write_config(tmp_path, "synth.json", synth_config(taxonomy, 12, 6, seq_len=4))
     main(["synth", "--config", str(cfg), "--out", str(tmp_path)])
     return tmp_path / "dataset.json"
+
+
+@pytest.fixture
+def small_dataset(tmp_path, taxonomy):
+    return _small_dataset(tmp_path, taxonomy)
 
 
 class TestRun:
@@ -279,8 +285,6 @@ BAD_RUN_CONFIGS = {
     "tau-nan": _set(math.nan, "routing", "tau"),
     "mode-unknown": _set("v3", "routing", "mode"),
     "routing-list": _set([], "routing"),
-    "workers-string": _set("many", "workers"),
-    "workers-zero": _set(0, "workers"),
     "iou-string": _set("0.5", "eval", "iou_threshold"),
     "iou-zero": _set(0, "eval", "iou_threshold"),
     "seed-string": _set("x", "seed"),
@@ -295,17 +299,102 @@ BAD_RUN_CONFIGS = {
     "report-filename-number": _set(7, "report_filename"),
 }
 
+BAD_SYNTH_CONFIGS = {
+    "synth-no-taxonomy": _drop("taxonomy"),
+    "synth-taxonomy-list": _set([], "taxonomy"),
+    "synth-generals-list": _set(["dog"], "taxonomy", "generals"),
+    "synth-images-per-fine-string": _set("many", "images_per_fine"),
+    "synth-images-per-fine-float": _set(2.5, "images_per_fine"),
+    "synth-negatives-negative": _set(-1, "negatives"),
+    "synth-width-string": _set("wide", "width"),
+    "synth-height-zero": _set(0, "height"),
+    "synth-box-size-nan": _set(math.nan, "min_box_size"),
+    "synth-seq-len-string": _set("5", "seq_len"),
+    "synth-seq-len-zero": _set(0, "seq_len"),
+    "synth-filename-number": _set(7, "filename"),
+}
 
-@pytest.mark.parametrize("mutate", list(BAD_RUN_CONFIGS.values()), ids=list(BAD_RUN_CONFIGS))
-def test_bad_run_config_is_one_line_error(tmp_path, taxonomy, small_dataset, capsys, mutate):
-    cfg_dict = run_config(taxonomy, small_dataset)
+BAD_ERRORMODEL_CONFIGS = {
+    "errormodel-no-model": _drop("model"),
+    "errormodel-model-number": _set(3, "model"),
+    "errormodel-model-list": _set([1, 2], "model"),
+    "errormodel-model-file-list": _set("list.json", "model"),
+    "errormodel-no-pair": _drop("pair"),
+    "errormodel-pair-one": _set(["c0"], "pair"),
+    "errormodel-pair-same": _set(["c0", "c0"], "pair"),
+    "errormodel-pair-number": _set(["c0", 1], "pair"),
+    "errormodel-pair-string": _set("c0,c1", "pair"),
+    "errormodel-pair-unknown": _set(["c0", "zz"], "pair"),
+    "errormodel-curves-filename-empty": _set("", "curves_filename"),
+}
+
+BAD_CONFIGS = {
+    **{k: ("run", m) for k, m in BAD_RUN_CONFIGS.items()},
+    **{k: ("synth", m) for k, m in BAD_SYNTH_CONFIGS.items()},
+    **{k: ("errormodel", m) for k, m in BAD_ERRORMODEL_CONFIGS.items()},
+}
+
+
+@pytest.mark.parametrize("command, mutate", list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS))
+def test_bad_run_config_is_one_line_error(tmp_path, taxonomy, capsys, command, mutate):
+    """Every malformed config of every command: exit 2, one stderr line,
+    no output file."""
+    if command == "run":
+        cfg_dict = run_config(taxonomy, _small_dataset(tmp_path, taxonomy))
+    elif command == "synth":
+        cfg_dict = synth_config(taxonomy, 2, 1, seq_len=2)
+    else:
+        (tmp_path / "model.json").write_text(json.dumps(MODEL_DOC))
+        (tmp_path / "list.json").write_text("[1, 2]")
+        cfg_dict = {"model": "model.json", "pair": ["c0", "c1"]}
     mutate(cfg_dict)
-    cfg = write_config(tmp_path, "run.json", cfg_dict)
+    cfg = write_config(tmp_path, "config.json", cfg_dict)
     out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not list(out.glob("*"))
+
+
+def test_v2_without_sequences_fails_before_any_detection(tmp_path, taxonomy, capsys, monkeypatch):
+    scfg = write_config(tmp_path, "synth.json", synth_config(taxonomy, 3, 2))
+    assert main(["synth", "--config", str(scfg), "--out", str(tmp_path)]) == 0
+    calls = []
+
+    def counting_detect(handle, image):
+        calls.append(image.id)
+        return detector.detect(handle, image)
+
+    for module in (experiment, router):
+        monkeypatch.setattr(module, "detect", counting_detect)
+    cfg = write_config(
+        tmp_path, "run.json", run_config(taxonomy, tmp_path / "dataset.json", mode="v2")
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "sequences" in err
+    assert calls == []
+    assert not list(out.glob("*"))
+
+
+def test_cyclic_garbage_does_not_grow_with_the_dataset(tmp_path, taxonomy):
+    """``main`` runs with the cyclic collector off, so whatever cycles a
+    run leaves are collected only afterwards: their count must not grow
+    with the data."""
+    collected = []
+    for name, per_fine in (("warmup", 3), ("small", 3), ("large", 12)):
+        work = tmp_path / name
+        synth = synth_config(taxonomy, per_fine, per_fine)
+        scfg = write_config(tmp_path, f"{name}_synth.json", synth)
+        assert main(["synth", "--config", str(scfg), "--out", str(work)]) == 0
+        rcfg = run_config(taxonomy, work / "dataset.json")
+        cfg = write_config(tmp_path, f"{name}_run.json", rcfg)
+        gc.collect()
+        assert main(["run", "--config", str(cfg), "--out", str(work)]) == 0
+        assert gc.isenabled()
+        collected.append(gc.collect())
+    assert collected[1] == collected[2]
 
 
 class TestExitCodes:

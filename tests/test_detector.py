@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modcascade import (
     ClassTaxonomy,
@@ -19,6 +21,9 @@ from modcascade import (
     detect,
 )
 from modcascade.core import AnnotatedImage, BoundingBox, GroundTruthObject
+from modcascade.detector import _pcg64_states, _stream_states, prepare
+
+from oracles import object_rng
 
 TAXONOMY = ClassTaxonomy({"dog": ("pekinese", "spaniel"), "planet": ("mars", "saturn")})
 
@@ -255,6 +260,95 @@ class TestSimulatedDetect:
         )
         (det2,) = detect(DetectorHandle.simulated(prof2, 1), image_with("pekinese"))
         assert det2.confidence == 0.6
+
+
+# entropies SeedSequence stores in fewer than four 32-bit words
+SHORT_ENTROPIES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 - 1, 2**96, 2**128 - 1]
+
+
+def _pcg64_state(gen: np.random.Generator) -> tuple[int, int]:
+    state = gen.bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+class TestVectorisedSeeding:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**128 - 1), max_size=40))
+    def test_states_equal_numpy_seeding(self, entropies):
+        entropies = entropies + SHORT_ENTROPIES
+        got = _pcg64_states(b"".join(e.to_bytes(16, "little") for e in entropies))
+        assert got == [_pcg64_state(np.random.Generator(np.random.PCG64(e))) for e in entropies]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        counts=st.lists(st.integers(0, 6), max_size=8),
+        fp_rate=st.sampled_from([0.0, 0.5]),
+    )
+    def test_stream_states_equal_object_rng(self, seed, counts, fp_rate):
+        prof = DetectorProfile(("a",), {"a": {"a": 0.9}}, negative_fp_rate=fp_rate)
+        handle = DetectorHandle.simulated(prof, seed)
+        images = [
+            AnnotatedImage(
+                f"im{k}", 800, 800,
+                tuple(GroundTruthObject(BoundingBox(10, 10, 50, 50), "a") for _ in range(n)),
+            )
+            for k, n in enumerate(counts)
+        ]
+        want = []
+        for img in images:
+            if img.objects:
+                tags = range(len(img.objects))
+            else:
+                tags = ["negfp"] if fp_rate > 0 else []
+            want.append(tuple(_pcg64_state(object_rng(seed, img.id, t)) for t in tags))
+        assert _stream_states(handle, images) == want
+
+    def test_empty_batch(self):
+        assert _pcg64_states(b"") == []
+        handle = DetectorHandle.simulated(identity_profile(["a"]), seed=1)
+        prepared = prepare(handle, [])
+        assert prepared == handle
+        assert detect(prepared, image_with_label_a(0)) == detect(handle, image_with_label_a(0))
+
+    def test_prepared_detect_equals_unprepared(self):
+        prof = DetectorProfile(
+            ("pekinese", "spaniel"),
+            {"pekinese": {"pekinese": 0.6, "spaniel": 0.2}, "spaniel": {"spaniel": 0.5}},
+            negative_fp_rate=0.5,
+            fp_label_dist={"pekinese": 0.3, "spaniel": 0.7},
+            loc_noise_sigma=4.0,
+        )
+        handle = DetectorHandle.simulated(prof, seed=11)
+        images = []
+        for k in range(60):
+            if k % 4 == 0:  # negative: one "negfp" stream
+                images.append(AnnotatedImage(f"n{k}", 640, 480))
+                continue
+            labels = ("pekinese", "spaniel", "mars")[: 1 + k % 3]  # mars has no row
+            objects = tuple(
+                GroundTruthObject(BoundingBox(20 * j, 30, 100, 80), label)
+                for j, label in enumerate(labels)
+            )
+            images.append(AnnotatedImage(f"p{k}", 640, 480, objects))
+        prepared = prepare(handle, images)
+        assert prepared == handle  # the stream table takes no part in equality
+        plain = [detect(handle, img) for img in images]
+        assert [detect(prepared, img) for img in images] == plain
+        assert sum(map(len, plain)) > 0
+        assert any(not img.objects and dets for img, dets in zip(images, plain))  # negfp fired
+        assert any(len(dets) < sum(o.fine_label != "mars" for o in img.objects)
+                   for img, dets in zip(images, plain))  # a miss
+        # images it was not prepared for, or under a prepared id with
+        # another object count, are seeded on the fly
+        half = prepare(handle, images[:30])
+        assert [detect(half, img) for img in images] == plain
+        regrown = AnnotatedImage("n0", 640, 480, images[1].objects)
+        assert detect(prepared, regrown) == detect(handle, regrown)
+
+    def test_external_handle_unchanged(self):
+        handle = DetectorHandle.external(["true"])
+        assert prepare(handle, [image_with_label_a(0)]) is handle
 
 
 def image_with_label_a(k):

@@ -83,19 +83,6 @@ class TestRouteV1:
             want = tuple(sorted({taxonomy.general_of(o.fine_label) for o in img.objects}))
             assert t.invoked == want
 
-    def test_workers_do_not_change_output(self, taxonomy):
-        ds = synth_dataset(taxonomy, per_fine=8, negatives=4)
-        prof1 = stage1_profile(taxonomy, error_rate=0.1, miss_rate=0.1, loc_noise_sigma=2.0)
-        s1 = DetectorHandle.simulated(prof1, 5)
-        s2 = {
-            g: DetectorHandle.simulated(p, 77)
-            for g, p in stage2_profiles(taxonomy, error_rate=0.1, loc_noise_sigma=1.0).items()
-        }
-        cfg = RoutingConfig(tau=0.5, mode="v1")
-        serial = route_v1(ds, s1, s2, taxonomy, cfg, workers=1)
-        parallel = route_v1(ds, s1, s2, taxonomy, cfg, workers=4)
-        assert serial == parallel
-
     def test_tau_monotonicity(self, taxonomy):
         ds = synth_dataset(taxonomy, per_fine=6, negatives=3)
         prof1 = stage1_profile(
