@@ -24,8 +24,6 @@ from .detector import (
     ConfidenceLaw,
     DetectorHandle,
     DetectorProfile,
-    ExternalDetector,
-    close_external_detectors,
     derive_general_profile,
     detect,
 )
@@ -41,7 +39,7 @@ from .errormodel import (
     over_capacity,
     pdf_curves,
 )
-from .errors import DetectorError, ProtocolError, UnknownLabelError, ValidationError
+from .errors import UnknownLabelError, ValidationError
 from .evaluation import (
     EvalReport,
     MatchResult,

@@ -4,8 +4,7 @@ One experiment = one JSON config = one report; no implicit state. All
 emitted files go through the canonical JSON writer, so identical config
 and seed give byte-identical outputs.
 
-Exit codes: 0 success, 2 config or validation error, 3 detector or
-protocol error, 4 I/O error.
+Exit codes: 0 success, 2 config or validation error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .errormodel import (
     over_capacity,
     pdf_curves,
 )
-from .errors import DetectorError, UnknownLabelError, ValidationError
+from .errors import UnknownLabelError, ValidationError
 from .experiment import parse_run_config, run_experiment
 from .reporting import dump_canonical
 
@@ -298,9 +297,6 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DetectorError as exc:
-        print(f"detector error: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

@@ -93,10 +93,10 @@ class ClassTaxonomy:
     def from_json(cls, obj: Mapping) -> "ClassTaxonomy":
         if not isinstance(obj, Mapping) or not isinstance(obj.get("generals"), Mapping):
             raise ValidationError("taxonomy must be an object with a 'generals' object")
-        try:
-            fine_of = {g: tuple(fs) for g, fs in obj["generals"].items()}
-        except TypeError:
-            raise ValidationError("taxonomy 'generals' must map names to lists of labels") from None
+        # a string is iterable too: "ab" would read as the labels "a", "b"
+        if not all(isinstance(fs, list) for fs in obj["generals"].values()):
+            raise ValidationError("taxonomy 'generals' must map names to lists of labels")
+        fine_of = {g: tuple(fs) for g, fs in obj["generals"].items()}
         return cls(fine_of=fine_of, negative_label=obj.get("negative_label", "negative"))
 
 
@@ -122,9 +122,15 @@ def validate_taxonomy(taxonomy: ClassTaxonomy) -> list[str]:
         violations.append("no general classes")
     seen: dict[str, str] = {}
     for g, fines in fine_of.items():
+        if not isinstance(g, str):
+            violations.append(f"general label {g!r} is not a string")
         if not fines:
             violations.append(f"empty general class {g!r}")
         for f in fines:
+            # checked before ``f`` is hashed: a list label is unhashable
+            if not isinstance(f, str):
+                violations.append(f"fine label {f!r} of {g!r} is not a string")
+                continue
             if f in fine_of:
                 violations.append(f"label {f!r} is both general and fine")
             if f in seen:
@@ -134,7 +140,9 @@ def validate_taxonomy(taxonomy: ClassTaxonomy) -> list[str]:
                 )
             seen[f] = g
     neg = taxonomy.negative_label
-    if neg in fine_of or neg in seen:
+    if not isinstance(neg, str):
+        violations.append(f"negative label {neg!r} is not a string")
+    elif neg in fine_of or neg in seen:
         violations.append(f"negative label {neg!r} collides with a class label")
     if MISS in fine_of or MISS in seen:
         violations.append(f"reserved label {MISS!r} used as a class label")

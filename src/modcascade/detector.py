@@ -1,11 +1,12 @@
-"""Detector abstraction: a seeded statistical simulator plus a JSON-lines
-wire protocol for plugging in external detector processes.
+"""Detector abstraction: a seeded statistical simulator.
 
-The simulator stands in for trained networks. Each ground-truth object
-gets its own RNG stream keyed by (seed, image id, object index), so
-detection is a pure function of (profile, seed, image): bit-identical
-results regardless of call order or thread. ``prepare`` seeds the
-streams of many images in one vectorised pass; it changes no result.
+The simulator stands in for trained networks: the stage-1 general-class
+detector, each stage-2 fine-grained detector and the flat baseline.
+Each ground-truth object gets its own RNG stream keyed by (seed, image
+id, object index), so detection is a pure function of (profile, seed,
+image): bit-identical results regardless of call order or thread.
+``prepare`` seeds the streams of many images in one vectorised pass; it
+changes no result.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import hashlib
-import json
-import subprocess
 import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -22,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import AnnotatedImage, BoundingBox, ClassTaxonomy, Detection, is_finite_real
-from .errors import DetectorError, ProtocolError, UnknownLabelError, ValidationError
+from .errors import UnknownLabelError, ValidationError
 
 _ROW_TOL = 1e-9
 _MIN_EXTENT = 1e-3
@@ -193,12 +192,10 @@ class DetectorProfile:
 
 @dataclass(frozen=True)
 class DetectorHandle:
-    """Reference to a detector: a simulated profile or an external process."""
+    """Reference to a simulated detector: its profile and seed."""
 
-    kind: str
     profile: DetectorProfile | None = None
     seed: int | None = None
-    command: tuple[str, ...] | None = None
     # (image id, object count) -> PCG64 (state, inc) per stream tag; set by
     # ``prepare``, a cache of values ``_stream_states`` derives from the rest
     streams: Mapping[tuple[str, int], tuple[tuple[int, int], ...]] | None = field(
@@ -206,22 +203,14 @@ class DetectorHandle:
     )
 
     def __post_init__(self) -> None:
-        if self.kind == "simulated":
-            if self.profile is None or self.seed is None or self.command is not None:
-                raise ValidationError("simulated handle needs profile and seed only")
-        elif self.kind == "external":
-            if not self.command or self.profile is not None or self.seed is not None:
-                raise ValidationError("external handle needs a command only")
-        else:
-            raise ValidationError(f"unknown handle kind {self.kind!r}")
+        if not isinstance(self.profile, DetectorProfile):
+            raise ValidationError("detector handle needs a DetectorProfile")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValidationError(f"detector handle seed {self.seed!r} is not an integer")
 
     @classmethod
     def simulated(cls, profile: DetectorProfile, seed: int) -> "DetectorHandle":
-        return cls(kind="simulated", profile=profile, seed=seed)
-
-    @classmethod
-    def external(cls, command: Sequence[str]) -> "DetectorHandle":
-        return cls(kind="external", command=tuple(command))
+        return cls(profile=profile, seed=seed)
 
 
 # numpy's SeedSequence (NEP 19): pool of four 32-bit words, hash
@@ -290,7 +279,7 @@ def _pcg64_states(entropy: bytes) -> list[tuple[int, int]]:
 
 
 def _stream_tags(profile: DetectorProfile, image: AnnotatedImage):
-    """Tags of the RNG streams ``_simulate`` draws from for ``image``."""
+    """Tags of the RNG streams ``detect`` draws from for ``image``."""
     if image.objects:
         return range(len(image.objects))
     return ("negfp",) if profile.negative_fp_rate > 0.0 else ()
@@ -318,10 +307,8 @@ def prepare(handle: DetectorHandle, images: Iterable[AnnotatedImage]) -> Detecto
 
     ``detect`` gives the same detections on the returned handle as on
     ``handle``, only faster; an image it was not prepared for is seeded
-    when it is detected. External handles are returned unchanged.
+    when it is detected.
     """
-    if handle.kind != "simulated":
-        return handle
     images = tuple(images)
     keys = [(img.id, len(img.objects)) for img in images]
     return dataclasses.replace(handle, streams=dict(zip(keys, _stream_states(handle, images))))
@@ -372,7 +359,13 @@ def _noisy_box(
     return BoundingBox(x, y, w, h)
 
 
-def _simulate(handle: DetectorHandle, image: AnnotatedImage) -> list[Detection]:
+def detect(handle: DetectorHandle, image: AnnotatedImage) -> list[Detection]:
+    """Run one simulated detector on one image.
+
+    A pure function of (profile, seed, image): each object draws from its
+    own stream, so the result does not depend on call order, and calls
+    from several threads are safe (each thread has its own generator).
+    """
     profile = handle.profile
     states = handle.streams.get((image.id, len(image.objects))) if handle.streams else None
     if states is None:
@@ -406,119 +399,6 @@ def _simulate(handle: DetectorHandle, image: AnnotatedImage) -> list[Detection]:
                 conf = law.sample(rng, correct=False)
                 dets.append(Detection(box=BoundingBox(x, y, w, h), label=label, confidence=conf))
     return dets
-
-
-class ExternalDetector:
-    """Client for one external detector child process.
-
-    JSON-lines over the child's stdin/stdout, one response line per
-    request line, in order. Any malformed line or early exit aborts the
-    run with a ProtocolError. One in-flight request per process.
-    """
-
-    def __init__(self, command: Sequence[str]):
-        self.command = tuple(command)
-        self._lock = threading.Lock()
-        try:
-            self._proc = subprocess.Popen(
-                self.command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
-            )
-        except OSError as exc:
-            raise DetectorError(f"failed to launch detector {self.command}: {exc}") from None
-
-    def detect(self, image: AnnotatedImage) -> list[Detection]:
-        request = json.dumps(
-            {"id": image.id, "width": image.width, "height": image.height, "path": image.id}
-        )
-        with self._lock:
-            if self._proc.poll() is not None:
-                raise ProtocolError(
-                    f"detector {self.command} exited with code {self._proc.returncode}"
-                )
-            try:
-                self._proc.stdin.write(request + "\n")
-                self._proc.stdin.flush()
-                line = self._proc.stdout.readline()
-            except (BrokenPipeError, OSError) as exc:
-                raise ProtocolError(f"detector {self.command} pipe failure: {exc}") from None
-        if not line:
-            code = self._proc.poll()
-            raise ProtocolError(f"detector {self.command} closed its stream (exit {code})")
-        return _parse_response(line, image)
-
-    def close(self) -> None:
-        if self._proc.poll() is None:
-            try:
-                self._proc.stdin.close()
-            except OSError:
-                pass
-            self._proc.wait(timeout=10)
-
-    def __enter__(self) -> "ExternalDetector":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def _parse_response(line: str, image: AnnotatedImage) -> list[Detection]:
-    try:
-        obj = json.loads(line)
-        if obj["id"] != image.id:
-            raise ProtocolError(
-                f"response id {obj['id']!r} does not match request {image.id!r}"
-            )
-        dets = []
-        for d in obj["detections"]:
-            x, y, w, h = (float(v) for v in d["box"])
-            conf = float(d["confidence"])
-            if not (0.0 <= conf <= 1.0):
-                raise ProtocolError(f"confidence {conf} outside [0, 1]")
-            box = BoundingBox(x, y, w, h)
-            box.validate()
-            dets.append(Detection(box=box, label=str(d["label"]), confidence=conf))
-        return dets
-    except ProtocolError:
-        raise
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, ValidationError) as exc:
-        raise ProtocolError(f"malformed response line for {image.id!r}: {exc}") from None
-
-
-_external_clients: dict[tuple[str, ...], ExternalDetector] = {}
-_external_lock = threading.Lock()
-
-
-def _external_client(command: tuple[str, ...]) -> ExternalDetector:
-    with _external_lock:
-        client = _external_clients.get(command)
-        if client is None or client._proc.poll() is not None:
-            client = ExternalDetector(command)
-            _external_clients[command] = client
-        return client
-
-
-def close_external_detectors() -> None:
-    """Shut down all pooled external detector processes."""
-    with _external_lock:
-        for client in _external_clients.values():
-            client.close()
-        _external_clients.clear()
-
-
-def detect(handle: DetectorHandle, image: AnnotatedImage) -> list[Detection]:
-    """Run one detector on one image.
-
-    Simulated handles are pure functions of (profile, seed, image) and
-    safe to call concurrently; external handles serialize requests per
-    child process.
-    """
-    if handle.kind == "simulated":
-        return _simulate(handle, image)
-    return _external_client(handle.command).detect(image)
 
 
 def derive_general_profile(

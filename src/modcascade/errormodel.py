@@ -21,6 +21,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .core import is_finite_real
 from .errors import UnknownLabelError, ValidationError
 
 _TOL = 1e-9
@@ -62,8 +63,14 @@ class FeatureClassModel:
             raise ValidationError("model has no classes")
         if set(self.priors) != set(self.conditional) or set(self.priors) != set(self.weights):
             raise ValidationError("priors, conditional, and weights must share class labels")
+        if not all(is_finite_real(p) and p >= 0.0 for p in self.priors.values()):
+            raise ValidationError("priors must be finite numbers >= 0")
         if abs(sum(self.priors.values()) - 1.0) > _TOL:
             raise ValidationError(f"priors sum to {sum(self.priors.values())}, not 1")
+        for name, arrays in (("conditional", self.conditional), ("weights", self.weights)):
+            for c, v in arrays.items():
+                if v.ndim != 1 or not np.isfinite(v).all():
+                    raise ValidationError(f"{name} of class {c!r} is not a list of finite numbers")
         n = {len(v) for v in self.conditional.values()} | {len(v) for v in self.weights.values()}
         if len(n) != 1:
             raise ValidationError("inconsistent feature-axis lengths")
@@ -89,14 +96,21 @@ class FeatureClassModel:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "FeatureClassModel":
+        """Build and validate a model; a malformed document is a ValidationError."""
         try:
-            return cls(
-                priors=dict(obj["priors"]),
-                conditional={c: np.array(v) for c, v in obj["conditionals"].items()},
-                weights={c: np.array(v) for c, v in obj["weights"].items()},
-            )
+            priors = dict(obj["priors"])
+            conditional = {c: np.array(v) for c, v in obj["conditionals"].items()}
+            weights = {c: np.array(v) for c, v in obj["weights"].items()}
         except KeyError as exc:
             raise ValidationError(f"model file missing key {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed model file: {exc}") from None
+        # numbers only: the float64 conversion would accept strings and bools
+        for name, arrays in (("conditionals", conditional), ("weights", weights)):
+            for c, v in arrays.items():
+                if v.dtype.kind not in "iuf":
+                    raise ValidationError(f"{name} of class {c!r} is not a list of numbers")
+        return cls(priors=priors, conditional=conditional, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -123,8 +137,8 @@ class CapacityParams:
             self.n_layers,
             self.max_features,
         )
-        if any(v <= 0 for v in vals):
-            raise ValidationError("capacity parameters must be positive")
+        if not all(is_finite_real(v) and v > 0 for v in vals):
+            raise ValidationError("capacity parameters must be finite numbers > 0")
 
     def to_json(self) -> dict:
         return {
@@ -165,10 +179,12 @@ class FeatureBudget:
     capacity: CapacityParams | None = None
 
     def __post_init__(self) -> None:
-        if self.transfer < 0 or self.finetuned < 0 or self.shared < 0:
-            raise ValidationError("feature counts must be >= 0")
-        if self.n_classes < 1:
-            raise ValidationError("n_classes must be >= 1")
+        counts = (self.transfer, self.finetuned, self.shared)
+        if not all(is_finite_real(v) and v >= 0 for v in counts):
+            raise ValidationError("feature counts must be finite numbers >= 0")
+        n = self.n_classes
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValidationError("n_classes must be an integer >= 1")
 
     @property
     def total(self) -> float:
@@ -316,10 +332,18 @@ def modular_advantage(a: float, delta1: float, delta2: float) -> AdvantageResult
 def model_file_to_parts(
     obj: Mapping,
 ) -> tuple[FeatureClassModel, FeatureBudget | None]:
-    """Parse a model file: feature statistics plus optional budget/capacity."""
+    """Parse a model file: feature statistics plus optional budget/capacity.
+
+    A malformed or invalid document is a ValidationError.
+    """
     model = FeatureClassModel.from_json(obj)
     budget = None
     if "budget" in obj:
-        capacity = CapacityParams.from_json(obj["capacity"]) if "capacity" in obj else None
-        budget = FeatureBudget.from_json(obj["budget"], capacity=capacity)
+        try:
+            capacity = CapacityParams.from_json(obj["capacity"]) if "capacity" in obj else None
+            budget = FeatureBudget.from_json(obj["budget"], capacity=capacity)
+        except KeyError as exc:
+            raise ValidationError(f"model file budget or capacity missing key {exc}") from None
+        except TypeError as exc:
+            raise ValidationError(f"malformed budget or capacity: {exc}") from None
     return model, budget

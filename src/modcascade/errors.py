@@ -1,21 +1,12 @@
 """Exception hierarchy shared across the package.
 
-CLI exit-code mapping: ValidationError -> 2, DetectorError (incl.
-ProtocolError) -> 3, OSError -> 4.
+CLI exit-code mapping: ValidationError -> 2, OSError -> 4.
 """
 
 
 class ValidationError(ValueError):
-    """Invalid data, taxonomy, profile, or configuration."""
+    """Invalid data, taxonomy, profile, model file or configuration."""
 
 
 class UnknownLabelError(ValidationError):
     """A label is absent from the taxonomy or model it was looked up in."""
-
-
-class DetectorError(RuntimeError):
-    """An external detector process failed to launch or to respond."""
-
-
-class ProtocolError(DetectorError):
-    """An external detector violated the JSON-lines wire protocol."""

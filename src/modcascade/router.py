@@ -143,16 +143,7 @@ def route_v1(
     """
     if config.mode != "v1":
         raise ValidationError(f"route_v1 called with mode {config.mode!r}")
-    _check_stage2_coverage(stage2, taxonomy)
-
-    images = dataset.images
-    s1 = _stage1(stage1, images)
-    triggered = [_triggered(dets, config.tau, taxonomy, img.id) for dets, img in zip(s1, images)]
-    s2 = _stage2(stage2, images, triggered)
-    return _assemble(
-        ImageTrace(img.id, dets, trig, trig, found)
-        for img, dets, trig, found in zip(images, s1, triggered, s2)
-    )
+    return _route(dataset, stage1, stage2, taxonomy, config.tau, ())
 
 
 def route_v2(
@@ -175,40 +166,41 @@ def route_v2(
         raise ValidationError(f"route_v2 called with mode {config.mode!r}")
     if dataset.sequences is None:
         raise ValidationError("route_v2 requires dataset.sequences")
-    _check_stage2_coverage(stage2, taxonomy)
+    return _route(dataset, stage1, stage2, taxonomy, config.tau, dataset.sequences)
 
+
+def _route(
+    dataset: Dataset,
+    stage1: DetectorHandle,
+    stage2: Mapping[str, DetectorHandle],
+    taxonomy: ClassTaxonomy,
+    tau: float,
+    sequences: Sequence[Sequence[str]],
+) -> CascadeOutput:
+    """Stage 1 over every image, then each image's invoked stage-2
+    detectors: the union of the triggered sets over the image's sequence,
+    or its own triggered set if it is in none of ``sequences``."""
+    _check_stage2_coverage(stage2, taxonomy)
     images = dataset.images
     s1 = _stage1(stage1, images)
-    triggered = [_triggered(dets, config.tau, taxonomy, img.id) for dets, img in zip(s1, images)]
-    # images outside every sequence keep their own triggered set
+    triggered = [_triggered(dets, tau, taxonomy, img.id) for dets, img in zip(s1, images)]
     invoked = list(triggered)
     position = {img.id: k for k, img in enumerate(images)}
-    for seq in dataset.sequences:
+    for seq in sequences:
         members = [position[i] for i in seq]
         union = tuple(sorted(set().union(*(triggered[k] for k in members))))
         for k in members:
             invoked[k] = union
     s2 = _stage2(stage2, images, invoked)
-    return _assemble(
+    traces = tuple(
         ImageTrace(img.id, dets, trig, inv, found)
         for img, dets, trig, inv, found in zip(images, s1, triggered, invoked, s2)
     )
-
-
-def _assemble(traces) -> CascadeOutput:
-    traces = tuple(traces)
-    stage2_count = 0
-    detections = {}
-    for t in traces:
-        stage2_count += len(t.invoked)
-        final: list[Detection] = []
-        for g in t.invoked:
-            final.extend(t.stage2[g])
-        detections[t.image_id] = tuple(final)
+    detections = {t.image_id: tuple(d for g in t.invoked for d in t.stage2[g]) for t in traces}
     trace = RoutingTrace(
         images=traces,
         stage1_inferences=len(traces),
-        stage2_inferences=stage2_count,
+        stage2_inferences=sum(len(t.invoked) for t in traces),
     )
     return CascadeOutput(detections=detections, trace=trace)
 

@@ -1,6 +1,7 @@
 """CLI surface: synth/run/errormodel commands, exit codes, determinism,
 and report reproducibility from the serialized trace."""
 
+import copy
 import csv
 import gc
 import json
@@ -278,6 +279,18 @@ def _set(value, *path):
     return mutate
 
 
+def _inline_model(mutate_model):
+    """Replace the config's model file by an inline copy of MODEL_DOC
+    changed by ``mutate_model``."""
+
+    def mutate(cfg):
+        model = copy.deepcopy(MODEL_DOC)
+        mutate_model(model)
+        cfg["model"] = model
+
+    return mutate
+
+
 BAD_RUN_CONFIGS = {
     "no-dataset": _drop("dataset"),
     "dataset-number": _set(3, "dataset"),
@@ -303,6 +316,10 @@ BAD_SYNTH_CONFIGS = {
     "synth-no-taxonomy": _drop("taxonomy"),
     "synth-taxonomy-list": _set([], "taxonomy"),
     "synth-generals-list": _set(["dog"], "taxonomy", "generals"),
+    "synth-fine-label-list": _set([["a"], "b"], "taxonomy", "generals", "dog"),
+    "synth-fine-label-number": _set([1, "b"], "taxonomy", "generals", "dog"),
+    "synth-fine-label-null": _set([None, "b"], "taxonomy", "generals", "dog"),
+    "synth-fine-labels-string": _set("ab", "taxonomy", "generals", "dog"),
     "synth-images-per-fine-string": _set("many", "images_per_fine"),
     "synth-images-per-fine-float": _set(2.5, "images_per_fine"),
     "synth-negatives-negative": _set(-1, "negatives"),
@@ -326,6 +343,18 @@ BAD_ERRORMODEL_CONFIGS = {
     "errormodel-pair-string": _set("c0,c1", "pair"),
     "errormodel-pair-unknown": _set(["c0", "zz"], "pair"),
     "errormodel-curves-filename-empty": _set("", "curves_filename"),
+    "errormodel-conditionals-list": _inline_model(_set([], "conditionals")),
+    "errormodel-conditional-string": _inline_model(_set(["x", 1.0, 0.0, 0.0], "conditionals", "c0")),
+    "errormodel-conditional-bool": _inline_model(_set([True, False, False, False], "conditionals", "c0")),
+    "errormodel-conditional-nan": _inline_model(_set([math.nan, 1.0, 0.0, 0.0], "conditionals", "c0")),
+    "errormodel-weight-nan": _inline_model(_set([1.0, math.nan, 1.0, 1.0], "weights", "c1")),
+    "errormodel-prior-nan": _inline_model(_set(math.nan, "priors", "c0")),
+    "errormodel-budget-list": _inline_model(_set([80, 20, 5, 10], "budget")),
+    "errormodel-budget-string": _inline_model(_set("x", "budget", "L")),
+    "errormodel-budget-nan": _inline_model(_set(math.nan, "budget", "U")),
+    "errormodel-budget-no-n": _inline_model(lambda model: model["budget"].pop("n")),
+    "errormodel-budget-n-float": _inline_model(_set(2.5, "budget", "n")),
+    "errormodel-capacity-string": _inline_model(_set("big", "capacity", "supK")),
 }
 
 BAD_CONFIGS = {
@@ -427,6 +456,20 @@ class TestExitCodes:
         )
         cfg = write_config(tmp_path, "run.json", run_config(taxonomy, ds_path))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    def test_non_string_taxonomy_label_in_dataset_is_validation_error(
+        self, tmp_path, taxonomy, capsys
+    ):
+        doc = taxonomy.to_json()
+        doc["generals"]["dog"] = [["pekinese"], "spaniel"]
+        ds_path = tmp_path / "ds.json"
+        ds_path.write_text(json.dumps({"taxonomy": doc, "images": []}))
+        cfg = write_config(tmp_path, "run.json", run_config(taxonomy, ds_path))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "not a string" in err
+        assert not list(out.glob("*"))
 
 
 MODEL_DOC = {

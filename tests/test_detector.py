@@ -1,7 +1,6 @@
-"""Simulated-detector statistics, determinism, and the external protocol."""
+"""Simulated-detector statistics, validation and determinism."""
 
 import math
-import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -14,9 +13,7 @@ from modcascade import (
     ConfidenceLaw,
     DetectorHandle,
     DetectorProfile,
-    ProtocolError,
     ValidationError,
-    close_external_detectors,
     derive_general_profile,
     detect,
 )
@@ -113,12 +110,14 @@ class TestProfileValidation:
         p = DetectorProfile(("a",), {"a": {"a": 0.7}})
         assert p.miss_rate("a") == pytest.approx(0.3)
 
-    def test_handle_kind_exclusive(self):
+    def test_handle_needs_profile_and_seed(self):
         prof = identity_profile(["a"])
         with pytest.raises(ValidationError):
-            DetectorHandle(kind="simulated", profile=prof)  # no seed
+            DetectorHandle(profile=prof)  # no seed
         with pytest.raises(ValidationError):
-            DetectorHandle(kind="external", command=("x",), seed=3)
+            DetectorHandle(seed=3)  # no profile
+        with pytest.raises(ValidationError):
+            DetectorHandle.simulated(prof, 1.5)
 
     def test_json_round_trip(self):
         p = DetectorProfile(
@@ -346,10 +345,6 @@ class TestVectorisedSeeding:
         regrown = AnnotatedImage("n0", 640, 480, images[1].objects)
         assert detect(prepared, regrown) == detect(handle, regrown)
 
-    def test_external_handle_unchanged(self):
-        handle = DetectorHandle.external(["true"])
-        assert prepare(handle, [image_with_label_a(0)]) is handle
-
 
 def image_with_label_a(k):
     return AnnotatedImage(
@@ -403,60 +398,3 @@ class TestDeriveGeneralProfile:
         fine = DetectorProfile(("zeppelin",), {"zeppelin": {"zeppelin": 1.0}})
         with pytest.raises(ValidationError):
             derive_general_profile(fine, TAXONOMY)
-
-
-WORKER_OK = """
-import json, sys
-for line in sys.stdin:
-    req = json.loads(line)
-    resp = {"id": req["id"], "detections": [
-        {"label": "spaniel", "box": [1.0, 2.0, 30.0, 40.0], "confidence": 0.97}]}
-    sys.stdout.write(json.dumps(resp) + "\\n")
-    sys.stdout.flush()
-"""
-
-WORKER_MALFORMED = """
-import sys
-for line in sys.stdin:
-    sys.stdout.write("not json at all\\n")
-    sys.stdout.flush()
-"""
-
-WORKER_DIES = """
-import sys
-sys.stdin.readline()
-sys.exit(9)
-"""
-
-
-def _worker_handle(tmp_path, code, name):
-    script = tmp_path / f"{name}.py"
-    script.write_text(code)
-    return DetectorHandle.external([sys.executable, str(script)])
-
-
-class TestExternalProtocol:
-    def teardown_method(self):
-        close_external_detectors()
-
-    def test_round_trip(self, tmp_path):
-        handle = _worker_handle(tmp_path, WORKER_OK, "ok")
-        img = image_with("spaniel", image_id="imgX")
-        dets = detect(handle, img)
-        assert len(dets) == 1
-        assert dets[0].label == "spaniel"
-        assert dets[0].confidence == 0.97
-        assert (dets[0].box.x, dets[0].box.y) == (1.0, 2.0)
-        # second request over the same persistent process
-        dets2 = detect(handle, image_with("spaniel", image_id="imgY"))
-        assert dets2[0].label == "spaniel"
-
-    def test_malformed_line_raises_protocol_error(self, tmp_path):
-        handle = _worker_handle(tmp_path, WORKER_MALFORMED, "bad")
-        with pytest.raises(ProtocolError, match="malformed"):
-            detect(handle, image_with("spaniel"))
-
-    def test_dead_process_raises_protocol_error(self, tmp_path):
-        handle = _worker_handle(tmp_path, WORKER_DIES, "dies")
-        with pytest.raises(ProtocolError):
-            detect(handle, image_with("spaniel"))

@@ -192,6 +192,20 @@ class TestRouteV2:
         assert [d.label for d in v2.detections["f3"]] == ["pekinese"]
         assert v2.trace.stage2_inferences == 3  # dog net on every frame
 
+    def test_no_sequences_routes_as_v1(self, taxonomy):
+        ds = synth_dataset(taxonomy, per_fine=6, negatives=6, seed=5)
+        ds = make_dataset(taxonomy, ds.images, sequences=())
+        s1 = DetectorHandle.simulated(
+            stage1_profile(taxonomy, 0.1, miss_rate=0.2, loc_noise_sigma=1.5,
+                           negative_fp_rate=0.3),
+            71,
+        )
+        s2 = {g: DetectorHandle.simulated(p, 72) for g, p in stage2_profiles(taxonomy, 0.1).items()}
+        v1 = route_v1(ds, s1, s2, taxonomy, RoutingConfig(0.5, "v1"))
+        v2 = route_v2(ds, s1, s2, taxonomy, RoutingConfig(0.5, "v2"))
+        assert v2 == v1
+        assert 0 < v1.trace.stage2_inferences < len(ds.images)
+
     def test_no_trigger_no_stage2(self):
         taxonomy, ds, s1, s2 = self._recovery_setup()
         out = route_v2(ds, s1, s2, taxonomy, RoutingConfig(tau=0.99999, mode="v2"))
