@@ -103,15 +103,30 @@ class ClassTaxonomy:
 def is_finite_real(value) -> bool:
     """True for a real number (not a bool) that is neither NaN nor infinite.
 
-    The one type-and-finiteness check behind every numeric config field,
-    so a string or a NaN is rejected as a ValidationError instead of
-    failing later in arithmetic.
+    The one type-and-finiteness check behind every numeric config and
+    dataset field, so a string or a NaN is rejected as a ValidationError
+    instead of failing later in arithmetic. An int beyond the float range
+    is not finite either.
     """
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _json_number(value, where: str, name: str) -> float:
+    """A dataset number as a float, under the ``is_finite_real`` rule."""
+    t = type(value)
+    # the exact types JSON gives skip the numbers.Real check
+    if t is float or t is int or is_finite_real(value):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise ValidationError(f"{where}: {name} {value!r} is not a finite number")
 
 
 def validate_taxonomy(taxonomy: ClassTaxonomy) -> list[str]:
@@ -154,7 +169,7 @@ def general_of(taxonomy: ClassTaxonomy, fine: str) -> str:
     return taxonomy.general_of(fine)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned box: top-left corner plus extent, in pixels."""
 
@@ -176,7 +191,7 @@ class BoundingBox:
             raise ValidationError(f"negative box corner {vals}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """One detector output: box, emitted label, confidence in [0, 1]."""
 
@@ -185,7 +200,7 @@ class Detection:
     confidence: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruthObject:
     """Annotated object: box plus its fine-grained class label."""
 
@@ -193,7 +208,7 @@ class GroundTruthObject:
     fine_label: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedImage:
     """Image annotation; an empty object list marks a negative image."""
 
@@ -286,23 +301,39 @@ def make_dataset(
     return Dataset(taxonomy=taxonomy, images=images, sequences=seqs)
 
 
-def _image_from_json(obj: Mapping) -> AnnotatedImage:
-    try:
-        objects = tuple(
-            GroundTruthObject(
-                box=BoundingBox(*[float(v) for v in o["box"]]),
-                fine_label=o["label"],
-            )
-            for o in obj.get("objects", [])
-        )
-        return AnnotatedImage(
-            id=obj["id"],
-            width=float(obj["width"]),
-            height=float(obj["height"]),
-            objects=objects,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed image record {obj.get('id', '<no id>')!r}: {exc}") from None
+def _image_from_json(obj) -> AnnotatedImage:
+    if not isinstance(obj, dict):
+        raise ValidationError(f"image record {obj!r} is not an object")
+    image_id = obj.get("id")
+    if not isinstance(image_id, str):
+        raise ValidationError(f"image id {image_id!r} is not a string")
+    where = f"image {image_id!r}"
+    isfinite = math.isfinite
+    records = obj.get("objects", [])
+    if not isinstance(records, list):
+        raise ValidationError(f"{where}: 'objects' is not a list")
+    objects = []
+    for o in records:
+        if not isinstance(o, dict):
+            raise ValidationError(f"{where}: object {o!r} is not an object")
+        label = o.get("label")
+        if not isinstance(label, str):
+            raise ValidationError(f"{where}: object label {label!r} is not a string")
+        box = o.get("box")
+        if not isinstance(box, list) or len(box) != 4:
+            raise ValidationError(f"{where}: box {box!r} is not [x, y, w, h]")
+        # a finite float, the common case, is taken as it is
+        coords = [
+            v if type(v) is float and isfinite(v) else _json_number(v, where, "box value")
+            for v in box
+        ]
+        objects.append(GroundTruthObject(BoundingBox(*coords), label))
+    return AnnotatedImage(
+        id=image_id,
+        width=_json_number(obj.get("width"), where, "width"),
+        height=_json_number(obj.get("height"), where, "height"),
+        objects=tuple(objects),
+    )
 
 
 def load_dataset(path) -> Dataset:
@@ -316,8 +347,10 @@ def load_dataset(path) -> Dataset:
                      "objects": [{"label": "pekinese", "box": [x, y, w, h]}]}],
          "sequences": [["img001", "img002"], ...]}   # optional
 
-    Raises ValidationError naming the offending image on any invariant
-    violation; malformed JSON raises ValidationError as a parse error.
+    Numbers must be JSON numbers (``is_finite_real``), ids and labels
+    strings. Raises ValidationError naming the offending image on any
+    invariant violation or malformed value; malformed JSON raises
+    ValidationError as a parse error.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -327,8 +360,18 @@ def load_dataset(path) -> Dataset:
     if not isinstance(raw, dict) or "taxonomy" not in raw or "images" not in raw:
         raise ValidationError(f"{path}: expected top-level 'taxonomy' and 'images' keys")
     taxonomy = ClassTaxonomy.from_json(raw["taxonomy"])
+    if not isinstance(raw["images"], list):
+        raise ValidationError(f"{path}: 'images' must be a list of image records")
     images = [_image_from_json(o) for o in raw["images"]]
-    return make_dataset(taxonomy, images, raw.get("sequences"))
+    sequences = raw.get("sequences")
+    if sequences is not None and not (
+        isinstance(sequences, list)
+        and all(
+            isinstance(seq, list) and all(isinstance(i, str) for i in seq) for seq in sequences
+        )
+    ):
+        raise ValidationError(f"{path}: 'sequences' must be a list of lists of image ids")
+    return make_dataset(taxonomy, images, sequences)
 
 
 def dataset_to_json(dataset: Dataset) -> dict:

@@ -45,7 +45,7 @@ class NoMatchesError(ValidationError):
     """Classification error requested on a result with no matched detections."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchedDetection:
     """One detection with its claimed ground truth (None = false positive)."""
 
@@ -54,7 +54,7 @@ class MatchedDetection:
     correct_label: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchResult:
     """Per-image matching outcome at a fixed IoU threshold.
 

@@ -3,9 +3,9 @@
 ``parse_run_config`` turns a run config document into a validated
 ``RunConfig``; ``run_experiment`` loads the dataset, simulates the flat
 baseline and the routed cascade, evaluates both and returns the report
-as a plain dict for the canonical writer. Each (run, image) pair is
-matched once: the routed-subset mAP is scored from the modular
-evaluation's per-image match results.
+as a dict for the canonical writer, its per-image trace built lazily.
+Each (run, image) pair is matched once: the routed-subset mAP is scored
+from the modular evaluation's per-image match results.
 
 Run config schema (unknown keys are ignored)::
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -34,7 +35,15 @@ from .detector import DetectorHandle, DetectorProfile, detect, prepare
 from .errormodel import modular_advantage
 from .errors import ValidationError
 from .evaluation import evaluate_run, map_with_fn_accounting, score_matches
-from .router import CascadeOutput, RoutingConfig, compare_tree_vs_flat, route_v1, route_v2
+from .reporting import LazyList
+from .router import (
+    CascadeOutput,
+    ImageTrace,
+    RoutingConfig,
+    compare_tree_vs_flat,
+    route_v1,
+    route_v2,
+)
 
 
 @dataclass(frozen=True)
@@ -127,8 +136,24 @@ def _det_json(d: Detection) -> dict:
     }
 
 
+def _image_json(baseline_dets: Mapping[str, Sequence[Detection]], t: ImageTrace) -> dict:
+    """One image's entry in the report's trace block."""
+    return {
+        "id": t.image_id,
+        "baseline": [_det_json(d) for d in baseline_dets[t.image_id]],
+        "stage1": [_det_json(d) for d in t.stage1],
+        "triggered": list(t.triggered),
+        "invoked": list(t.invoked),
+        "stage2": {g: [_det_json(d) for d in ds] for g, ds in t.stage2.items()},
+    }
+
+
 def run_experiment(config: RunConfig, seed: int) -> dict:
-    """Execute a full baseline-vs-cascade comparison; returns the report."""
+    """Execute a full baseline-vs-cascade comparison; returns the report.
+
+    The trace block's ``images`` is a ``reporting.LazyList``: each
+    image's detections become dicts only while that entry is encoded.
+    """
     dataset = load_dataset(config.dataset)
     taxonomy = dataset.taxonomy
     _check_label_spaces(taxonomy, config)
@@ -160,17 +185,8 @@ def run_experiment(config: RunConfig, seed: int) -> dict:
         "iou_threshold": iou_threshold,
         "stage1_inferences": cascade.trace.stage1_inferences,
         "stage2_inferences": cascade.trace.stage2_inferences,
-        "images": [
-            {
-                "id": t.image_id,
-                "baseline": [_det_json(d) for d in baseline_dets[t.image_id]],
-                "stage1": [_det_json(d) for d in t.stage1],
-                "triggered": list(t.triggered),
-                "invoked": list(t.invoked),
-                "stage2": {g: [_det_json(d) for d in ds] for g, ds in t.stage2.items()},
-            }
-            for t in cascade.trace.images
-        ],
+        # built image by image while the report is written
+        "images": LazyList(cascade.trace.images, partial(_image_json, baseline_dets)),
     }
     return report
 

@@ -4,16 +4,44 @@ json.dumps prints floats with the shortest round-trip repr; report
 files instead need a fixed 17-significant-digit form so that byte
 identity across runs is a meaningful determinism check. Keys are
 sorted, separators fixed, NaN/Inf rejected.
+
+One encoder appends the document's fragments to a list.
+``dumps_canonical`` joins them; ``dump_canonical`` streams them to the
+file, writing the pending fragments out after a list item once there
+are more than ``_FLUSH_FRAGMENTS`` of them, so the writer's memory does
+not grow with the report. A ``LazyList`` builds its items only while it
+is encoded, so a large block of a report need not exist all at once.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
-from typing import Any
+from typing import Any, Callable, Sequence
+
+# pending fragments after which dump_canonical writes them to the file
+_FLUSH_FRAGMENTS = 4096
 
 
-def _encode(obj: Any, out: list[str]) -> None:
+class LazyList:
+    """A list, to the encoder, of ``build(item)`` for each of ``items``.
+
+    Each item is built while it is encoded and dropped after, afresh on
+    every pass, so the same report encodes to the same bytes twice.
+    """
+
+    __slots__ = ("items", "build")
+
+    def __init__(self, items: Sequence, build: Callable[[Any], Any]):
+        self.items = items
+        self.build = build
+
+    def __iter__(self):
+        return map(self.build, self.items)
+
+
+def _encode(obj: Any, out: list[str], flush) -> None:
     # exact-type dispatch for what reports are made of; everything else
     # (bool, None, int and float subclasses such as np.float64) takes the
     # isinstance chain below and encodes as it always has
@@ -25,9 +53,9 @@ def _encode(obj: Any, out: list[str]) -> None:
     elif t is str:
         out.append(_escape(obj))
     elif t is dict:
-        _encode_dict(obj, out)
-    elif t is list or t is tuple:
-        _encode_list(obj, out)
+        _encode_dict(obj, out, flush)
+    elif t is list or t is tuple or t is LazyList:
+        _encode_list(obj, out, flush)
     elif t is int:
         out.append(str(obj))
     elif obj is None:
@@ -45,35 +73,62 @@ def _encode(obj: Any, out: list[str]) -> None:
     elif isinstance(obj, str):
         out.append(_escape(obj))
     elif isinstance(obj, (list, tuple)):
-        _encode_list(obj, out)
+        _encode_list(obj, out, flush)
     elif isinstance(obj, dict):
-        _encode_dict(obj, out)
+        _encode_dict(obj, out, flush)
     else:
         raise TypeError(f"unserializable object {obj!r}")
 
 
-def _encode_list(obj, out: list[str]) -> None:
+def _encode_list(obj, out: list[str], flush) -> None:
     append = out.append
+    isfinite = math.isfinite
     sep = "["
     for item in obj:
         append(sep)
         sep = ","
-        _encode(item, out)
+        if type(item) is float:
+            if not isfinite(item):
+                raise ValueError(f"non-finite float {item!r} in report")
+            append(format(item, ".17g"))
+        else:
+            _encode(item, out, flush)
+            if flush is not None and len(out) > _FLUSH_FRAGMENTS:
+                flush(out)
     append("]" if sep == "," else "[]")
 
 
-def _encode_dict(obj, out: list[str]) -> None:
+# key tuple -> (key, '{"key":' or ',"key":') in sorted key order, for
+# the dict shapes a report repeats; bounded in entries and in keys each
+_KEY_PREFIXES: dict[tuple, tuple[tuple[str, str], ...]] = {}
+_KEY_PREFIXES_MAX = 256
+_KEY_PREFIXES_MAX_KEYS = 32
+
+
+def _key_prefixes(obj) -> tuple[tuple[str, str], ...]:
+    shape = tuple(obj)
+    prefixes = _KEY_PREFIXES.get(shape)
+    if prefixes is None:
+        keys = sorted(shape)
+        for key in keys:
+            if not isinstance(key, str):
+                raise TypeError(f"non-string key {key!r}")
+        seps = ["{"] + [","] * (len(keys) - 1)
+        prefixes = tuple((key, sep + _escape(key) + ":") for sep, key in zip(seps, keys))
+        if len(_KEY_PREFIXES) < _KEY_PREFIXES_MAX and len(shape) <= _KEY_PREFIXES_MAX_KEYS:
+            _KEY_PREFIXES[shape] = prefixes
+    return prefixes
+
+
+def _encode_dict(obj, out: list[str], flush) -> None:
+    if not obj:
+        out.append("{}")
+        return
     append = out.append
-    sep = "{"
-    for key in sorted(obj):
-        if not isinstance(key, str):
-            raise TypeError(f"non-string key {key!r}")
-        append(sep)
-        sep = ","
-        append(_escape(key))
-        append(":")
-        _encode(obj[key], out)
-    append("}" if sep == "," else "{}")
+    for key, prefix in _key_prefixes(obj):
+        append(prefix)
+        _encode(obj[key], out, flush)
+    append("}")
 
 
 _ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
@@ -97,11 +152,31 @@ def _escape(s: str) -> str:
 
 def dumps_canonical(obj: Any) -> str:
     out: list[str] = []
-    _encode(obj, out)
+    _encode(obj, out, None)
     out.append("\n")
     return "".join(out)
 
 
 def dump_canonical(obj: Any, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_canonical(obj))
+    """Stream ``obj`` to ``path`` in canonical form, the bytes of
+    ``dumps_canonical``. If encoding or writing fails, the partial file
+    is removed and the error re-raised."""
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            write = fh.write
+
+            def flush(out: list[str]) -> None:
+                write("".join(out))
+                out.clear()
+
+            out: list[str] = []
+            _encode(obj, out, flush)
+            out.append("\n")
+            flush(out)
+    except BaseException:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
+        raise

@@ -40,7 +40,7 @@ class RoutingConfig:
             raise ValidationError(f"mode must be 'v1' or 'v2', got {self.mode!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImageTrace:
     """Routing record for one image.
 

@@ -300,6 +300,7 @@ BAD_RUN_CONFIGS = {
     "routing-list": _set([], "routing"),
     "iou-string": _set("0.5", "eval", "iou_threshold"),
     "iou-zero": _set(0, "eval", "iou_threshold"),
+    "iou-beyond-float-range": _set(10**400, "eval", "iou_threshold"),
     "seed-string": _set("x", "seed"),
     "profiles-string": _set("x", "profiles"),
     "stage2-list": _set([], "profiles", "stage2"),
@@ -380,6 +381,54 @@ def test_bad_run_config_is_one_line_error(tmp_path, taxonomy, capsys, command, m
     cfg = write_config(tmp_path, "config.json", cfg_dict)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(out.glob("*"))
+
+
+def _dataset_doc(taxonomy):
+    return {
+        "taxonomy": taxonomy.to_json(),
+        "images": [
+            {"id": "img001", "width": 100, "height": 100,
+             "objects": [{"label": "pekinese", "box": [0, 0, 10, 10]}]},
+            {"id": "img002", "width": 100.0, "height": 100.0, "objects": []},
+        ],
+        "sequences": [["img001", "img002"]],
+    }
+
+
+def _set_image(value, *path):
+    return _set(value, "images", *path)
+
+
+BAD_DATASETS = {
+    "images-number": _set(5, "images"),
+    "image-record-number": _set([5], "images"),
+    # the sequences would name an unknown id
+    "image-id-list": lambda doc: (doc.pop("sequences"), _set_image(["img001"], 0, "id")(doc)),
+    "image-id-number": lambda doc: (doc.pop("sequences"), _set_image(3, 0, "id")(doc)),
+    "object-label-list": _set_image(["pekinese"], 0, "objects", 0, "label"),
+    "sequences-number": _set(5, "sequences"),
+    "sequence-id-list": _set([[["img001"]]], "sequences"),
+    "box-string": _set_image(["0", 0, 10, 10], 0, "objects", 0, "box"),
+    "box-beyond-float-range": _set_image([0, 0, 10**400, 10], 0, "objects", 0, "box"),
+    "width-string": _set_image("100", 0, "width"),
+}
+
+
+@pytest.mark.parametrize("mutate", list(BAD_DATASETS.values()), ids=list(BAD_DATASETS))
+def test_bad_dataset_is_one_line_error(tmp_path, taxonomy, capsys, mutate):
+    """A dataset document of the wrong shape, or with a string where a
+    number belongs: exit 2, one stderr line, no report."""
+    doc = _dataset_doc(taxonomy)
+    (tmp_path / "good.json").write_text(json.dumps(doc))
+    assert len(load_dataset(tmp_path / "good.json").images) == 2
+    mutate(doc)
+    (tmp_path / "dataset.json").write_text(json.dumps(doc))
+    cfg = write_config(tmp_path, "run.json", run_config(taxonomy, tmp_path / "dataset.json"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not list(out.glob("*"))

@@ -1,13 +1,18 @@
-"""Canonical JSON writer: escaping, number forms, exact-type fast paths."""
+"""Canonical JSON writer: escaping, number forms, exact-type fast paths,
+the streamed file writer and lazily built lists."""
 
 import math
+import os
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modcascade.reporting import dumps_canonical
+from modcascade import reporting
+from modcascade.reporting import LazyList, dump_canonical, dumps_canonical
 
 from oracles import char_loop_escape
 
@@ -72,3 +77,109 @@ class TestValues:
             dumps_canonical({1: 2})
         with pytest.raises(TypeError):
             dumps_canonical({"x": {1, 2}})
+
+
+# nested documents of every kind the encoder takes, including lazy lists
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | _FINITE | _TEXT
+    | _FINITE.map(np.float64)
+)
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda kids: (
+        st.lists(kids, max_size=6)
+        | st.lists(kids, max_size=6).map(tuple)
+        | st.lists(kids, max_size=6).map(lambda items: LazyList(items, lambda x: x))
+        | st.dictionaries(_TEXT, kids, max_size=6)
+    ),
+    max_leaves=40,
+)
+
+
+class TestStreamedWriter:
+    @settings(max_examples=100, deadline=None)
+    @given(doc=_DOCS)
+    def test_one_fragment_chunks_write_the_same_bytes(self, doc, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "streamed.json"
+        with mock.patch.object(reporting, "_FLUSH_FRAGMENTS", 1):
+            dump_canonical(doc, path)
+        written = path.read_bytes()
+        path.unlink()
+        assert written == dumps_canonical(doc).encode("utf-8")
+
+    def test_lazy_list_encodes_like_a_list_on_every_pass(self):
+        built = []
+
+        def build(k):
+            built.append(k)
+            return {"k": k, "v": [k / 2, str(k)]}
+
+        lazy = LazyList(range(3), build)
+        eager = [build(k) for k in range(3)]
+        assert dumps_canonical({"x": lazy}) == dumps_canonical({"x": eager})
+        assert dumps_canonical({"x": lazy}) == dumps_canonical({"x": eager})
+        assert built == [0, 1, 2] * 3
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"x": {1, 2}}, "unserializable"),
+            ([LazyList([1], lambda k: {k})], "unserializable"),
+            ({"a": {1: 2}}, "non-string key"),
+            ([{"b": 0}, {"b": 1, 2: 3}], "non-string key|not supported"),
+        ],
+    )
+    def test_sets_and_non_string_keys_still_rejected(self, tmp_path, bad, message):
+        with pytest.raises(TypeError, match=message):
+            dumps_canonical(bad)
+        with pytest.raises(TypeError, match=message):
+            dump_canonical(bad, tmp_path / "bad.json")
+        assert not (tmp_path / "bad.json").exists()
+
+    @pytest.mark.parametrize("bad, error", [(math.nan, ValueError), ({1, 2}, TypeError)])
+    def test_failed_write_leaves_no_file(self, tmp_path, bad, error):
+        """A fault past the first flush: the partial file, which already
+        holds bytes, is removed."""
+        doc = {"a": [[1.5]] * (2 * reporting._FLUSH_FRAGMENTS), "b": [{"x": bad}]}
+        path = tmp_path / "report.json"
+        sizes = []
+        unlink = os.unlink
+
+        def spy(p):
+            sizes.append(os.path.getsize(p))
+            unlink(p)
+
+        with mock.patch.object(reporting.os, "unlink", spy), pytest.raises(error):
+            dump_canonical(doc, path)
+        assert sizes and sizes[0] > 0
+        assert not path.exists()
+
+    def test_failed_write_over_an_old_file_leaves_none(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("old")
+        with pytest.raises(ValueError):
+            dump_canonical([math.inf], path)
+        assert not path.exists()
+
+    def test_memory_does_not_grow_with_the_document(self, tmp_path):
+        """About 2 MB of small dicts: the writer's traced peak stays under
+        a quarter of the output (joining the whole text first needed about
+        nine times it)."""
+        doc = {
+            "images": [
+                {"id": f"im{k:05d}", "box": [k + 0.25, k / 3, 12.5, 1 / (k + 1)], "n": k}
+                for k in range(24_000)
+            ]
+        }
+        path = tmp_path / "doc.json"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            dump_canonical(doc, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 2_000_000
+        assert path.read_bytes() == dumps_canonical(doc).encode("utf-8")
+        assert peak - base < size / 4
