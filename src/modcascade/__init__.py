@@ -14,7 +14,6 @@ from .core import (
     Dataset,
     Detection,
     GroundTruthObject,
-    general_of,
     load_dataset,
     make_dataset,
     save_dataset,
@@ -24,7 +23,6 @@ from .detector import (
     ConfidenceLaw,
     DetectorHandle,
     DetectorProfile,
-    derive_general_profile,
     detect,
 )
 from .errormodel import (
@@ -46,8 +44,8 @@ from .evaluation import (
     average_precision,
     classification_error,
     confusion_matrix,
-    count_fn_images,
     evaluate_run,
+    fn_image_flags,
     iou,
     map_with_fn_accounting,
     match_detections,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +26,7 @@ from .core import (
     dataset_to_json,
     is_finite_real,
     make_dataset,
+    read_json,
 )
 from .errormodel import (
     FeatureBudget,
@@ -43,11 +43,7 @@ from .reporting import dump_canonical
 
 
 def _load_config(path: Path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config {path}: {exc}") from None
+    config = read_json(path, "config")
     if not isinstance(config, dict):
         raise ValidationError(f"config {path}: expected a JSON object")
     return config
@@ -197,11 +193,7 @@ def parse_errormodel_config(config: Mapping, base_dir: Path) -> ErrormodelConfig
     or a file path relative to ``base_dir``); every fault is a ValidationError."""
     model_doc = config.get("model")
     if isinstance(model_doc, str) and model_doc:
-        with open(base_dir / model_doc, "r", encoding="utf-8") as fh:
-            try:
-                model_doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"model file: {exc}") from None
+        model_doc = read_json(base_dir / model_doc, "model file")
     elif model_doc is None:
         raise ValidationError("config needs 'model': a model file path or a model object")
     if not isinstance(model_doc, Mapping):

@@ -129,6 +129,20 @@ def _json_number(value, where: str, name: str) -> float:
     raise ValidationError(f"{where}: {name} {value!r} is not a finite number")
 
 
+def read_json(path, what: str):
+    """The JSON document in the file at ``path``, read as UTF-8.
+
+    Undecodable bytes, malformed JSON and nesting too deep for the parser
+    are a ValidationError naming ``what`` and the path; a file that cannot
+    be read raises OSError.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise ValidationError(f"parse error in {what} {path}: {exc}") from None
+
+
 def validate_taxonomy(taxonomy: ClassTaxonomy) -> list[str]:
     """Return all invariant violations (empty list means valid). Pure."""
     violations = []
@@ -162,11 +176,6 @@ def validate_taxonomy(taxonomy: ClassTaxonomy) -> list[str]:
     if MISS in fine_of or MISS in seen:
         violations.append(f"reserved label {MISS!r} used as a class label")
     return violations
-
-
-def general_of(taxonomy: ClassTaxonomy, fine: str) -> str:
-    """Return the unique general class containing ``fine``."""
-    return taxonomy.general_of(fine)
 
 
 @dataclass(frozen=True, slots=True)
@@ -349,14 +358,10 @@ def load_dataset(path) -> Dataset:
 
     Numbers must be JSON numbers (``is_finite_real``), ids and labels
     strings. Raises ValidationError naming the offending image on any
-    invariant violation or malformed value; malformed JSON raises
-    ValidationError as a parse error.
+    invariant violation or malformed value; a file that is not UTF-8 JSON
+    raises ValidationError as a parse error (``read_json``).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"parse error in {path}: {exc}") from None
+    raw = read_json(path, "dataset")
     if not isinstance(raw, dict) or "taxonomy" not in raw or "images" not in raw:
         raise ValidationError(f"{path}: expected top-level 'taxonomy' and 'images' keys")
     taxonomy = ClassTaxonomy.from_json(raw["taxonomy"])

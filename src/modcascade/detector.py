@@ -5,8 +5,16 @@ detector, each stage-2 fine-grained detector and the flat baseline.
 Each ground-truth object gets its own RNG stream keyed by (seed, image
 id, object index), so detection is a pure function of (profile, seed,
 image): bit-identical results regardless of call order or thread.
-``prepare`` seeds the streams of many images in one vectorised pass; it
-changes no result.
+
+``detect`` draws a stream with numpy's ``Generator``, one object at a
+time: the scalar path, and the reference. ``prepare`` makes the same
+draws for a whole detector pass at once. It seeds every stream, steps
+its PCG64 state and replays numpy's C transforms (uniform, the ziggurat
+normal's fast path, Marsaglia-Tsang's gamma on its first trial) on
+integer and float arrays, bit for bit. A stream whose draws leave those
+paths keeps its seeded state for the scalar path. Neither changes a
+result. The replicas assume numpy's C rounds each operation on its own
+(no fused multiply-add); the tests compare them with the installed numpy.
 """
 
 from __future__ import annotations
@@ -14,13 +22,15 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import hashlib
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import AnnotatedImage, BoundingBox, ClassTaxonomy, Detection, is_finite_real
+from ._ziggurat import KI_DOUBLE, WI_DOUBLE
+from .core import AnnotatedImage, BoundingBox, Detection, is_finite_real
 from .errors import UnknownLabelError, ValidationError
 
 _ROW_TOL = 1e-9
@@ -46,13 +56,24 @@ class ConfidenceLaw:
             raise ValidationError("confidence means must be numbers in [0, 1]")
         if not (is_finite_real(self.spread) and self.spread >= 0.0):
             raise ValidationError("confidence spread must be a finite number >= 0")
+        # below this, spread**2 underflows and the Beta's concentration is infinite
+        if 0.0 < self.spread < 1e-150:
+            raise ValidationError("confidence spread must be 0 or at least 1e-150")
 
-    def sample(self, rng: np.random.Generator, correct: bool) -> float:
+    def beta_shapes(self, correct: bool) -> tuple[float, float] | None:
+        """Shapes ``(a, b)`` of the Beta law a confidence is drawn from, or
+        None when the confidence is the mean itself (spread 0, mean 0 or 1)."""
         mean = self.mean_correct if correct else self.mean_wrong
         if self.spread == 0.0 or mean in (0.0, 1.0):
-            return mean
+            return None
         conc = max(mean * (1.0 - mean) / (self.spread * self.spread) - 1.0, 1e-3)
-        return float(rng.beta(mean * conc, (1.0 - mean) * conc))
+        return mean * conc, (1.0 - mean) * conc
+
+    def sample(self, rng: np.random.Generator, correct: bool) -> float:
+        shapes = self.beta_shapes(correct)
+        if shapes is None:
+            return self.mean_correct if correct else self.mean_wrong
+        return float(rng.beta(*shapes))
 
 
 @dataclass(frozen=True)
@@ -190,15 +211,19 @@ class DetectorProfile:
             raise ValidationError(f"malformed detector profile: {exc!r}") from None
 
 
+
+
 @dataclass(frozen=True)
 class DetectorHandle:
     """Reference to a simulated detector: its profile and seed."""
 
     profile: DetectorProfile | None = None
     seed: int | None = None
-    # (image id, object count) -> PCG64 (state, inc) per stream tag; set by
-    # ``prepare``, a cache of values ``_stream_states`` derives from the rest
-    streams: Mapping[tuple[str, int], tuple[tuple[int, int], ...]] | None = field(
+    # (image id, object count) -> (the image, one outcome per stream): a
+    # Detection, None for no detection, or the PCG64 (state, inc) of a
+    # stream left to the scalar path. Set by ``prepare``; a cache of what
+    # ``detect`` derives from the rest, so it takes no part in equality.
+    streams: Mapping[tuple[str, int], tuple[AnnotatedImage, tuple]] | None = field(
         default=None, compare=False, repr=False
     )
 
@@ -219,7 +244,14 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+
+# 64-bit words and 32-bit limbs of the multiplier, and the shift counts
+# and masks of the 128-bit arithmetic on (high, low) uint64 words
+_U64 = np.uint64
+_MULT_HI, _MULT_LO = _U64(_PCG_MULT >> 64), _U64(_PCG_MULT & (2**64 - 1))
+_MULT_LO_L32, _MULT_LO_H32 = _U64(_PCG_MULT & 0xFFFFFFFF), _U64((_PCG_MULT >> 32) & 0xFFFFFFFF)
+_LOW32, _MANTISSA = _U64(0xFFFFFFFF), _U64(2**52 - 1)
+_1, _8, _11, _32, _58, _63, _64 = (_U64(k) for k in (1, 8, 11, 32, 58, 63, 64))
 
 
 def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -249,15 +281,40 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> np.uint32(16))
 
 
-def _pcg64_states(entropy: bytes) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` seeded from each 16-byte little-endian entropy.
+def _lcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
+    """One PCG64 step, ``state * M + inc mod 2**128``, on (high, low) words.
+
+    The high word of ``lo * M_lo`` comes from 32-bit limbs, whose
+    products fit in 64 bits; uint64 arrays wrap mod 2**64.
+    """
+    a0, a1 = lo & _LOW32, lo >> _32
+    p00, p01 = a0 * _MULT_LO_L32, a0 * _MULT_LO_H32
+    p10, p11 = a1 * _MULT_LO_L32, a1 * _MULT_LO_H32
+    mid = (p00 >> _32) + (p01 & _LOW32) + (p10 & _LOW32)
+    carry_mul = p11 + (p01 >> _32) + (p10 >> _32) + (mid >> _32)
+    new_lo = lo * _MULT_LO + inc_lo
+    carry_add = (new_lo < inc_lo).astype(np.uint64)
+    return carry_mul + hi * _MULT_LO + lo * _MULT_HI + inc_hi + carry_add, new_lo
+
+
+def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """PCG64's output of each state: ``rotr64(hi ^ lo, hi >> 58)``."""
+    x = hi ^ lo
+    rot = hi >> _58
+    return (x >> rot) | (x << ((_64 - rot) & _63))
+
+
+def _seeded(entropy: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """PCG64 state and increment seeded from each 16-byte little-endian
+    entropy, as uint64 arrays ``(state_hi, state_lo, inc_hi, inc_lo)``.
 
     Equals ``np.random.PCG64(e).state["state"]`` for every entropy
     ``e < 2**128``, computed for all of them at once. SeedSequence hashes
     an entropy of fewer than four 32-bit words as if padded with zero
     words, so every entropy here is four words. PCG64 then takes the
     128-bit seed and stream from ``generate_state(4, uint64)`` and makes
-    the two setseq steps, done here in Python ints.
+    the two setseq steps: ``inc = stream << 1 | 1`` and
+    ``state = (seed + inc) * M + inc``.
     """
     words = np.frombuffer(entropy, dtype="<u4").astype(np.uint32).reshape(-1, 4)
     a_before, a_after = _HASH_A
@@ -270,12 +327,26 @@ def _pcg64_states(entropy: bytes) -> list[tuple[int, int]]:
         k += 3
     b_before, b_after = _HASH_B
     out = _hashmix(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], b_before, b_after)
-    states = []
-    for seed_hi, seed_lo, inc_hi, inc_lo in out.astype("<u4", order="C").view("<u8").tolist():
-        inc = (((inc_hi << 64) | inc_lo) << 1 | 1) & _MASK128
-        state = ((((seed_hi << 64) | seed_lo) + inc) * _PCG_MULT + inc) & _MASK128
-        states.append((state, inc))
-    return states
+    seed_hi, seed_lo, seq_hi, seq_lo = out.astype("<u4", order="C").view("<u8").T
+    inc_hi = (seq_hi << _1) | (seq_lo >> _63)
+    inc_lo = (seq_lo << _1) | _1
+    lo = seed_lo + inc_lo
+    hi = seed_hi + inc_hi + (lo < inc_lo).astype(np.uint64)
+    return (*_lcg_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+def _as_ints(hi, lo, inc_hi, inc_lo) -> list[tuple[int, int]]:
+    """Python-int ``(state, inc)`` pairs of uint64 word arrays."""
+    return [
+        (h << 64 | l, ih << 64 | il)
+        for h, l, ih, il in zip(hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist())
+    ]
+
+
+def _pcg64_states(entropy: bytes) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` seeded from each 16-byte little-endian entropy."""
+    with np.errstate(over="ignore"):
+        return _as_ints(*_seeded(entropy))
 
 
 def _stream_tags(profile: DetectorProfile, image: AnnotatedImage):
@@ -285,15 +356,18 @@ def _stream_tags(profile: DetectorProfile, image: AnnotatedImage):
     return ("negfp",) if profile.negative_fp_rate > 0.0 else ()
 
 
+def _stream_key(seed: int, image_id: str, tag) -> bytes:
+    """The 16-byte entropy of the stream keyed by (seed, image id, tag)."""
+    return hashlib.blake2b(f"{seed}|{image_id}|{tag}".encode("utf-8"), digest_size=16).digest()
+
+
 def _stream_states(handle: DetectorHandle, images: Sequence[AnnotatedImage]) -> list[tuple]:
     """Per image, the PCG64 state of each stream keyed by (seed, image id, tag)."""
     digests, counts = [], []
     for img in images:
         tags = _stream_tags(handle.profile, img)
         counts.append(len(tags))
-        for tag in tags:
-            key = f"{handle.seed}|{img.id}|{tag}".encode("utf-8")
-            digests.append(hashlib.blake2b(key, digest_size=16).digest())
+        digests.extend(_stream_key(handle.seed, img.id, tag) for tag in tags)
     flat = _pcg64_states(b"".join(digests))
     out, pos = [], 0
     for n in counts:
@@ -302,16 +376,262 @@ def _stream_states(handle: DetectorHandle, images: Sequence[AnnotatedImage]) -> 
     return out
 
 
-def prepare(handle: DetectorHandle, images: Iterable[AnnotatedImage]) -> DetectorHandle:
-    """The handle with the RNG streams of ``images`` seeded in one pass.
+# ---------------------------------------------------- batched draws
+#
+# Replicas of numpy's C (numpy/random/src/distributions/distributions.c)
+# on arrays: next_double, the fast path of the ziggurat standard normal,
+# and Marsaglia-Tsang's gamma for shape > 1 on its first trial. Each
+# gives its value and whether the draw stayed on the path it replays; a
+# stream with any draw off that path goes to the scalar code.
 
-    ``detect`` gives the same detections on the returned handle as on
-    ``handle``, only faster; an image it was not prepared for is seeded
-    when it is detected.
+_WI = np.array(WI_DOUBLE, dtype=np.float64)
+_KI = np.array(KI_DOUBLE, dtype=np.uint64)
+
+# streams drawn per batch; bounds the transient arrays and lists (at
+# 4,096 the crowded benchmark's peak RSS grew by 0.6 MB more, at no gain)
+_CHUNK = 2048
+# row codes of a stream: the one stream of a negative image, and an
+# object whose class has no confusion row (it never fires, and is not seeded)
+_NEGFP, _NO_ROW = -1, -2
+_NO_DIGEST = bytes(16)
+# slot kinds: a miss; a detection with a fixed confidence, with a Beta
+# confidence drawn in the batch, or with one left to the scalar path
+_MISS, _FIXED, _BETA, _SCALAR = 0, 1, 2, 3
+
+
+def _uniform(r: np.ndarray) -> np.ndarray:
+    """``next_double``: the top 53 bits of each output, times 2**-53."""
+    return (r >> _11).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
+def _std_normal(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ziggurat standard normal of each output, and whether it
+    returns at once (``rabs < ki[idx]``) instead of entering a wedge or
+    the tail, which draw again."""
+    idx = (r & _U64(0xFF)).astype(np.intp)
+    r = r >> _8
+    rabs = (r >> _1) & _MANTISSA
+    x = rabs.astype(np.float64) * _WI[idx]
+    return np.where((r & _1).astype(bool), -x, x), rabs < _KI[idx]
+
+
+def _std_gamma(b: np.ndarray, c: np.ndarray, r_normal: np.ndarray, r_uniform: np.ndarray):
+    """Marsaglia-Tsang's standard gamma of shape ``b + 1/3`` (``c`` is
+    ``1 / sqrt(9 b)``) from one normal and one uniform draw, and whether
+    it accepts on them. The log test, which the squeeze rarely leaves to,
+    runs element by element with ``math.log``: the C library's ``log``
+    that numpy's C calls too."""
+    x, ok = _std_normal(r_normal)
+    v = 1.0 + c * x
+    ok &= v > 0.0
+    v = v * v * v
+    u = _uniform(r_uniform)
+    xx = x * x
+    rejected = ok & ~(u < 1.0 - 0.0331 * xx * xx)
+    for i in np.flatnonzero(rejected).tolist():
+        X, U, V, B = float(x[i]), float(u[i]), float(v[i]), float(b[i])
+        # U == 0 would be log(0) = -inf, which C accepts; left to the scalar path
+        ok[i] = U > 0.0 and math.log(U) < 0.5 * X * X + B * (1.0 - V + math.log(V))
+    return b * v, ok
+
+
+class _Slots:
+    """A profile's draw tables for the batch.
+
+    Slot 0 stands for every stream without a row. Each confusion row
+    then owns one slot per emitted label plus one for the miss, in row
+    order, so a stream's slot is its row's offset plus ``bisect_right``
+    of its uniform in the row's cumulative sums.
     """
-    images = tuple(images)
-    keys = [(img.id, len(img.objects)) for img in images]
-    return dataclasses.replace(handle, streams=dict(zip(keys, _stream_states(handle, images))))
+
+    def __init__(self, profile: DetectorProfile):
+        law = profile.confidence_law
+        self.row_of: dict[str, int] = {}
+        self.rows: list[tuple[int, np.ndarray]] = []  # (first slot, cumulative sums)
+        labels, kinds, fixed, gamma = [None], [_MISS], [None], [(1.0, 0.0, 1.0, 0.0)]
+        for r, (true, (row_labels, cum)) in enumerate(profile._row_tables.items()):
+            self.row_of[true] = r
+            self.rows.append((len(labels), np.array(cum, dtype=np.float64)))
+            target = profile.correct_target(true)
+            for label in (*row_labels, None):
+                labels.append(label)
+                kind, conf, params = _MISS, None, (1.0, 0.0, 1.0, 0.0)
+                if label is not None:
+                    correct = label == target
+                    shapes = law.beta_shapes(correct)
+                    if shapes is None:
+                        kind, conf = _FIXED, law.mean_correct if correct else law.mean_wrong
+                    elif shapes[0] > 1.0 and shapes[1] > 1.0:
+                        kind = _BETA
+                        ba, bb = shapes[0] - 1.0 / 3.0, shapes[1] - 1.0 / 3.0
+                        params = (ba, 1.0 / math.sqrt(9 * ba), bb, 1.0 / math.sqrt(9 * bb))
+                    else:
+                        kind = _SCALAR  # Johnk's algorithm or a gamma of shape <= 1
+                kinds.append(kind)
+                fixed.append(conf)
+                gamma.append(params)
+        self.labels = labels
+        self.fixed = fixed
+        self.kinds = np.array(kinds, dtype=np.int8)
+        self.gamma = np.array(gamma, dtype=np.float64)
+        self.has_beta = _BETA in kinds
+
+
+def _draw_batch(
+    profile: DetectorProfile, slots: _Slots, rows: list[int], entropy: bytes,
+    objects: list, dims: np.ndarray,
+) -> list:
+    """One outcome per stream: a Detection, None, or the stream's
+    ``(state, inc)`` when it leaves the replicated paths.
+
+    ``rows`` holds each stream's row (or ``_NEGFP``/``_NO_ROW``),
+    ``objects`` its ground-truth object, ``dims`` its image's width and
+    height. Draw ``j`` comes from the state stepped ``j`` times: one
+    uniform for the label, four normals for the box when sigma is not
+    0, then Beta's two gammas, one normal and one uniform each.
+    """
+    sigma = profile.loc_noise_sigma
+    rows = np.array(rows, dtype=np.intp)
+    hi, lo, inc_hi, inc_lo = _seeded(entropy)
+    state_hi, state_lo = hi, lo
+    raw = []
+    for _ in range(1 + 4 * (sigma != 0.0) + 4 * slots.has_beta):
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        raw.append(_xsl_rr(hi, lo))
+
+    u = _uniform(raw[0])
+    slot = np.zeros(len(rows), dtype=np.intp)
+    for r, (first, cum) in enumerate(slots.rows):
+        mask = rows == r
+        slot[mask] = first + np.searchsorted(cum, u[mask], side="right")
+    kind = slots.kinds[slot]
+    ok = (kind == _FIXED) | (kind == _BETA)
+    if sigma != 0.0:
+        noise = []
+        for r in raw[1:5]:
+            x, fast = _std_normal(r)
+            ok &= fast
+            noise.append(0.0 + sigma * x)
+    conf = np.zeros(len(rows))
+    if slots.has_beta:
+        first = 1 + 4 * (sigma != 0.0)
+        beta = np.flatnonzero(kind == _BETA)
+        ba, ca, bb, cb = slots.gamma[slot[beta]].T
+        ga, ok_a = _std_gamma(ba, ca, raw[first][beta], raw[first + 1][beta])
+        gb, ok_b = _std_gamma(bb, cb, raw[first + 2][beta], raw[first + 3][beta])
+        ok[beta] &= ok_a & ok_b
+        conf[beta] = ga / (ga + gb)
+
+    det = np.flatnonzero(ok)
+    det_list = det.tolist()
+    det_slots = slot[det].tolist()
+    confs = conf[det].tolist()
+    for j in np.flatnonzero(kind[det] == _FIXED).tolist():
+        confs[j] = slots.fixed[det_slots[j]]
+    boxes = [objects[i].box for i in det_list]
+    if sigma != 0.0 and boxes:
+        bx = np.array([b.x for b in boxes], np.float64)
+        by = np.array([b.y for b in boxes], np.float64)
+        bw = np.array([b.w for b in boxes], np.float64)
+        bh = np.array([b.h for b in boxes], np.float64)
+        width, height = dims[det].T
+        nx, ny, nw, nh = (n[det] for n in noise)
+        w = _min(_max(bw + nw, _MIN_EXTENT), width)
+        h = _min(_max(bh + nh, _MIN_EXTENT), height)
+        x = _min(_max(bx + nx, 0.0), width - w)
+        y = _min(_max(by + ny, 0.0), height - h)
+        boxes = list(map(BoundingBox, x.tolist(), y.tolist(), w.tolist(), h.tolist()))
+    labels = list(map(slots.labels.__getitem__, det_slots))
+
+    out: list = [None] * len(rows)
+    for i, d in zip(det_list, map(Detection, boxes, labels, confs)):
+        out[i] = d
+    scalar = np.flatnonzero((rows == _NEGFP) | ((kind != _MISS) & ~ok))
+    states = _as_ints(state_hi[scalar], state_lo[scalar], inc_hi[scalar], inc_lo[scalar])
+    for i, state in zip(scalar.tolist(), states):
+        out[i] = state
+    return out
+
+
+def _max(a: np.ndarray, b) -> np.ndarray:
+    """Python's ``max(a, b)`` per element: ``b`` only when ``b > a``, so a
+    signed zero comes out as ``max`` gives it."""
+    return np.where(b > a, b, a)
+
+
+def _min(a: np.ndarray, b) -> np.ndarray:
+    """Python's ``min(a, b)`` per element: ``b`` only when ``b < a``."""
+    return np.where(b < a, b, a)
+
+
+def prepare(handle: DetectorHandle, images: Iterable[AnnotatedImage]) -> DetectorHandle:
+    """The handle with the detections of ``images`` drawn in batches.
+
+    Every stream of the batch is seeded, stepped and transformed on
+    arrays, ``_CHUNK`` streams at a time, with the draws ``detect``
+    would make. The few streams whose draws leave the replicated fast
+    paths (a ziggurat wedge or tail, a gamma that needs a second trial,
+    a Beta shape <= 1, a negative image's spurious detection) keep their
+    seeded state and are drawn by the scalar path when detected. So is
+    every image ``prepare`` did not see, and one whose width or height
+    is not a float, since ``min`` would put that value in a box as it is.
+    ``detect`` gives the same detections on the returned handle as on
+    ``handle``, only faster.
+    """
+    profile, seed = handle.profile, handle.seed
+    slots = _Slots(profile)
+    negfp = profile.negative_fp_rate > 0.0
+    cache: dict = {}
+    batch: list[AnnotatedImage] = []
+    count = 0
+    with np.errstate(over="ignore"):
+        for img in images:
+            if type(img.width) is not float or type(img.height) is not float:
+                continue
+            batch.append(img)
+            count += len(img.objects) or negfp
+            if count >= _CHUNK:
+                _prepare_batch(profile, seed, slots, negfp, batch, cache)
+                batch, count = [], 0
+        if batch:
+            _prepare_batch(profile, seed, slots, negfp, batch, cache)
+    return dataclasses.replace(handle, streams=cache)
+
+
+def _prepare_batch(profile, seed, slots: _Slots, negfp: bool, images, cache: dict) -> None:
+    """Draw the streams of ``images`` and add each image's outcomes to ``cache``."""
+    row_of = slots.row_of
+    rows, digests, objects, dims = [], [], [], []
+    for img in images:
+        objs = img.objects
+        if objs:
+            # the key "seed|id|tag" hashed as its prefix, then each tag
+            prefix = hashlib.blake2b(f"{seed}|{img.id}|".encode("utf-8"), digest_size=16)
+            for tag, obj in enumerate(objs):
+                r = row_of.get(obj.fine_label, _NO_ROW)
+                rows.append(r)
+                if r >= 0:
+                    key = prefix.copy()
+                    key.update(b"%d" % tag)
+                    digests.append(key.digest())
+                else:
+                    digests.append(_NO_DIGEST)
+            objects.extend(objs)
+            dims.extend([(img.width, img.height)] * len(objs))
+        elif negfp:
+            rows.append(_NEGFP)
+            digests.append(_stream_key(seed, img.id, "negfp"))
+            objects.append(None)
+            dims.append((img.width, img.height))
+    outcomes = _draw_batch(
+        profile, slots, rows, b"".join(digests), objects,
+        np.array(dims, dtype=np.float64).reshape(-1, 2),
+    )
+    pos = 0
+    for img in images:
+        n = len(img.objects) or negfp
+        cache[(img.id, len(img.objects))] = (img, tuple(outcomes[pos : pos + n]))
+        pos += n
 
 
 _thread = threading.local()
@@ -359,94 +679,67 @@ def _noisy_box(
     return BoundingBox(x, y, w, h)
 
 
+def _detect_object(
+    profile: DetectorProfile, image: AnnotatedImage, obj, state: tuple[int, int]
+) -> Detection | None:
+    """The scalar path: one object's draws from its stream, made by
+    numpy's Generator; the reference the batch reproduces."""
+    table = profile._row_tables.get(obj.fine_label)
+    if table is None:
+        return None  # unknown object class: this detector never fires
+    bitgen, rng = _thread_generator()
+    _set_stream(bitgen, state)
+    label = _draw_from_table(rng, *table)
+    if label is None:
+        return None
+    box = _noisy_box(rng, obj.box, profile.loc_noise_sigma, image.width, image.height)
+    correct = label == profile.correct_target(obj.fine_label)
+    return Detection(box=box, label=label, confidence=profile.confidence_law.sample(rng, correct))
+
+
+def _negative_fp(
+    profile: DetectorProfile, image: AnnotatedImage, state: tuple[int, int]
+) -> Detection | None:
+    """A negative image's spurious detection, if its stream draws one."""
+    bitgen, rng = _thread_generator()
+    _set_stream(bitgen, state)
+    if rng.random() >= profile.negative_fp_rate:
+        return None
+    labels, cum = profile._fp_table
+    label = _draw_from_table(rng, labels, cum)
+    if label is None:
+        return None
+    w = rng.uniform(1.0, image.width)
+    h = rng.uniform(1.0, image.height)
+    x = rng.uniform(0.0, image.width - w)
+    y = rng.uniform(0.0, image.height - h)
+    conf = profile.confidence_law.sample(rng, correct=False)
+    return Detection(box=BoundingBox(x, y, w, h), label=label, confidence=conf)
+
+
 def detect(handle: DetectorHandle, image: AnnotatedImage) -> list[Detection]:
     """Run one simulated detector on one image.
 
     A pure function of (profile, seed, image): each object draws from its
     own stream, so the result does not depend on call order, and calls
     from several threads are safe (each thread has its own generator).
+    On a handle ``prepare`` saw the image with, the detections are the
+    prepared ones, and only the streams left to the scalar path draw
+    here.
     """
+    cached = handle.streams.get((image.id, len(image.objects))) if handle.streams else None
+    if cached is not None and (cached[0] is image or cached[0] == image):
+        outcomes = cached[1]
+    else:
+        outcomes = _stream_states(handle, (image,))[0]
     profile = handle.profile
-    states = handle.streams.get((image.id, len(image.objects))) if handle.streams else None
-    if states is None:
-        states = _stream_states(handle, (image,))[0]
-    bitgen, rng = _thread_generator()
+    if not image.objects:
+        det = _negative_fp(profile, image, outcomes[0]) if outcomes else None
+        return [] if det is None else [det]
     dets: list[Detection] = []
-    law = profile.confidence_law
-    if image.objects:
-        for idx, obj in enumerate(image.objects):
-            table = profile._row_tables.get(obj.fine_label)
-            if table is None:
-                continue  # unknown object class: this detector never fires
-            _set_stream(bitgen, states[idx])
-            label = _draw_from_table(rng, *table)
-            if label is None:
-                continue
-            box = _noisy_box(rng, obj.box, profile.loc_noise_sigma, image.width, image.height)
-            correct = label == profile.correct_target(obj.fine_label)
-            conf = law.sample(rng, correct)
-            dets.append(Detection(box=box, label=label, confidence=conf))
-    elif states:
-        _set_stream(bitgen, states[0])
-        if rng.random() < profile.negative_fp_rate:
-            labels, cum = profile._fp_table
-            label = _draw_from_table(rng, labels, cum)
-            if label is not None:
-                w = rng.uniform(1.0, image.width)
-                h = rng.uniform(1.0, image.height)
-                x = rng.uniform(0.0, image.width - w)
-                y = rng.uniform(0.0, image.height - h)
-                conf = law.sample(rng, correct=False)
-                dets.append(Detection(box=BoundingBox(x, y, w, h), label=label, confidence=conf))
+    for obj, out in zip(image.objects, outcomes):
+        if type(out) is tuple:
+            out = _detect_object(profile, image, obj, out)
+        if out is not None:
+            dets.append(out)
     return dets
-
-
-def derive_general_profile(
-    fine_profile: DetectorProfile, taxonomy: ClassTaxonomy
-) -> DetectorProfile:
-    """Collapse a fine-grained profile onto general classes.
-
-    Confusion mass between fine classes of the same general lands on the
-    diagonal (the union absorbs within-class confusion); cross-general
-    confusion survives. Member rows are averaged uniformly, assuming
-    similar per-class object counts.
-    """
-    for label in fine_profile.label_space:
-        if not taxonomy.is_fine(label):
-            raise UnknownLabelError(f"emitted label {label!r} is not a fine label")
-    rows_by_general: dict[str, list[Mapping[str, float]]] = {}
-    for true, row in fine_profile.confusion.items():
-        if not taxonomy.is_fine(true):
-            raise UnknownLabelError(f"confusion row key {true!r} is not a fine label")
-        rows_by_general.setdefault(taxonomy.general_of(true), []).append(row)
-
-    label_space = tuple(
-        g for g in taxonomy.generals
-        if any(taxonomy.general_of(l) == g for l in fine_profile.label_space)
-    )
-    confusion: dict[str, dict[str, float]] = {}
-    for g in taxonomy.generals:
-        member_rows = rows_by_general.get(g)
-        if not member_rows:
-            continue
-        acc: dict[str, float] = {}
-        for row in member_rows:
-            for emitted, p in row.items():
-                tgt = taxonomy.general_of(emitted)
-                acc[tgt] = acc.get(tgt, 0.0) + p
-        confusion[g] = {tgt: p / len(member_rows) for tgt, p in acc.items()}
-
-    fp_dist = None
-    if fine_profile.fp_label_dist is not None:
-        fp_dist = {}
-        for label, p in fine_profile.fp_label_dist.items():
-            tgt = taxonomy.general_of(label)
-            fp_dist[tgt] = fp_dist.get(tgt, 0.0) + p
-    return DetectorProfile(
-        label_space=label_space,
-        confusion=confusion,
-        negative_fp_rate=fine_profile.negative_fp_rate,
-        fp_label_dist=fp_dist,
-        loc_noise_sigma=fine_profile.loc_noise_sigma,
-        confidence_law=fine_profile.confidence_law,
-    )

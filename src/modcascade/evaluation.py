@@ -186,7 +186,8 @@ class EvalReport:
     confusion matrix). ``fn_image_count`` counts positive images whose
     objects' general class had no covering stage-2 invocation.
     ``matches`` holds the per-image match results the report was scored
-    from, in image order; it is not serialized.
+    from, in image order, and ``fn_image_flags`` the per-image FN flags
+    the count sums (empty without FN accounting); neither is serialized.
     """
 
     per_class_ap: Mapping[str, float]
@@ -198,6 +199,7 @@ class EvalReport:
     stage1_inferences: int = 0
     stage2_inferences: int = 0
     matches: tuple[MatchResult, ...] = field(default=(), compare=False, repr=False)
+    fn_image_flags: tuple[bool, ...] = field(default=(), compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -212,20 +214,19 @@ class EvalReport:
         }
 
 
-def count_fn_images(
+def fn_image_flags(
     images: Sequence[AnnotatedImage],
     invoked_by_image: Mapping[str, Sequence[str]],
     taxonomy: ClassTaxonomy,
-) -> int:
-    """Positive images with an object whose general class was never invoked."""
-    count = 0
+) -> tuple[bool, ...]:
+    """Per image, whether it is an FN image: a positive image holding an
+    object whose general class was not invoked on it. Every other
+    positive image reached each stage-2 detector it needed."""
+    flags = []
     for img in images:
-        if not img.objects:
-            continue
-        invoked = set(invoked_by_image.get(img.id, ()))
-        if any(taxonomy.general_of(o.fine_label) not in invoked for o in img.objects):
-            count += 1
-    return count
+        invoked = invoked_by_image.get(img.id, ())
+        flags.append(any(taxonomy.general_of(o.fine_label) not in invoked for o in img.objects))
+    return tuple(flags)
 
 
 def score_matches(
@@ -233,7 +234,7 @@ def score_matches(
     taxonomy: ClassTaxonomy,
     *,
     level: str = "fine",
-    fn_image_count: int = 0,
+    fn_image_flags: Sequence[bool] = (),
     stage1_inferences: int = 0,
     stage2_inferences: int = 0,
 ) -> EvalReport:
@@ -288,11 +289,12 @@ def score_matches(
         map=mean_ap,
         classification_error=err,
         confusion=confusion,
-        fn_image_count=fn_image_count,
+        fn_image_count=sum(fn_image_flags),
         matched_count=matched_total,
         stage1_inferences=stage1_inferences,
         stage2_inferences=stage2_inferences,
         matches=tuple(matches),
+        fn_image_flags=tuple(fn_image_flags),
     )
 
 
@@ -329,16 +331,15 @@ def evaluate_run(
         )
         for img in images
     ]
-    fn_images = (
-        count_fn_images(images, invoked_by_image, taxonomy)
-        if invoked_by_image is not None
-        else 0
-    )
     return score_matches(
         matches,
         taxonomy,
         level=level,
-        fn_image_count=fn_images,
+        fn_image_flags=(
+            fn_image_flags(images, invoked_by_image, taxonomy)
+            if invoked_by_image is not None
+            else ()
+        ),
         stage1_inferences=stage1_inferences,
         stage2_inferences=stage2_inferences,
     )

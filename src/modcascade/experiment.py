@@ -225,14 +225,16 @@ def _evaluate(
         stage1_inferences=cascade.trace.stage1_inferences,
     )
 
-    # FN-aware total mAP: stage-2 mAP over the images that actually
-    # reached stage 2, scaled down by the positives stage 1 dropped. The
-    # routed images' matches are the modular pass's, in dataset order.
+    # FN-aware total mAP: stage-2 mAP over the positive images that are
+    # not FN images (each reached every stage-2 detector it needed),
+    # scaled down by the FN images. Both come from the modular pass's
+    # per-image FN flags; the matches are its own, in dataset order.
     routed_matches = [
         match
-        for img, match in zip(dataset.images, modular_report.matches)
-        if img.objects
-        and all(taxonomy.general_of(o.fine_label) in invoked.get(img.id, ()) for o in img.objects)
+        for img, match, fn in zip(
+            dataset.images, modular_report.matches, modular_report.fn_image_flags
+        )
+        if img.objects and not fn
     ]
     fn_images = modular_report.fn_image_count
     if routed_matches:

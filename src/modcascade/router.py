@@ -9,7 +9,7 @@ unchanged — no cropping or transformation.
 
 Both modes run stage by stage: stage 1 over every image, then each
 general's stage-2 detector over exactly the images routed to it, with
-each detector's RNG streams seeded in one pass (``detector.prepare``).
+each detector's RNG streams drawn in batches (``detector.prepare``).
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ by conditional, essential-flag by weight, classify by the larger
 weighted mass) instead of summing minima; the AP oracle builds the whole
 precision-recall curve as ``Fraction`` points; the escaper walks a
 string one character at a time; the object RNG is seeded through numpy's
-own ``SeedSequence`` and ``PCG64``, one stream at a time.
+own ``SeedSequence`` and ``PCG64``, one stream at a time; the ziggurat
+tables are read off numpy's own normal draws from crafted PCG64 states.
 """
 
 import hashlib
@@ -172,3 +173,55 @@ def object_rng(seed: int, image_id: str, tag) -> np.random.Generator:
         f"{seed}|{image_id}|{tag}".encode("utf-8"), digest_size=16
     ).digest()
     return np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
+
+
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)
+
+
+def set_next_output(bitgen: np.random.PCG64, r: int, inc: int = 1) -> None:
+    """Put ``bitgen`` in the state whose next 64-bit output is ``r``.
+
+    PCG64 steps before it outputs, and the stepped state here is ``r``
+    itself: its high word is 0, so XSL-RR returns the low word ``r``.
+    The state before the step is ``(r - inc) * M**-1 mod 2**128``.
+    """
+    state = ((r - inc) * _PCG_MULT_INV) % (1 << 128)
+    bitgen.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def ziggurat_draw(gen: np.random.Generator, r: int) -> tuple[float, bool]:
+    """numpy's standard normal drawn from the output ``r``, and whether it
+    returned at once: the state stepped exactly once, to ``r``."""
+    set_next_output(gen.bit_generator, r)
+    x = gen.standard_normal()
+    return x, gen.bit_generator.state["state"]["state"] == r
+
+
+def ziggurat_tables() -> tuple[list[float], list[int]]:
+    """numpy's ``wi_double`` and ``ki_double``, read off its normal draws.
+
+    A draw's low byte picks the entry ``idx``, the next bit the sign, and
+    the 52 bits above it ``rabs``; the fast path returns
+    ``rabs * wi[idx]`` when ``rabs < ki[idx]``. So ``rabs = 1`` gives
+    ``wi[idx]``, and ``ki[idx]`` is the least ``rabs`` off the fast path,
+    found by bisection.
+    """
+    gen = np.random.Generator(np.random.PCG64(0))
+    wi, ki = [], []
+    for idx in range(256):
+        wi.append(ziggurat_draw(gen, 1 << 9 | idx)[0])
+        lo, hi = 0, 1 << 52
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if ziggurat_draw(gen, mid << 9 | idx)[1]:
+                lo = mid + 1
+            else:
+                hi = mid
+        ki.append(lo)
+    return wi, ki

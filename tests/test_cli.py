@@ -434,6 +434,52 @@ def test_bad_dataset_is_one_line_error(tmp_path, taxonomy, capsys, mutate):
     assert not list(out.glob("*"))
 
 
+DEEP = b"[" * 100_000  # nested past the JSON parser's recursion limit
+
+# (command, the document written as raw bytes, its bytes); every other
+# input of the command is valid
+RAW_DOCUMENTS = {
+    "run-config-undecodable": ("run", "config", b'{"dataset": "\xff\xfe"}'),
+    "run-config-deep": ("run", "config", DEEP),
+    "synth-config-undecodable": ("synth", "config", b'{"taxonomy": "\xff"}'),
+    "synth-config-deep": ("synth", "config", DEEP),
+    "errormodel-config-undecodable": ("errormodel", "config", b'{"model": "\xff"}'),
+    "errormodel-config-deep": ("errormodel", "config", DEEP),
+    "dataset-undecodable-id": ("run", "dataset", None),
+    "dataset-deep": ("run", "dataset", DEEP),
+    "model-undecodable-key": ("errormodel", "model", b'{"priors": {"\xff": 1.0}}'),
+    "model-deep": ("errormodel", "model", DEEP),
+}
+
+
+@pytest.mark.parametrize(
+    "command, document, raw", list(RAW_DOCUMENTS.values()), ids=list(RAW_DOCUMENTS)
+)
+def test_unreadable_json_is_one_line_error(tmp_path, taxonomy, capsys, command, document, raw):
+    """A document that is not UTF-8, or nests too deep to parse: exit 2,
+    one stderr line, no output file."""
+    if document == "dataset" and raw is None:
+        good = json.dumps(_dataset_doc(taxonomy)).encode("utf-8")
+        raw = good.replace(b'"img001"', b'"\xff"')
+    paths = {"config": tmp_path / "config.json", "dataset": tmp_path / "dataset.json",
+             "model": tmp_path / "model.json"}
+    if command == "run":
+        (tmp_path / "dataset.json").write_text(json.dumps(_dataset_doc(taxonomy)))
+        config = run_config(taxonomy, paths["dataset"])
+    elif command == "synth":
+        config = synth_config(taxonomy, 2, 1)
+    else:
+        paths["model"].write_text(json.dumps(MODEL_DOC))
+        config = {"model": "model.json", "pair": ["c0", "c1"]}
+    paths["config"].write_text(json.dumps(config))
+    paths[document].write_bytes(raw)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(paths["config"]), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(out.glob("*"))
+
+
 def test_v2_without_sequences_fails_before_any_detection(tmp_path, taxonomy, capsys, monkeypatch):
     scfg = write_config(tmp_path, "synth.json", synth_config(taxonomy, 3, 2))
     assert main(["synth", "--config", str(scfg), "--out", str(tmp_path)]) == 0

@@ -10,7 +10,6 @@ from modcascade import (
     ClassTaxonomy,
     UnknownLabelError,
     ValidationError,
-    general_of,
     load_dataset,
     make_dataset,
     save_dataset,
@@ -59,12 +58,12 @@ def annotation_doc(taxonomy):
 
 class TestTaxonomy:
     def test_general_of(self, taxonomy):
-        assert general_of(taxonomy, "pekinese") == "dog"
-        assert general_of(taxonomy, "saturn") == "planet"
+        assert taxonomy.general_of("pekinese") == "dog"
+        assert taxonomy.general_of("saturn") == "planet"
 
     def test_general_of_unknown_label(self, taxonomy):
         with pytest.raises(UnknownLabelError):
-            general_of(taxonomy, "canoe_xxl")
+            taxonomy.general_of("canoe_xxl")
 
     def test_valid_five_by_two(self, taxonomy):
         assert validate_taxonomy(taxonomy) == []
@@ -89,7 +88,7 @@ class TestTaxonomy:
 
     def test_general_of_never_returns_negative_label(self, taxonomy):
         for fine in taxonomy.fine_labels:
-            assert general_of(taxonomy, fine) != taxonomy.negative_label
+            assert taxonomy.general_of(fine) != taxonomy.negative_label
 
     def test_label_at_level(self, taxonomy):
         assert taxonomy.label_at_level("pekinese", "general") == "dog"

@@ -9,20 +9,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modcascade import (
-    ClassTaxonomy,
     ConfidenceLaw,
     DetectorHandle,
     DetectorProfile,
     ValidationError,
-    derive_general_profile,
     detect,
 )
+from modcascade._ziggurat import KI_DOUBLE, WI_DOUBLE
 from modcascade.core import AnnotatedImage, BoundingBox, GroundTruthObject
-from modcascade.detector import _pcg64_states, _stream_states, prepare
+from modcascade.detector import (
+    _PCG_MULT,
+    _lcg_step,
+    _pcg64_states,
+    _std_gamma,
+    _std_normal,
+    _stream_states,
+    _xsl_rr,
+    prepare,
+)
+from modcascade.profiles import flat_profile
 
-from oracles import object_rng
-
-TAXONOMY = ClassTaxonomy({"dog": ("pekinese", "spaniel"), "planet": ("mars", "saturn")})
+from conftest import taxonomy_5x2
+from oracles import object_rng, ziggurat_draw, ziggurat_tables
 
 
 def image_with(fine, image_id="img0", box=BoundingBox(100, 100, 200, 150)):
@@ -71,6 +79,12 @@ class TestProfileValidation:
         fields = {"label_space": ("a", "b"), "confusion": {"a": {"a": 0.5}}, **kwargs}
         with pytest.raises(ValidationError, match="finite"):
             DetectorProfile(**fields)
+
+    @pytest.mark.parametrize("spread", [1e-200, 5e-324])
+    def test_spread_too_small_for_beta_rejected(self, spread):
+        # spread**2 underflows to 0: the Beta law would divide by zero
+        with pytest.raises(ValidationError, match="spread"):
+            ConfidenceLaw(spread=spread).validate()
 
     def test_negative_fp_label_dist_rejected(self):
         # sums to 1, but the -1 would hand every spurious detection to "b"
@@ -322,14 +336,14 @@ class TestVectorisedSeeding:
         images = []
         for k in range(60):
             if k % 4 == 0:  # negative: one "negfp" stream
-                images.append(AnnotatedImage(f"n{k}", 640, 480))
+                images.append(AnnotatedImage(f"n{k}", 640.0, 480.0))
                 continue
             labels = ("pekinese", "spaniel", "mars")[: 1 + k % 3]  # mars has no row
             objects = tuple(
                 GroundTruthObject(BoundingBox(20 * j, 30, 100, 80), label)
                 for j, label in enumerate(labels)
             )
-            images.append(AnnotatedImage(f"p{k}", 640, 480, objects))
+            images.append(AnnotatedImage(f"p{k}", 640.0, 480.0, objects))
         prepared = prepare(handle, images)
         assert prepared == handle  # the stream table takes no part in equality
         plain = [detect(handle, img) for img in images]
@@ -342,8 +356,12 @@ class TestVectorisedSeeding:
         # another object count, are seeded on the fly
         half = prepare(handle, images[:30])
         assert [detect(half, img) for img in images] == plain
-        regrown = AnnotatedImage("n0", 640, 480, images[1].objects)
+        regrown = AnnotatedImage("n0", 640.0, 480.0, images[1].objects)
         assert detect(prepared, regrown) == detect(handle, regrown)
+        # an equal-keyed image with other objects is not served from the cache
+        box = BoundingBox(300.0, 200.0, 50.0, 40.0)
+        moved = AnnotatedImage("p1", 640.0, 480.0, (GroundTruthObject(box, "spaniel"),) * 2)
+        assert detect(prepared, moved) == detect(handle, moved) != plain[1]
 
 
 def image_with_label_a(k):
@@ -355,46 +373,173 @@ def image_with_label_a(k):
     )
 
 
-class TestDeriveGeneralProfile:
-    def test_sibling_confusion_collapses(self):
-        fine = DetectorProfile(
-            ("pekinese", "spaniel"),
-            {"pekinese": {"pekinese": 0.88, "spaniel": 0.12}},
-        )
-        gen = derive_general_profile(fine, TAXONOMY)
-        assert gen.confusion["dog"] == {"dog": pytest.approx(1.0)}
+def _raw_outputs(states, n):
+    """The next ``n`` outputs of each PCG64 ``(state, inc)`` on the batch's arrays."""
+    hi = np.array([s >> 64 for s, _ in states], dtype=np.uint64)
+    lo = np.array([s & (2**64 - 1) for s, _ in states], dtype=np.uint64)
+    inc_hi = np.array([i >> 64 for _, i in states], dtype=np.uint64)
+    inc_lo = np.array([i & (2**64 - 1) for _, i in states], dtype=np.uint64)
+    out = []
+    for _ in range(n):
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        out.append(_xsl_rr(hi, lo))
+    return np.stack(out, axis=1)
 
-    def test_cross_general_confusion_survives(self):
-        fine = DetectorProfile(
-            ("pekinese", "mars"),
-            {"pekinese": {"pekinese": 0.9, "mars": 0.1}},
-        )
-        gen = derive_general_profile(fine, TAXONOMY)
-        assert gen.confusion["dog"]["dog"] == pytest.approx(0.9)
-        assert gen.confusion["dog"]["planet"] == pytest.approx(0.1)
 
-    def test_row_sums_preserved_random(self):
-        rng = np.random.default_rng(123)
-        taxonomy = ClassTaxonomy(
-            {f"g{i}": (f"f{i}a", f"f{i}b") for i in range(5)}
-        )
-        fines = taxonomy.fine_labels
-        confusion = {}
-        for f in fines:
-            probs = rng.dirichlet(np.ones(len(fines) + 1))  # last slot = miss
-            confusion[f] = {t: float(p) for t, p in zip(fines, probs[:-1])}
-        fine = DetectorProfile(fines, confusion)
-        gen = derive_general_profile(fine, taxonomy)
-        for g, row in gen.confusion.items():
-            assert all(p >= 0 for p in row.values())
-            member_miss = [
-                fine.miss_rate(f) for f in taxonomy.fine_of[g]
-            ]
-            want_sum = 1.0 - sum(member_miss) / len(member_miss)
-            assert sum(row.values()) == pytest.approx(want_sum, abs=1e-9)
-            assert sum(row.values()) <= 1.0 + 1e-9
+def _pcg64_at(state: int, inc: int) -> np.random.PCG64:
+    bitgen = np.random.PCG64(0)
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+    return bitgen
 
-    def test_unknown_emission_rejected(self):
-        fine = DetectorProfile(("zeppelin",), {"zeppelin": {"zeppelin": 1.0}})
-        with pytest.raises(ValidationError):
-            derive_general_profile(fine, TAXONOMY)
+
+def _random_states(rng, n):
+    """Random PCG64 ``(state, inc)`` pairs; an increment is always odd."""
+    words = rng.integers(0, 2**64, size=(n, 4), dtype=np.uint64).tolist()
+    return [(a << 64 | b, (c << 64 | d) | 1) for a, b, c, d in words]
+
+
+def _crowded_images(n_images, seed=0):
+    """Images of 6 to 10 objects of mixed classes, like the crowded benchmark."""
+    fines = taxonomy_5x2().fine_labels
+    rng = np.random.default_rng(seed)
+    images = []
+    for k in range(n_images):
+        objects = []
+        for _ in range(int(rng.integers(6, 11))):
+            w, h = rng.uniform(40.0, 200.0, 2).tolist()
+            x, y = float(rng.uniform(0.0, 800.0 - w)), float(rng.uniform(0.0, 800.0 - h))
+            objects.append(GroundTruthObject(BoundingBox(x, y, w, h), fines[rng.integers(10)]))
+        images.append(AnnotatedImage(f"c{k:04d}", 800.0, 800.0, tuple(objects)))
+    return images
+
+
+LABELS = ("a", "b", "c")
+
+
+@st.composite
+def batch_profiles(draw):
+    """Profiles whose streams reach every scalar fallback: box noise from 0
+    to 40 px (ziggurat wedges and tails), Beta shapes above and at most 1,
+    means of 0 and 1, rows that miss, a class without a row, and spurious
+    detections on negative images."""
+    rows = {}
+    for true in draw(st.lists(st.sampled_from(LABELS), unique=True, max_size=3)):
+        probs = draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+        total = max(sum(probs), 1.0) * draw(st.sampled_from([1.0, 1.25]))
+        rows[true] = {label: p / total for label, p in zip(LABELS, probs)}
+    mean = st.one_of(st.sampled_from([0.0, 1.0, 0.5, 0.9]), st.floats(0.05, 0.95))
+    return DetectorProfile(
+        label_space=LABELS,
+        confusion=rows,
+        negative_fp_rate=draw(st.sampled_from([0.0, 0.5])),
+        loc_noise_sigma=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 40.0))),
+        confidence_law=ConfidenceLaw(
+            mean_correct=draw(mean),
+            mean_wrong=draw(mean),
+            spread=draw(st.one_of(st.sampled_from([0.0, 0.08, 0.28]), st.floats(1e-150, 0.6))),
+        ),
+        correct_for=draw(st.sampled_from([None, {"a": "b"}])),
+    )
+
+
+@st.composite
+def batch_images(draw):
+    boxes = st.tuples(
+        st.floats(0.0, 500.0), st.floats(0.0, 400.0), st.floats(1.0, 300.0), st.floats(1.0, 200.0)
+    )
+    objects = st.lists(
+        st.builds(
+            GroundTruthObject,
+            st.builds(lambda b: BoundingBox(*b), boxes),
+            st.sampled_from(LABELS + ("unseen",)),
+        ),
+        max_size=10,
+    )
+    counts = draw(st.lists(objects, min_size=1, max_size=6))
+    return [
+        AnnotatedImage(f"im{k}", 800.0, 600.0, tuple(objs)) for k, objs in enumerate(counts)
+    ]
+
+
+class TestBatchedDraws:
+    def test_ziggurat_tables_equal_installed_numpy(self):
+        wi, ki = ziggurat_tables()
+        assert wi == list(WI_DOUBLE)
+        assert ki == list(KI_DOUBLE)
+
+    def test_outputs_equal_random_raw(self):
+        states = _random_states(np.random.default_rng(3), 2000)
+        got = _raw_outputs(states, 9)
+        for (state, inc), row in zip(states, got.tolist()):
+            assert row == _pcg64_at(state, inc).random_raw(9).tolist()
+
+    def test_normal_fast_path_equals_numpy(self):
+        # every entry at the edge of its fast path, then random outputs
+        outputs = []
+        for idx, ki in enumerate(KI_DOUBLE):
+            for rabs in {0, 1, max(ki - 1, 0), ki, min(ki + 1, 2**52 - 1)}:
+                outputs += [rabs << 9 | idx, rabs << 9 | 1 << 8 | idx]
+        outputs += np.random.default_rng(4).integers(0, 2**64, 20_000, dtype=np.uint64).tolist()
+        x, fast = _std_normal(np.array(outputs, dtype=np.uint64))
+        gen = np.random.Generator(np.random.PCG64(0))
+        for r, got, got_fast in zip(outputs, x.tolist(), fast.tolist()):
+            want, want_fast = ziggurat_draw(gen, r)
+            assert got_fast == want_fast, hex(r)
+            if got_fast:
+                assert repr(got) == repr(want), hex(r)
+        assert 0 < int(np.count_nonzero(~fast)) < len(outputs) // 10
+
+    @pytest.mark.parametrize("shape", [1.02, 1.5, 11.75])
+    def test_gamma_first_trial_equals_numpy(self, shape):
+        """The batch accepts exactly when numpy's gamma returns after one
+        normal and one uniform draw, and then with the same value."""
+        states = _random_states(np.random.default_rng(int(shape * 100)), 4000)
+        raw = _raw_outputs(states, 2)
+        b = np.full(len(states), shape - 1.0 / 3.0)
+        c = 1.0 / np.sqrt(9 * b)
+        got, ok = _std_gamma(b, c, raw[:, 0], raw[:, 1])
+        for (state, inc), g, accepted in zip(states, got.tolist(), ok.tolist()):
+            bitgen = _pcg64_at(state, inc)
+            want = np.random.Generator(bitgen).standard_gamma(shape)
+            after_two = (((state * _PCG_MULT + inc) * _PCG_MULT) + inc) % (1 << 128)
+            assert accepted == (bitgen.state["state"]["state"] == after_two)
+            if accepted:
+                assert g == want
+        # both sides of the test occur: the first trial mostly accepts
+        assert 0 < int(np.count_nonzero(~ok)) < len(states) // 5
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_crowded_batch_takes_both_paths(self, sigma):
+        taxonomy = taxonomy_5x2()
+        handle = DetectorHandle.simulated(
+            flat_profile(taxonomy, error_rate=0.12, loc_noise_sigma=sigma), seed=5
+        )
+        images = _crowded_images(150)
+        prepared = prepare(handle, images)
+        outcomes = [o for _, found in prepared.streams.values() for o in found]
+        scalar = sum(type(o) is tuple for o in outcomes)
+        assert len(outcomes) == sum(len(img.objects) for img in images)
+        assert 0 < scalar <= 0.2 * len(outcomes)
+        assert repr([detect(prepared, img) for img in images]) == repr(
+            [detect(handle, img) for img in images]
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(profile=batch_profiles(), images=batch_images(), seed=st.integers(0, 2**64 - 1),
+           seen=st.integers(0, 6))
+    def test_prepared_equals_scalar(self, profile, images, seed, seen):
+        # reprs tell -0.0 from 0.0, which == does not
+        handle = DetectorHandle.simulated(profile, seed)
+        prepared = prepare(handle, images[:seen])
+        assert repr([detect(prepared, img) for img in images]) == repr(
+            [detect(handle, img) for img in images]
+        )
+
+    def test_int_extent_left_to_scalar_path(self):
+        # min() puts an int width into a box as it is; the batch would give a float
+        prof = DetectorProfile(("a",), {"a": {"a": 1.0}}, loc_noise_sigma=500.0)
+        handle = DetectorHandle.simulated(prof, seed=2)
+        img = AnnotatedImage("wide", 40, 30, (GroundTruthObject(BoundingBox(0, 0, 39, 29), "a"),))
+        assert not prepare(handle, [img]).streams
+        assert repr(detect(prepare(handle, [img]), img)) == repr(detect(handle, img))

@@ -469,6 +469,7 @@ class TestEvaluateRun:
         )
         # b's planet object had no covering invocation; negatives never count
         assert rep.fn_image_count == 1
+        assert rep.fn_image_flags == (False, True, False)
 
     def test_order_independence(self):
         imgs = self._images()

@@ -240,10 +240,10 @@ class TestRouteV2:
         for image_id in v1_inv:
             assert set(v1_inv[image_id]) <= set(v2_inv[image_id])
         # therefore v2 cannot have more FN images
-        from modcascade import count_fn_images
+        from modcascade import fn_image_flags
 
-        fn1 = count_fn_images(ds.images, v1_inv, taxonomy)
-        fn2 = count_fn_images(ds.images, v2_inv, taxonomy)
+        fn1 = sum(fn_image_flags(ds.images, v1_inv, taxonomy))
+        fn2 = sum(fn_image_flags(ds.images, v2_inv, taxonomy))
         assert fn2 <= fn1
 
     def test_v2_composite_error_improves(self, taxonomy):
