@@ -24,9 +24,12 @@ from .core import (
     ClassTaxonomy,
     GroundTruthObject,
     dataset_to_json,
-    is_finite_real,
     make_dataset,
+    read_int,
     read_json,
+    read_name,
+    read_number,
+    read_object,
 )
 from .errormodel import (
     FeatureBudget,
@@ -42,45 +45,6 @@ from .experiment import parse_run_config, run_experiment
 from .reporting import dump_canonical
 
 
-def _load_config(path: Path) -> dict:
-    config = read_json(path, "config")
-    if not isinstance(config, dict):
-        raise ValidationError(f"config {path}: expected a JSON object")
-    return config
-
-
-def _config_seed(config: dict) -> int:
-    seed = config.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValidationError(f"seed {seed!r} is not an integer")
-    return seed
-
-
-def _integer(config: Mapping, key: str, default: int | None, minimum: int) -> int | None:
-    """An integer field >= ``minimum``; with ``default`` None the field is
-    optional and absent or null reads as None."""
-    value = config.get(key, default)
-    if value is None and default is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValidationError(f"{key} {value!r} is not an integer >= {minimum}")
-    return value
-
-
-def _positive(config: Mapping, key: str, default: float) -> float:
-    value = config.get(key, default)
-    if not (is_finite_real(value) and value > 0):
-        raise ValidationError(f"{key} {value!r} is not a finite number > 0")
-    return float(value)
-
-
-def _filename(config: Mapping, key: str, default: str) -> str:
-    value = config.get(key, default)
-    if not isinstance(value, str) or not value:
-        raise ValidationError(f"{key} must be a non-empty string")
-    return value
-
-
 # ---------------------------------------------------------------- synth
 
 
@@ -89,6 +53,7 @@ class SynthConfig:
     """A validated ``synth`` config."""
 
     taxonomy: ClassTaxonomy
+    seed: int
     images_per_fine: int
     negatives: int
     width: float
@@ -100,25 +65,30 @@ class SynthConfig:
 
 
 def parse_synth_config(config: Mapping) -> SynthConfig:
-    """Validate a synth config document; every fault is a ValidationError."""
-    if "taxonomy" not in config:
-        raise ValidationError("config needs 'taxonomy'")
-    width = _positive(config, "width", 800)
-    height = _positive(config, "height", 800)
+    """Validate a synth config document; every fault is a ValidationError.
+
+    Every box must fit its image: min_box_size <= max_box_size <=
+    min(width, height).
+    """
+    width = read_number(config, "width", 800, above=0)
+    height = read_number(config, "height", 800, above=0)
+    side = min(width, height)
+    max_box_size = read_number(config, "max_box_size", side / 2, above=0, at_most=side)
     return SynthConfig(
-        taxonomy=ClassTaxonomy.from_json(config["taxonomy"]),
-        images_per_fine=_integer(config, "images_per_fine", 100, 0),
-        negatives=_integer(config, "negatives", 0, 0),
+        taxonomy=ClassTaxonomy.from_json(read_object(config, "taxonomy")),
+        seed=read_int(config, "seed", 0, minimum=0),
+        images_per_fine=read_int(config, "images_per_fine", 100, minimum=0),
+        negatives=read_int(config, "negatives", 0, minimum=0),
         width=width,
         height=height,
-        min_box_size=_positive(config, "min_box_size", 80),
-        max_box_size=_positive(config, "max_box_size", min(width, height) / 2),
-        seq_len=_integer(config, "seq_len", None, 1),
-        filename=_filename(config, "filename", "dataset.json"),
+        min_box_size=read_number(config, "min_box_size", 80, above=0, at_most=max_box_size),
+        max_box_size=max_box_size,
+        seq_len=read_int(config, "seq_len", None, minimum=1),
+        filename=read_name(config, "filename", "dataset.json"),
     )
 
 
-def cmd_synth(config: dict, seed: int, out_dir: Path) -> Path:
+def cmd_synth(config: dict, out_dir: Path) -> Path:
     """Generate a synthetic annotation file.
 
     K images per fine class, one centered-at-random object each, plus
@@ -129,7 +99,7 @@ def cmd_synth(config: dict, seed: int, out_dir: Path) -> Path:
     width, height = synth.width, synth.height
     lo, hi = synth.min_box_size, synth.max_box_size
     seq_len = synth.seq_len
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(synth.seed)
 
     images = []
     sequences: list[list[str]] = []
@@ -191,22 +161,15 @@ class ErrormodelConfig:
 def parse_errormodel_config(config: Mapping, base_dir: Path) -> ErrormodelConfig:
     """Validate an errormodel config and parse its model document (inline,
     or a file path relative to ``base_dir``); every fault is a ValidationError."""
-    model_doc = config.get("model")
-    if isinstance(model_doc, str) and model_doc:
-        model_doc = read_json(base_dir / model_doc, "model file")
-    elif model_doc is None:
-        raise ValidationError("config needs 'model': a model file path or a model object")
-    if not isinstance(model_doc, Mapping):
-        raise ValidationError("the model must be a JSON object")
+    if isinstance(config.get("model"), str):
+        model_doc = read_json(base_dir / read_name(config, "model"), "model file")
+    else:
+        model_doc = read_object(config, "model")
     model, budget = model_file_to_parts(model_doc)
     pair = config.get("pair")
-    if not (
-        isinstance(pair, list)
-        and len(pair) == 2
-        and all(isinstance(c, str) for c in pair)
-        and pair[0] != pair[1]
-    ):
+    if not (isinstance(pair, list) and len(pair) == 2 and pair[0] != pair[1]):
         raise ValidationError("config needs 'pair': [class0, class1], two distinct class names")
+    # the model's class names are strings, so each member is one too
     for c in pair:
         if c not in model.classes:
             raise UnknownLabelError(f"pair names unknown class {c!r}")
@@ -214,8 +177,8 @@ def parse_errormodel_config(config: Mapping, base_dir: Path) -> ErrormodelConfig
         model=model,
         budget=budget,
         pair=(pair[0], pair[1]),
-        curves_filename=_filename(config, "curves_filename", "curves.csv"),
-        summary_filename=_filename(config, "summary_filename", "summary.json"),
+        curves_filename=read_name(config, "curves_filename", "curves.csv"),
+        summary_filename=read_name(config, "summary_filename", "summary.json"),
     )
 
 
@@ -270,13 +233,15 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         config_path = Path(args.config)
-        config = _load_config(config_path)
-        seed = args.seed if args.seed is not None else _config_seed(config)
+        config = read_json(config_path, "config")
+        if args.seed is not None:
+            config["seed"] = args.seed
+        seed = read_int(config, "seed", 0)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         base_dir = config_path.parent
         if args.command == "synth":
-            path = cmd_synth(config, seed, out_dir)
+            path = cmd_synth(config, out_dir)
             print(path)
         elif args.command == "run":
             path = cmd_run(config, seed, out_dir, base_dir)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -108,7 +109,10 @@ def is_finite_real(value) -> bool:
     instead of failing later in arithmetic. An int beyond the float range
     is not finite either.
     """
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+    # the exact types JSON gives skip the slower numbers.Real check
+    if type(value) not in (float, int) and (
+        not isinstance(value, numbers.Real) or isinstance(value, bool)
+    ):
         return False
     try:
         return math.isfinite(value)
@@ -116,31 +120,79 @@ def is_finite_real(value) -> bool:
         return False
 
 
-def _json_number(value, where: str, name: str) -> float:
-    """A dataset number as a float, under the ``is_finite_real`` rule."""
-    t = type(value)
-    # the exact types JSON gives skip the numbers.Real check
-    if t is float or t is int or is_finite_real(value):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:
-            pass
-    raise ValidationError(f"{where}: {name} {value!r} is not a finite number")
+# Only a JSON escape in \ud800-\udfff puts a surrogate into a document
+# read as UTF-8, and it needs a backslash, which a fast scan rules out
+# first. A pair of them decodes to one character, so on a hit the parsed
+# document is encoded, which fails on a lone surrogate.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
-def read_json(path, what: str):
-    """The JSON document in the file at ``path``, read as UTF-8.
+def read_json(path, what: str) -> dict:
+    """The JSON object in the file at ``path``, read as UTF-8.
 
-    Undecodable bytes, malformed JSON and nesting too deep for the parser
-    are a ValidationError naming ``what`` and the path; a file that cannot
-    be read raises OSError.
+    Undecodable bytes, malformed JSON, nesting too deep for the parser, an
+    integer too long to convert, a string (key or value) holding a lone
+    surrogate, which UTF-8 cannot encode, and a document that is not an
+    object are a ValidationError naming ``what`` and the path; a file that
+    cannot be read raises OSError.
     """
     with open(path, "r", encoding="utf-8") as fh:
+        # ValueError: JSONDecodeError, UnicodeError, an integer too long to convert
         try:
-            return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            text = fh.read()
+            doc = json.loads(text)
+            if "\\" in text and _SURROGATE_ESCAPE.search(text):
+                json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"parse error in {what} {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} {path}: expected a JSON object")
+    return doc
+
+
+# Each field reader takes ``doc[key]``, or ``default`` when the key is
+# absent, and raises a ValidationError naming the field as ``path + key``.
+# Without a default a missing field reads as null, which only read_int
+# accepts (as None); so the field is required for the other readers.
+
+
+def read_int(doc: Mapping, key: str, default=None, *, minimum=-math.inf, path="") -> int | None:
+    """An integer (not a bool) >= ``minimum``. With ``default`` None the
+    field is optional: absent or null reads as None."""
+    value = doc.get(key, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        bound = f" >= {minimum}" if minimum > -math.inf else ""
+        raise ValidationError(f"{path}{key} {value!r} is not an integer{bound}")
+    return value
+
+
+def read_number(
+    doc: Mapping, key: str, default=None, *, above=-math.inf, at_most=math.inf, path=""
+) -> float:
+    """A finite number (``is_finite_real``) in (``above``, ``at_most``], as a float."""
+    value = doc.get(key, default)
+    if is_finite_real(value) and above < value <= at_most:
+        return float(value)
+    bound = f" in ({above}, {at_most}]" if above > -math.inf else ""
+    raise ValidationError(f"{path}{key} {value!r} is not a finite number{bound}")
+
+
+def read_name(doc: Mapping, key: str, default=None, *, path="") -> str:
+    """A file name or path: a non-empty string without NUL."""
+    value = doc.get(key, default)
+    if not isinstance(value, str) or not value or "\0" in value:
+        raise ValidationError(f"{path}{key} {value!r} is not a non-empty string without NUL")
+    return value
+
+
+def read_object(doc: Mapping, key: str, default=None, *, path="") -> Mapping:
+    """A JSON object."""
+    value = doc.get(key, default)
+    if not isinstance(value, Mapping):
+        raise ValidationError(f"{path}{key} must be an object")
+    return value
 
 
 def validate_taxonomy(taxonomy: ClassTaxonomy) -> list[str]:
@@ -316,31 +368,31 @@ def _image_from_json(obj) -> AnnotatedImage:
     image_id = obj.get("id")
     if not isinstance(image_id, str):
         raise ValidationError(f"image id {image_id!r} is not a string")
-    where = f"image {image_id!r}"
+    where = f"image {image_id!r}: "
     isfinite = math.isfinite
     records = obj.get("objects", [])
     if not isinstance(records, list):
-        raise ValidationError(f"{where}: 'objects' is not a list")
+        raise ValidationError(f"{where}'objects' is not a list")
     objects = []
     for o in records:
         if not isinstance(o, dict):
-            raise ValidationError(f"{where}: object {o!r} is not an object")
+            raise ValidationError(f"{where}object {o!r} is not an object")
         label = o.get("label")
         if not isinstance(label, str):
-            raise ValidationError(f"{where}: object label {label!r} is not a string")
+            raise ValidationError(f"{where}object label {label!r} is not a string")
         box = o.get("box")
         if not isinstance(box, list) or len(box) != 4:
-            raise ValidationError(f"{where}: box {box!r} is not [x, y, w, h]")
+            raise ValidationError(f"{where}box {box!r} is not [x, y, w, h]")
         # a finite float, the common case, is taken as it is
         coords = [
-            v if type(v) is float and isfinite(v) else _json_number(v, where, "box value")
+            v if type(v) is float and isfinite(v) else read_number({"box": v}, "box", path=where)
             for v in box
         ]
         objects.append(GroundTruthObject(BoundingBox(*coords), label))
     return AnnotatedImage(
         id=image_id,
-        width=_json_number(obj.get("width"), where, "width"),
-        height=_json_number(obj.get("height"), where, "height"),
+        width=read_number(obj, "width", path=where),
+        height=read_number(obj, "height", path=where),
         objects=tuple(objects),
     )
 
@@ -362,10 +414,8 @@ def load_dataset(path) -> Dataset:
     raises ValidationError as a parse error (``read_json``).
     """
     raw = read_json(path, "dataset")
-    if not isinstance(raw, dict) or "taxonomy" not in raw or "images" not in raw:
-        raise ValidationError(f"{path}: expected top-level 'taxonomy' and 'images' keys")
-    taxonomy = ClassTaxonomy.from_json(raw["taxonomy"])
-    if not isinstance(raw["images"], list):
+    taxonomy = ClassTaxonomy.from_json(read_object(raw, "taxonomy", path=f"{path}: "))
+    if not isinstance(raw.get("images"), list):
         raise ValidationError(f"{path}: 'images' must be a list of image records")
     images = [_image_from_json(o) for o in raw["images"]]
     sequences = raw.get("sequences")

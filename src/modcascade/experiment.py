@@ -30,7 +30,8 @@ from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .core import ClassTaxonomy, Dataset, Detection, is_finite_real, load_dataset
+from .core import ClassTaxonomy, Dataset, Detection, load_dataset
+from .core import read_name, read_number, read_object
 from .detector import DetectorHandle, DetectorProfile, detect, prepare
 from .errormodel import modular_advantage
 from .errors import ValidationError
@@ -59,47 +60,30 @@ class RunConfig:
     report_filename: str = "report.json"
 
 
-def _object(doc: Mapping, key: str) -> Mapping:
-    value = doc.get(key, {})
-    if not isinstance(value, Mapping):
-        raise ValidationError(f"config {key!r} must be an object")
-    return value
-
-
-def _profile(doc: Mapping, key: str, prefix: str = "") -> DetectorProfile:
-    where = f"{prefix}{key!r}"
-    if key not in doc:
-        raise ValidationError(f"config missing profile {where}")
+def _profile(doc: Mapping, key: str, path: str) -> DetectorProfile:
+    profile = read_object(doc, key, path=path)
     try:
-        return DetectorProfile.from_json(doc[key])
+        return DetectorProfile.from_json(profile)
     except ValidationError as exc:
-        raise ValidationError(f"profile {where}: {exc}") from None
+        raise ValidationError(f"profile {path}{key}: {exc}") from None
 
 
 def parse_run_config(config: Mapping, base_dir: Path) -> RunConfig:
     """Validate a run config document; every fault is a ValidationError."""
-    if not isinstance(config, Mapping):
-        raise ValidationError("run config must be a JSON object")
-    dataset = config.get("dataset")
-    if not isinstance(dataset, str) or not dataset:
-        raise ValidationError("config needs 'dataset': the path of an annotation file")
-    profiles = _object(config, "profiles")
-    stage2 = _object(profiles, "stage2")
-    routing = _object(config, "routing")
-    iou_threshold = _object(config, "eval").get("iou_threshold", 0.5)
-    if not (is_finite_real(iou_threshold) and 0.0 < iou_threshold <= 1.0):
-        raise ValidationError(f"eval.iou_threshold {iou_threshold!r} is not a number in (0, 1]")
-    report_filename = config.get("report_filename", "report.json")
-    if not isinstance(report_filename, str) or not report_filename:
-        raise ValidationError("report_filename must be a non-empty string")
+    profiles = read_object(config, "profiles", {})
+    stage2 = read_object(profiles, "stage2", {}, path="profiles.")
+    routing = read_object(config, "routing", {})
+    eval_doc = read_object(config, "eval", {})
+    read_number(eval_doc, "iou_threshold", 0.5, above=0, at_most=1, path="eval.")
     return RunConfig(
-        dataset=base_dir / dataset,
-        baseline=_profile(profiles, "baseline"),
-        stage1=_profile(profiles, "stage1"),
-        stage2={g: _profile(stage2, g, "stage2.") for g in stage2},
+        dataset=base_dir / read_name(config, "dataset"),
+        baseline=_profile(profiles, "baseline", "profiles."),
+        stage1=_profile(profiles, "stage1", "profiles."),
+        stage2={g: _profile(stage2, g, "profiles.stage2.") for g in stage2},
         routing=RoutingConfig(tau=routing.get("tau", 0.5), mode=routing.get("mode", "v1")),
-        iou_threshold=iou_threshold,
-        report_filename=report_filename,
+        # as written, like tau: the report's trace repeats both
+        iou_threshold=eval_doc.get("iou_threshold", 0.5),
+        report_filename=read_name(config, "report_filename", "report.json"),
     )
 
 

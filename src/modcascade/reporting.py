@@ -132,7 +132,7 @@ def _encode_dict(obj, out: list[str], flush) -> None:
 
 
 _ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
+_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f\ud800-\udfff]')
 
 
 def _escape(s: str) -> str:
@@ -142,7 +142,7 @@ def _escape(s: str) -> str:
     for ch in s:
         if ch in _ESCAPES:
             parts.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
+        elif ord(ch) < 0x20 or 0xD800 <= ord(ch) <= 0xDFFF:
             parts.append(f"\\u{ord(ch):04x}")
         else:
             parts.append(ch)

@@ -153,12 +153,13 @@ _CHAR_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"
 
 def char_loop_escape(s: str) -> str:
     """A JSON string literal of ``s``: short escapes for quote, backslash,
-    newline, return and tab, ``\\u00XX`` for every other control character."""
+    newline, return and tab, ``\\u00XX`` for every other control character
+    and ``\\uXXXX`` for a surrogate, which UTF-8 cannot encode."""
     parts = ['"']
     for ch in s:
         if ch in _CHAR_ESCAPES:
             parts.append(_CHAR_ESCAPES[ch])
-        elif ord(ch) < 0x20:
+        elif ord(ch) < 0x20 or 0xD800 <= ord(ch) <= 0xDFFF:
             parts.append(f"\\u{ord(ch):04x}")
         else:
             parts.append(ch)

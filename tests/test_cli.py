@@ -1,16 +1,20 @@
 """CLI surface: synth/run/errormodel commands, exit codes, determinism,
 and report reproducibility from the serialized trace."""
 
+import contextlib
 import copy
 import csv
 import gc
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modcascade import detector, experiment, router
-from modcascade import evaluate_run, load_dataset, map_with_fn_accounting
+from modcascade import ClassTaxonomy, evaluate_run, load_dataset, map_with_fn_accounting
 from modcascade.cli import main
 from modcascade.core import BoundingBox, Detection
 from modcascade.profiles import flat_profile, stage1_profile, stage2_profiles
@@ -311,6 +315,10 @@ BAD_RUN_CONFIGS = {
     "profile-no-label-space": lambda cfg: cfg["profiles"]["baseline"].pop("label_space"),
     "correct-for-list": _set([], "profiles", "stage1", "correct_for"),
     "report-filename-number": _set(7, "report_filename"),
+    "dataset-surrogate": _set("\ud800", "dataset"),
+    "dataset-nul": _set("a\x00b", "dataset"),
+    "report-filename-surrogate": _set("\ud800", "report_filename"),
+    "report-filename-nul": _set("a\x00b", "report_filename"),
 }
 
 BAD_SYNTH_CONFIGS = {
@@ -330,6 +338,14 @@ BAD_SYNTH_CONFIGS = {
     "synth-seq-len-string": _set("5", "seq_len"),
     "synth-seq-len-zero": _set(0, "seq_len"),
     "synth-filename-number": _set(7, "filename"),
+    "synth-fine-label-surrogate": _set(["\ud800", "spaniel"], "taxonomy", "generals", "dog"),
+    "synth-negative-label-surrogate": _set("\ud800", "taxonomy", "negative_label"),
+    "synth-filename-surrogate": _set("\ud800", "filename"),
+    "synth-filename-nul": _set("a\x00b", "filename"),
+    "synth-seed-negative": _set(-1, "seed"),
+    "synth-box-sizes-crossed": lambda cfg: cfg.update(min_box_size=300, max_box_size=200),
+    "synth-max-box-beyond-image": _set(900, "max_box_size"),
+    "synth-width-below-default-boxes": _set(50, "width"),
 }
 
 BAD_ERRORMODEL_CONFIGS = {
@@ -344,6 +360,10 @@ BAD_ERRORMODEL_CONFIGS = {
     "errormodel-pair-string": _set("c0,c1", "pair"),
     "errormodel-pair-unknown": _set(["c0", "zz"], "pair"),
     "errormodel-curves-filename-empty": _set("", "curves_filename"),
+    "errormodel-curves-filename-surrogate": _set("\ud800", "curves_filename"),
+    "errormodel-summary-filename-nul": _set("a\x00b", "summary_filename"),
+    "errormodel-model-surrogate": _set("\ud800", "model"),
+    "errormodel-model-nul": _set("a\x00b", "model"),
     "errormodel-conditionals-list": _inline_model(_set([], "conditionals")),
     "errormodel-conditional-string": _inline_model(_set(["x", 1.0, 0.0, 0.0], "conditionals", "c0")),
     "errormodel-conditional-bool": _inline_model(_set([True, False, False, False], "conditionals", "c0")),
@@ -414,6 +434,7 @@ BAD_DATASETS = {
     "box-string": _set_image(["0", 0, 10, 10], 0, "objects", 0, "box"),
     "box-beyond-float-range": _set_image([0, 0, 10**400, 10], 0, "objects", 0, "box"),
     "width-string": _set_image("100", 0, "width"),
+    "image-id-surrogate": lambda doc: (doc.pop("sequences"), _set_image("\ud800", 0, "id")(doc)),
 }
 
 
@@ -449,6 +470,8 @@ RAW_DOCUMENTS = {
     "dataset-deep": ("run", "dataset", DEEP),
     "model-undecodable-key": ("errormodel", "model", b'{"priors": {"\xff": 1.0}}'),
     "model-deep": ("errormodel", "model", DEEP),
+    # past the interpreter's limit on converting a decimal string to int
+    "run-config-long-integer": ("run", "config", b'{"seed": ' + b"1" * 5000 + b"}"),
 }
 
 
@@ -478,6 +501,27 @@ def test_unreadable_json_is_one_line_error(tmp_path, taxonomy, capsys, command, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("command, code", [("synth", 2), ("run", 0), ("errormodel", 0)])
+def test_seed_flag_minus_one(tmp_path, taxonomy, capsys, command, code):
+    """``--seed -1`` is a one-line error for synth, whose generator takes
+    seeds >= 0; run and errormodel take any integer seed."""
+    if command == "synth":
+        config = synth_config(taxonomy, 2, 1)
+    elif command == "run":
+        config = run_config(taxonomy, _small_dataset(tmp_path, taxonomy))
+    else:
+        (tmp_path / "model.json").write_text(json.dumps(MODEL_DOC))
+        config = {"model": "model.json", "pair": ["c0", "c1"]}
+    cfg = write_config(tmp_path, "config.json", config)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--seed", "-1", "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1 and "seed" in err
+        assert not list(out.glob("*"))
 
 
 def test_v2_without_sequences_fails_before_any_detection(tmp_path, taxonomy, capsys, monkeypatch):
@@ -616,3 +660,92 @@ class TestErrormodelCommand:
         model_path.write_text(json.dumps(MODEL_DOC))
         cfg = write_config(tmp_path, "em.json", {"model": "model.json", "pair": ["c0", "zz"]})
         assert main(["errormodel", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+# ------------------------------------------------------------------ fuzz
+
+FUZZ_TAXONOMY = ClassTaxonomy({"dog": ("pekinese", "spaniel"), "boat": ("kayak", "canoe")})
+
+# command, config file, and the file each document kind is written to
+FUZZ_KINDS = {
+    "run": ("run", "run.json", "run.json"),
+    "synth": ("synth", "synth.json", "synth.json"),
+    "errormodel": ("errormodel", "errormodel.json", "errormodel.json"),
+    "dataset": ("run", "run.json", "dataset.json"),
+    "model": ("errormodel", "errormodel.json", "model.json"),
+}
+
+FUZZ_VALUES = ("x", [], None, math.nan, True, -1, "\ud800", "a\x00b")
+
+
+def _fuzz_documents():
+    """A tiny valid document of each kind, keyed by file name."""
+    dataset = {
+        "taxonomy": FUZZ_TAXONOMY.to_json(),
+        "images": [
+            {"id": "a", "width": 100.0, "height": 80.0,
+             "objects": [{"label": "pekinese", "box": [1.0, 2.0, 30.0, 40.0]}]},
+            {"id": "b", "width": 100, "height": 80,
+             "objects": [{"label": "canoe", "box": [10, 5, 20, 20]}]},
+            {"id": "c", "width": 100.0, "height": 80.0, "objects": []},
+        ],
+        "sequences": [["a", "b"]],
+    }
+    synth = synth_config(FUZZ_TAXONOMY, per_fine=1, negatives=1, seq_len=2)
+    return {
+        "run.json": run_config(FUZZ_TAXONOMY, "dataset.json", mode="v2"),
+        "synth.json": synth,
+        "errormodel.json": {"model": "model.json", "pair": ["c0", "c1"]},
+        "dataset.json": dataset,
+        "model.json": MODEL_DOC,
+    }
+
+
+def _paths(doc, prefix=()):
+    """The key/index path of every value under the root of ``doc``."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+FUZZ_PATHS = {kind: sorted(_paths(_fuzz_documents()[file]), key=repr)
+              for kind, (_, _, file) in FUZZ_KINDS.items()}
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_one_field_mutations_of_every_document(data, tmp_path_factory):
+    """One field of one of the five input documents replaced by a value
+    of another type, dropped, or wrapped in a list: the command exits 0,
+    2 or 4, and a failure is one stderr line and leaves no output file.
+    No value is a huge integer: as a synth count it would be valid but
+    unbounded work."""
+    kind = data.draw(st.sampled_from(sorted(FUZZ_KINDS)), label="document")
+    command, config_file, file = FUZZ_KINDS[kind]
+    path = data.draw(st.sampled_from(FUZZ_PATHS[kind]), label="field")
+    mutation = data.draw(st.sampled_from(("drop", "wrap") + FUZZ_VALUES), label="mutation")
+    docs = copy.deepcopy(_fuzz_documents())
+    parent = docs[file]
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if mutation == "drop":
+        parent.pop(key)
+    elif mutation == "wrap":
+        parent[key] = [parent[key]]
+    else:
+        parent[key] = mutation
+
+    work = tmp_path_factory.mktemp("fuzz")
+    for name, doc in docs.items():
+        (work / name).write_text(json.dumps(doc))
+    out = work / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--config", str(work / config_file), "--out", str(out)])
+    assert code in (0, 2, 4), err.getvalue()
+    if code:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+        assert not list(out.glob("*"))

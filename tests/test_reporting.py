@@ -1,6 +1,7 @@
 """Canonical JSON writer: escaping, number forms, exact-type fast paths,
 the streamed file writer and lazily built lists."""
 
+import json
 import math
 import os
 import tracemalloc
@@ -153,6 +154,16 @@ class TestStreamedWriter:
             dump_canonical(doc, path)
         assert sizes and sizes[0] > 0
         assert not path.exists()
+
+    def test_lone_surrogate_is_escaped(self, tmp_path):
+        """UTF-8 cannot encode a lone surrogate, so the writer escapes it
+        and the file reads back as the same document."""
+        doc = {"\udc80": ["a\ud800b", "\ud83d\ude00"]}
+        path = tmp_path / "report.json"
+        dump_canonical(doc, path)
+        assert path.read_bytes() == b'{"\\udc80":["a\\ud800b","\\ud83d\\ude00"]}\n'
+        assert path.read_bytes() == dumps_canonical(doc).encode("ascii")
+        assert json.loads(path.read_text()) == {"\udc80": ["a\ud800b", "\U0001f600"]}
 
     def test_failed_write_over_an_old_file_leaves_none(self, tmp_path):
         path = tmp_path / "report.json"
