@@ -42,8 +42,6 @@ from .evaluation import (
     EvalReport,
     MatchResult,
     average_precision,
-    classification_error,
-    confusion_matrix,
     evaluate_run,
     fn_image_flags,
     iou,

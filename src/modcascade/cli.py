@@ -42,7 +42,7 @@ from .errormodel import (
 )
 from .errors import UnknownLabelError, ValidationError
 from .experiment import parse_run_config, run_experiment
-from .reporting import dump_canonical
+from .reporting import dump_canonical, output_file
 
 
 # ---------------------------------------------------------------- synth
@@ -173,34 +173,39 @@ def parse_errormodel_config(config: Mapping, base_dir: Path) -> ErrormodelConfig
     for c in pair:
         if c not in model.classes:
             raise UnknownLabelError(f"pair names unknown class {c!r}")
+    curves = read_name(config, "curves_filename", "curves.csv")
+    summary = read_name(config, "summary_filename", "summary.json")
+    if Path(curves) == Path(summary):
+        raise ValidationError(f"curves_filename and summary_filename both name {summary!r}")
     return ErrormodelConfig(
         model=model,
         budget=budget,
         pair=(pair[0], pair[1]),
-        curves_filename=read_name(config, "curves_filename", "curves.csv"),
-        summary_filename=read_name(config, "summary_filename", "summary.json"),
+        curves_filename=curves,
+        summary_filename=summary,
     )
 
 
 def cmd_errormodel(config: dict, out_dir: Path, base_dir: Path) -> tuple[Path, Path]:
+    """Write the curves and the summary, both or neither: if either write
+    fails, neither file remains and the error is re-raised."""
     em = parse_errormodel_config(config, base_dir)
     model, budget = em.model, em.budget
     c0, c1 = em.pair
 
     rows = pdf_curves(model, c0, c1)
-    curves_path = out_dir / em.curves_filename
-    with open(curves_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("feature_index,w_density_c0,w_density_c1,min_term\n")
-        for i, w0, w1, mn in rows:
-            fh.write(f"{i},{w0:.17g},{w1:.17g},{mn:.17g}\n")
-
     summary = {
         "bayes_error": bayes_error(model, c0, c1),
         "feature_count": feature_count(budget) if budget is not None else None,
         "over_capacity": over_capacity(budget) if budget is not None else None,
     }
+    curves_path = out_dir / em.curves_filename
     summary_path = out_dir / em.summary_filename
-    dump_canonical(summary, summary_path)
+    with output_file(curves_path) as fh:
+        fh.write("feature_index,w_density_c0,w_density_c1,min_term\n")
+        for i, w0, w1, mn in rows:
+            fh.write(f"{i},{w0:.17g},{w1:.17g},{mn:.17g}\n")
+        dump_canonical(summary, summary_path)
     return curves_path, summary_path
 
 

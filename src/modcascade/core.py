@@ -278,10 +278,6 @@ class AnnotatedImage:
     height: float
     objects: tuple[GroundTruthObject, ...] = ()
 
-    @property
-    def is_negative(self) -> bool:
-        return not self.objects
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -295,19 +291,6 @@ class Dataset:
     taxonomy: ClassTaxonomy
     images: tuple[AnnotatedImage, ...]
     sequences: tuple[tuple[str, ...], ...] | None = None
-
-    def image_by_id(self, image_id: str) -> AnnotatedImage:
-        try:
-            return self._by_id[image_id]
-        except KeyError:
-            raise ValidationError(f"unknown image id {image_id!r}") from None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_by_id", {img.id: img for img in self.images})
-
-    @property
-    def positive_images(self) -> tuple[AnnotatedImage, ...]:
-        return tuple(img for img in self.images if img.objects)
 
 
 def _validate_image(img: AnnotatedImage, taxonomy: ClassTaxonomy) -> None:

@@ -211,14 +211,12 @@ class DetectorProfile:
             raise ValidationError(f"malformed detector profile: {exc!r}") from None
 
 
-
-
 @dataclass(frozen=True)
 class DetectorHandle:
     """Reference to a simulated detector: its profile and seed."""
 
-    profile: DetectorProfile | None = None
-    seed: int | None = None
+    profile: DetectorProfile
+    seed: int
     # (image id, object count) -> (the image, one outcome per stream): a
     # Detection, None for no detection, or the PCG64 (state, inc) of a
     # stream left to the scalar path. Set by ``prepare``; a cache of what
@@ -743,3 +741,11 @@ def detect(handle: DetectorHandle, image: AnnotatedImage) -> list[Detection]:
         if out is not None:
             dets.append(out)
     return dets
+
+
+def detect_all(
+    handle: DetectorHandle, images: Sequence[AnnotatedImage]
+) -> list[tuple[Detection, ...]]:
+    """One detector pass: ``prepare`` once, then ``detect`` on each image, in order."""
+    handle = prepare(handle, images)
+    return [tuple(detect(handle, img)) for img in images]

@@ -15,9 +15,10 @@ backwards with the best precision kept as an integer pair (tp_j, j),
 compared by cross-multiplication; consecutive TP ranks under the same
 envelope value are counted and added as one ``Fraction``.
 
-``evaluate_run`` matches each image once and keeps the per-image
-``MatchResult``s on its report, so a report over a subset of the images
-(``score_matches``) needs no second matching pass.
+``score_matches`` is the one scorer: it turns per-image matches into
+AP, mAP, classification error and confusion. ``evaluate_run`` matches
+each image once and keeps the ``MatchResult``s on its report, so a
+report over a subset of the images needs no second matching pass.
 
 IoU and greedy matching have one plain-Python implementation, in
 ``_kernels``: there is no compiled backend to build or select.
@@ -41,10 +42,6 @@ class NoGroundTruthError(ValidationError):
     """AP requested for a class with no ground-truth objects."""
 
 
-class NoMatchesError(ValidationError):
-    """Classification error requested on a result with no matched detections."""
-
-
 @dataclass(frozen=True, slots=True)
 class MatchedDetection:
     """One detection with its claimed ground truth (None = false positive)."""
@@ -65,10 +62,6 @@ class MatchResult:
     matched: tuple[MatchedDetection, ...]
     false_negatives: tuple[GroundTruthObject, ...]
     iou_threshold: float
-
-    @property
-    def matched_pairs(self) -> tuple[MatchedDetection, ...]:
-        return tuple(m for m in self.matched if m.ground_truth is not None)
 
 
 def match_detections(
@@ -132,30 +125,6 @@ def average_precision(records: Sequence[tuple[float, bool]], n_gt: int) -> float
             tp -= 1
     area += Fraction(run * best_tp, best_rank)
     return float(area / n_gt)
-
-
-def classification_error(match: MatchResult) -> float:
-    """Fraction of matched detections carrying the wrong class label."""
-    pairs = match.matched_pairs
-    if not pairs:
-        raise NoMatchesError("no matched detections")
-    wrong = sum(1 for m in pairs if not m.correct_label)
-    return wrong / len(pairs)
-
-
-def confusion_matrix(
-    match: MatchResult, level: str, taxonomy: ClassTaxonomy
-) -> dict[tuple[str, str], int]:
-    """(true, predicted) counts over matched detections; FNs go to MISS."""
-    counts: dict[tuple[str, str], int] = {}
-    for m in match.matched_pairs:
-        true = taxonomy.label_at_level(m.ground_truth.fine_label, level)
-        pred = taxonomy.label_at_level(m.detection.label, level)
-        counts[(true, pred)] = counts.get((true, pred), 0) + 1
-    for gt in match.false_negatives:
-        true = taxonomy.label_at_level(gt.fine_label, level)
-        counts[(true, MISS)] = counts.get((true, MISS), 0) + 1
-    return counts
 
 
 def map_with_fn_accounting(

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 from .core import ClassTaxonomy, Dataset, Detection, load_dataset
 from .core import read_name, read_number, read_object
-from .detector import DetectorHandle, DetectorProfile, detect, prepare
+from .detector import DetectorHandle, DetectorProfile, detect_all
 from .errormodel import modular_advantage
 from .errors import ValidationError
 from .evaluation import evaluate_run, map_with_fn_accounting, score_matches
@@ -107,11 +107,6 @@ def _check_label_spaces(taxonomy: ClassTaxonomy, config: RunConfig) -> None:
             )
 
 
-def _detect_all(handle: DetectorHandle, dataset: Dataset) -> dict[str, tuple[Detection, ...]]:
-    handle = prepare(handle, dataset.images)
-    return {img.id: tuple(detect(handle, img)) for img in dataset.images}
-
-
 def _det_json(d: Detection) -> dict:
     return {
         "box": [d.box.x, d.box.y, d.box.w, d.box.h],
@@ -153,7 +148,9 @@ def run_experiment(config: RunConfig, seed: int) -> dict:
         for g, p in config.stage2.items()
     }
 
-    baseline_dets = _detect_all(baseline_handle, dataset)
+    baseline_dets = dict(
+        zip((img.id for img in dataset.images), detect_all(baseline_handle, dataset.images))
+    )
     route = route_v1 if routing.mode == "v1" else route_v2
     cascade = route(dataset, stage1_handle, stage2_handles, taxonomy, routing)
 

@@ -15,6 +15,7 @@ is encoded, so a large block of a report need not exist all at once.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import re
@@ -157,26 +158,33 @@ def dumps_canonical(obj: Any) -> str:
     return "".join(out)
 
 
-def dump_canonical(obj: Any, path) -> None:
-    """Stream ``obj`` to ``path`` in canonical form, the bytes of
-    ``dumps_canonical``. If encoding or writing fails, the partial file
-    is removed and the error re-raised."""
+@contextlib.contextmanager
+def output_file(path):
+    """Open ``path`` for writing UTF-8 text with ``\\n`` line ends. If the
+    block raises, the partial file is removed and the error re-raised."""
     fh = open(path, "w", encoding="utf-8", newline="\n")
     try:
         with fh:
-            write = fh.write
-
-            def flush(out: list[str]) -> None:
-                write("".join(out))
-                out.clear()
-
-            out: list[str] = []
-            _encode(obj, out, flush)
-            out.append("\n")
-            flush(out)
+            yield fh
     except BaseException:
         try:
             os.unlink(path)
         except OSError:
             pass
         raise
+
+
+def dump_canonical(obj: Any, path) -> None:
+    """Stream ``obj`` to ``path`` in canonical form, the bytes of
+    ``dumps_canonical``, through ``output_file``."""
+    with output_file(path) as fh:
+        write = fh.write
+
+        def flush(out: list[str]) -> None:
+            write("".join(out))
+            out.clear()
+
+        out: list[str] = []
+        _encode(obj, out, flush)
+        out.append("\n")
+        flush(out)

@@ -8,8 +8,8 @@ extra inferences for recovery from stage-1 misses. Images are passed on
 unchanged — no cropping or transformation.
 
 Both modes run stage by stage: stage 1 over every image, then each
-general's stage-2 detector over exactly the images routed to it, with
-each detector's RNG streams drawn in batches (``detector.prepare``).
+general's stage-2 detector over exactly the images routed to it, each
+pass one ``detector.detect_all``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .core import AnnotatedImage, ClassTaxonomy, Dataset, Detection, is_finite_real
-from .detector import DetectorHandle, detect, prepare
+from .detector import DetectorHandle, detect_all
 from .errors import ValidationError
 
 
@@ -98,11 +98,6 @@ def _triggered(dets, tau: float, taxonomy: ClassTaxonomy, image_id: str) -> tupl
     return tuple(sorted(out))
 
 
-def _stage1(handle: DetectorHandle, images: Sequence[AnnotatedImage]) -> list[tuple]:
-    handle = prepare(handle, images)
-    return [tuple(detect(handle, img)) for img in images]
-
-
 def _stage2(
     stage2: Mapping[str, DetectorHandle],
     images: Sequence[AnnotatedImage],
@@ -110,9 +105,9 @@ def _stage2(
 ) -> list[dict[str, tuple[Detection, ...]]]:
     """Per image, the detections of each invoked general's detector.
 
-    Each general's handle is prepared over exactly the images routed to
-    it. Generals run in sorted order, so every image's dict is keyed in
-    its (sorted) ``invoked`` order.
+    Each general's detector runs one pass over exactly the images routed
+    to it. Generals run in sorted order, so every image's dict is keyed
+    in its (sorted) ``invoked`` order.
     """
     routed: dict[str, list[int]] = {}
     for k, generals in enumerate(invoked):
@@ -120,9 +115,9 @@ def _stage2(
             routed.setdefault(g, []).append(k)
     out: list[dict[str, tuple[Detection, ...]]] = [{} for _ in images]
     for g in sorted(routed):
-        handle = prepare(stage2[g], [images[k] for k in routed[g]])
-        for k in routed[g]:
-            out[k][g] = tuple(detect(handle, images[k]))
+        found = detect_all(stage2[g], [images[k] for k in routed[g]])
+        for k, dets in zip(routed[g], found):
+            out[k][g] = dets
     return out
 
 
@@ -182,7 +177,7 @@ def _route(
     or its own triggered set if it is in none of ``sequences``."""
     _check_stage2_coverage(stage2, taxonomy)
     images = dataset.images
-    s1 = _stage1(stage1, images)
+    s1 = detect_all(stage1, images)
     triggered = [_triggered(dets, tau, taxonomy, img.id) for dets, img in zip(s1, images)]
     invoked = list(triggered)
     position = {img.id: k for k, img in enumerate(images)}

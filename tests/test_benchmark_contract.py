@@ -15,6 +15,10 @@ import pytest
 
 import modcascade
 import modcascade.errormodel
+from modcascade import detector
+from modcascade.cli import main
+
+from test_cli import run_config, synth_config, write_config
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -59,3 +63,37 @@ def test_setup_loaders(tmp_path, taxonomy):
     }
     model, budget = modcascade.errormodel.model_file_to_parts(doc)
     assert model.classes == ("c0", "c1") and budget.n_classes == 2
+
+
+@pytest.mark.parametrize("mode", ["v1", "v2"])
+def test_detect_calls_per_role(tmp_path, taxonomy, monkeypatch, mode):
+    """The benchmark counts its ``detector.detect.calls.*`` metrics from
+    the calls of the module global ``detector.detect``, sorting each by
+    its profile's label space as ``perfbench/tracing.py`` does: one
+    baseline and one stage-1 call per image, and one stage-2 call per
+    stage-2 inference of the report's trace."""
+    synth = write_config(tmp_path, "synth.json", synth_config(taxonomy, 4, 6, seq_len=4))
+    assert main(["synth", "--config", str(synth), "--out", str(tmp_path)]) == 0
+    cfg_dict = run_config(taxonomy, tmp_path / "dataset.json", mode=mode)
+    profiles = cfg_dict["profiles"]
+    roles = {frozenset(p["label_space"]): "stage2" for p in profiles["stage2"].values()}
+    roles[frozenset(profiles["stage1"]["label_space"])] = "stage1"
+    roles[frozenset(profiles["baseline"]["label_space"])] = "baseline"
+    calls = {"baseline": 0, "stage1": 0, "stage2": 0}
+    detect = detector.detect
+
+    def counting_detect(handle, image):
+        calls[roles[frozenset(handle.profile.label_space)]] += 1
+        return detect(handle, image)
+
+    monkeypatch.setattr(detector, "detect", counting_detect)
+    cfg = write_config(tmp_path, "run.json", cfg_dict)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    trace = json.loads((tmp_path / "out" / "report.json").read_text())["trace"]
+    images = len(modcascade.load_dataset(tmp_path / "dataset.json").images)
+    assert trace["stage2_inferences"] > 0
+    assert calls == {
+        "baseline": images,
+        "stage1": images,
+        "stage2": trace["stage2_inferences"],
+    }

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modcascade import detector, experiment, router
+from modcascade import detector
 from modcascade import ClassTaxonomy, evaluate_run, load_dataset, map_with_fn_accounting
 from modcascade.cli import main
 from modcascade.core import BoundingBox, Detection
@@ -85,16 +85,17 @@ class TestSynth:
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         ds = load_dataset(tmp_path / "dataset.json")
         assert len(ds.images) == 5 * 10 + 3
-        assert sum(1 for i in ds.images if i.is_negative) == 3
+        assert sum(1 for i in ds.images if not i.objects) == 3
 
     def test_sequences_partition_same_class_runs(self, tmp_path, taxonomy):
         cfg = write_config(tmp_path, "synth.json", synth_config(taxonomy, 10, 0, seq_len=5))
         main(["synth", "--config", str(cfg), "--out", str(tmp_path)])
         ds = load_dataset(tmp_path / "dataset.json")
         assert len(ds.sequences) == 10 * 10 // 5
+        by_id = {img.id: img for img in ds.images}
         for seq in ds.sequences:
             assert len(seq) == 5
-            classes = {ds.image_by_id(i).objects[0].fine_label for i in seq}
+            classes = {by_id[i].objects[0].fine_label for i in seq}
             assert len(classes) == 1
 
     def test_same_seed_byte_identical(self, tmp_path, taxonomy):
@@ -376,6 +377,8 @@ BAD_ERRORMODEL_CONFIGS = {
     "errormodel-budget-no-n": _inline_model(lambda model: model["budget"].pop("n")),
     "errormodel-budget-n-float": _inline_model(_set(2.5, "budget", "n")),
     "errormodel-capacity-string": _inline_model(_set("big", "capacity", "supK")),
+    "errormodel-output-names-equal": _set("curves.csv", "summary_filename"),
+    "errormodel-output-names-same-path": _set("./summary.json", "curves_filename"),
 }
 
 BAD_CONFIGS = {
@@ -528,13 +531,13 @@ def test_v2_without_sequences_fails_before_any_detection(tmp_path, taxonomy, cap
     scfg = write_config(tmp_path, "synth.json", synth_config(taxonomy, 3, 2))
     assert main(["synth", "--config", str(scfg), "--out", str(tmp_path)]) == 0
     calls = []
+    detect = detector.detect
 
     def counting_detect(handle, image):
         calls.append(image.id)
-        return detector.detect(handle, image)
+        return detect(handle, image)
 
-    for module in (experiment, router):
-        monkeypatch.setattr(module, "detect", counting_detect)
+    monkeypatch.setattr(detector, "detect", counting_detect)
     cfg = write_config(
         tmp_path, "run.json", run_config(taxonomy, tmp_path / "dataset.json", mode="v2")
     )
@@ -660,6 +663,20 @@ class TestErrormodelCommand:
         model_path.write_text(json.dumps(MODEL_DOC))
         cfg = write_config(tmp_path, "em.json", {"model": "model.json", "pair": ["c0", "zz"]})
         assert main(["errormodel", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("key", ["curves_filename", "summary_filename"])
+    def test_failed_write_leaves_neither_output(self, tmp_path, capsys, key):
+        """Either output unwritable (a directory): exit 4, one stderr
+        line, and neither file in the output directory, also when the
+        curves were already written."""
+        (tmp_path / "model.json").write_text(json.dumps(MODEL_DOC))
+        cfg_dict = {"model": "model.json", "pair": ["c0", "c1"], key: "."}
+        cfg = write_config(tmp_path, "em.json", cfg_dict)
+        out = tmp_path / "out"
+        assert main(["errormodel", "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert not list(out.glob("*"))
 
 
 # ------------------------------------------------------------------ fuzz

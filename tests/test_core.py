@@ -121,8 +121,8 @@ class TestLoadDataset:
         path = tmp_path / "data.json"
         path.write_text(json.dumps(doc))
         ds = load_dataset(path)
-        assert ds.images[2].is_negative
-        assert not ds.images[0].is_negative
+        assert ds.images[2].objects == ()
+        assert ds.images[0].objects
 
     def test_duplicate_id_rejected(self, taxonomy, tmp_path):
         doc = annotation_doc(taxonomy)

@@ -126,12 +126,18 @@ class TestProfileValidation:
 
     def test_handle_needs_profile_and_seed(self):
         prof = identity_profile(["a"])
-        with pytest.raises(ValidationError):
+        with pytest.raises(TypeError):
             DetectorHandle(profile=prof)  # no seed
-        with pytest.raises(ValidationError):
+        with pytest.raises(TypeError):
             DetectorHandle(seed=3)  # no profile
         with pytest.raises(ValidationError):
+            DetectorHandle(prof, None)
+        with pytest.raises(ValidationError):
+            DetectorHandle(None, 3)
+        with pytest.raises(ValidationError):
             DetectorHandle.simulated(prof, 1.5)
+        with pytest.raises(ValidationError):
+            DetectorHandle.simulated(prof, True)
 
     def test_json_round_trip(self):
         p = DetectorProfile(

@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 from modcascade import (
     ClassTaxonomy,
     average_precision,
-    classification_error,
-    confusion_matrix,
     evaluate_run,
     iou,
     map_with_fn_accounting,
@@ -28,7 +26,7 @@ from modcascade.core import (
     GroundTruthObject,
 )
 from modcascade.errors import ValidationError
-from modcascade.evaluation import NoGroundTruthError, NoMatchesError, score_matches
+from modcascade.evaluation import NoGroundTruthError, score_matches
 
 from oracles import fraction_average_precision
 
@@ -369,61 +367,64 @@ def _match_with_labels(pairs, fns=()):
     return match_detections(dets, gts, 0.5)
 
 
+def _score(res, level="fine"):
+    return score_matches([res], TAXONOMY, level=level)
+
+
 class TestErrorAndConfusion:
+    """Classification error and confusion of one image's matches, as
+    ``score_matches`` computes them."""
+
     def test_all_correct(self):
         res = _match_with_labels([("pekinese", "pekinese"), ("mars", "mars")])
-        assert classification_error(res) == 0.0
+        assert _score(res).classification_error == 0.0
 
     def test_direct_ratio(self):
         pairs = [("pekinese", "pekinese")] * 88 + [("pekinese", "spaniel")] * 12
         res = _match_with_labels(pairs)
-        assert classification_error(res) == pytest.approx(0.12)
+        assert _score(res).classification_error == pytest.approx(0.12)
 
     def test_no_matches_error(self):
         res = match_detections([], [GroundTruthObject(B(0, 0, 5, 5), "mars")], 0.5)
-        with pytest.raises(NoMatchesError):
-            classification_error(res)
+        report = _score(res)
+        assert report.classification_error == 0.0 and report.matched_count == 0
+        assert report.confusion == {"mars": {MISS: 1}}
 
     def test_confusion_all_correct_diagonal(self):
         res = _match_with_labels([("pekinese", "pekinese"), ("mars", "mars")])
-        cm = confusion_matrix(res, "fine", TAXONOMY)
-        assert cm == {("pekinese", "pekinese"): 1, ("mars", "mars"): 1}
+        assert _score(res).confusion == {"pekinese": {"pekinese": 1}, "mars": {"mars": 1}}
 
     def test_confusion_projection_absorbs_siblings(self):
         res = _match_with_labels([("pekinese", "spaniel"), ("spaniel", "pekinese")])
-        fine = confusion_matrix(res, "fine", TAXONOMY)
-        assert fine[("pekinese", "spaniel")] == 1
-        general = confusion_matrix(res, "general", TAXONOMY)
-        assert general == {("dog", "dog"): 2}
+        assert _score(res).confusion["pekinese"]["spaniel"] == 1
+        assert _score(res, "general").confusion == {"dog": {"dog": 2}}
 
     def test_confusion_fn_goes_to_miss(self):
         res = _match_with_labels([("mars", "mars")], fns=["saturn"])
-        cm = confusion_matrix(res, "fine", TAXONOMY)
-        assert cm[("saturn", MISS)] == 1
+        assert _score(res).confusion["saturn"][MISS] == 1
 
     def test_row_sums_recount(self):
         rng = random.Random(3)
         labels = ["pekinese", "spaniel", "mars", "saturn"]
         pairs = [(rng.choice(labels), rng.choice(labels)) for _ in range(60)]
         fns = [rng.choice(labels) for _ in range(10)]
-        res = _match_with_labels(pairs, fns)
-        cm = confusion_matrix(res, "fine", TAXONOMY)
+        cm = _score(_match_with_labels(pairs, fns)).confusion
         for lbl in labels:
             want = sum(1 for t, _ in pairs if t == lbl) + sum(1 for t in fns if t == lbl)
-            got = sum(n for (t, _), n in cm.items() if t == lbl)
-            assert got == want
+            assert sum(cm.get(lbl, {}).values()) == want
 
     def test_general_error_never_exceeds_fine(self):
         rng = random.Random(9)
         labels = ["pekinese", "spaniel", "mars", "saturn"]
         for _ in range(50):
             pairs = [(rng.choice(labels), rng.choice(labels)) for _ in range(30)]
-            res_fine = _match_with_labels(pairs)
-            err_fine = classification_error(res_fine)
-            general_pairs = [
-                (TAXONOMY.general_of(t), TAXONOMY.general_of(p)) for t, p in pairs
-            ]
-            wrong_general = sum(1 for t, p in general_pairs if t != p)
+            res = _match_with_labels(pairs)
+            err_fine = _score(res).classification_error
+            general = _score(res, "general").confusion
+            wrong_general = sum(n for t, row in general.items() for p, n in row.items() if p != t)
+            assert wrong_general == sum(
+                1 for t, p in pairs if TAXONOMY.general_of(t) != TAXONOMY.general_of(p)
+            )
             assert wrong_general / len(pairs) <= err_fine
 
 

@@ -1,0 +1,46 @@
+"""The README's CLI walkthrough, run as written: its Python block writes
+the configs, then its shell block's ``modcascade`` commands run through
+``cli.main``. A README that names deleted API, or quotes figures this
+setup no longer gives, fails here."""
+
+import json
+import re
+import shlex
+from pathlib import Path
+
+from modcascade.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _walkthrough_blocks() -> tuple[str, list[list[str]]]:
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## CLI walkthrough") :]
+    python = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    shell = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    commands = [
+        shlex.split(line.split("#")[0])[1:]
+        for line in shell.splitlines()
+        if line.startswith("modcascade ")
+    ]
+    return python, commands
+
+
+def test_readme_walkthrough(tmp_path, monkeypatch):
+    python, commands = _walkthrough_blocks()
+    assert [c[0] for c in commands] == ["synth", "run"]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(python, str(README), "exec"), {})
+    for argv in commands:
+        assert main(argv) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert set(report) == {"advantage", "baseline", "modular", "trace", "tree_vs_flat"}
+    # the README's "representative report from this exact setup"
+    baseline, modular = report["baseline"], report["modular"]
+    assert (round(baseline["map"], 3), round(baseline["classification_error"], 3)) == (0.873, 0.125)
+    assert (round(modular["map"], 3), round(modular["classification_error"], 3)) == (0.941, 0.043)
+    assert round(modular["map_stage2_routed"], 3) == 0.976
+    assert modular["routed_positive_images"] == 964
+    assert round(modular["map_fn_adjusted"], 3) == 0.941
+    assert round(report["tree_vs_flat"]["ratio"], 1) == 2.6
+    assert report["advantage"]["advantage"] is True

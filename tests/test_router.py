@@ -128,9 +128,10 @@ def composite_error(dataset, out, iou_threshold=0.5):
     wrong = matched = 0
     for img in dataset.images:
         res = match_detections(out.detections[img.id], img.objects, iou_threshold)
-        for m in res.matched_pairs:
-            matched += 1
-            wrong += not m.correct_label
+        for m in res.matched:
+            if m.ground_truth is not None:
+                matched += 1
+                wrong += not m.correct_label
     return wrong / matched, matched
 
 
