@@ -12,20 +12,21 @@ draws for a whole detector pass at once. It seeds every stream, steps
 its PCG64 state and replays numpy's C transforms (uniform, the ziggurat
 normal's fast path, Marsaglia-Tsang's gamma on its first trial) on
 integer and float arrays, bit for bit. A stream whose draws leave those
-paths keeps its seeded state for the scalar path. Neither changes a
-result. The replicas assume numpy's C rounds each operation on its own
-(no fused multiply-add); the tests compare them with the installed numpy.
+paths keeps its seeded state for the scalar path. ``prepare`` returns
+each image's outcomes in image order, and ``detect_all`` hands them to
+``detect`` image by image; neither changes a result. The replicas
+assume numpy's C rounds each operation on its own (no fused
+multiply-add); the tests compare them with the installed numpy.
 """
 
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import hashlib
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -217,13 +218,6 @@ class DetectorHandle:
 
     profile: DetectorProfile
     seed: int
-    # (image id, object count) -> (the image, one outcome per stream): a
-    # Detection, None for no detection, or the PCG64 (state, inc) of a
-    # stream left to the scalar path. Set by ``prepare``; a cache of what
-    # ``detect`` derives from the rest, so it takes no part in equality.
-    streams: Mapping[tuple[str, int], tuple[AnnotatedImage, tuple]] | None = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if not isinstance(self.profile, DetectorProfile):
@@ -359,19 +353,10 @@ def _stream_key(seed: int, image_id: str, tag) -> bytes:
     return hashlib.blake2b(f"{seed}|{image_id}|{tag}".encode("utf-8"), digest_size=16).digest()
 
 
-def _stream_states(handle: DetectorHandle, images: Sequence[AnnotatedImage]) -> list[tuple]:
-    """Per image, the PCG64 state of each stream keyed by (seed, image id, tag)."""
-    digests, counts = [], []
-    for img in images:
-        tags = _stream_tags(handle.profile, img)
-        counts.append(len(tags))
-        digests.extend(_stream_key(handle.seed, img.id, tag) for tag in tags)
-    flat = _pcg64_states(b"".join(digests))
-    out, pos = [], 0
-    for n in counts:
-        out.append(tuple(flat[pos : pos + n]))
-        pos += n
-    return out
+def _stream_states(handle: DetectorHandle, image: AnnotatedImage) -> tuple:
+    """The PCG64 state of each stream of ``image``, keyed by (seed, image id, tag)."""
+    tags = _stream_tags(handle.profile, image)
+    return tuple(_pcg64_states(b"".join(_stream_key(handle.seed, image.id, t) for t in tags)))
 
 
 # ---------------------------------------------------- batched draws
@@ -562,42 +547,46 @@ def _min(a: np.ndarray, b) -> np.ndarray:
     return np.where(b < a, b, a)
 
 
-def prepare(handle: DetectorHandle, images: Iterable[AnnotatedImage]) -> DetectorHandle:
-    """The handle with the detections of ``images`` drawn in batches.
+def prepare(handle: DetectorHandle, images: Sequence[AnnotatedImage]) -> list[tuple]:
+    """Per image of ``images``, in order, the outcome of each of its streams:
+    a Detection, None for no detection, or the PCG64 ``(state, inc)`` of a
+    stream left to the scalar path.
 
     Every stream of the batch is seeded, stepped and transformed on
     arrays, ``_CHUNK`` streams at a time, with the draws ``detect``
     would make. The few streams whose draws leave the replicated fast
     paths (a ziggurat wedge or tail, a gamma that needs a second trial,
     a Beta shape <= 1, a negative image's spurious detection) keep their
-    seeded state and are drawn by the scalar path when detected. So is
-    every image ``prepare`` did not see, and one whose width or height
-    is not a float, since ``min`` would put that value in a box as it is.
-    ``detect`` gives the same detections on the returned handle as on
-    ``handle``, only faster.
+    seeded state and are drawn by the scalar path when detected. So does
+    every stream of an image whose width or height is not a float, since
+    ``min`` would put that value in a box as it is. ``detect`` gives the
+    same detections with an image's entry as without it, only faster.
     """
     profile, seed = handle.profile, handle.seed
     slots = _Slots(profile)
     negfp = profile.negative_fp_rate > 0.0
-    cache: dict = {}
-    batch: list[AnnotatedImage] = []
+    out: list = []
+    batch: list[int] = []  # positions in ``out`` of the images not yet drawn
     count = 0
     with np.errstate(over="ignore"):
         for img in images:
             if type(img.width) is not float or type(img.height) is not float:
+                out.append(_stream_states(handle, img))
                 continue
-            batch.append(img)
+            batch.append(len(out))
+            out.append(None)
             count += len(img.objects) or negfp
             if count >= _CHUNK:
-                _prepare_batch(profile, seed, slots, negfp, batch, cache)
+                _prepare_batch(profile, seed, slots, negfp, images, batch, out)
                 batch, count = [], 0
         if batch:
-            _prepare_batch(profile, seed, slots, negfp, batch, cache)
-    return dataclasses.replace(handle, streams=cache)
+            _prepare_batch(profile, seed, slots, negfp, images, batch, out)
+    return out
 
 
-def _prepare_batch(profile, seed, slots: _Slots, negfp: bool, images, cache: dict) -> None:
-    """Draw the streams of ``images`` and add each image's outcomes to ``cache``."""
+def _prepare_batch(profile, seed, slots: _Slots, negfp: bool, images, batch, out: list) -> None:
+    """Draw the streams of the images at positions ``batch`` into ``out``."""
+    images = [images[k] for k in batch]
     row_of = slots.row_of
     rows, digests, objects, dims = [], [], [], []
     for img in images:
@@ -626,9 +615,9 @@ def _prepare_batch(profile, seed, slots: _Slots, negfp: bool, images, cache: dic
         np.array(dims, dtype=np.float64).reshape(-1, 2),
     )
     pos = 0
-    for img in images:
+    for k, img in zip(batch, images):
         n = len(img.objects) or negfp
-        cache[(img.id, len(img.objects))] = (img, tuple(outcomes[pos : pos + n]))
+        out[k] = tuple(outcomes[pos : pos + n])
         pos += n
 
 
@@ -715,21 +704,19 @@ def _negative_fp(
     return Detection(box=BoundingBox(x, y, w, h), label=label, confidence=conf)
 
 
-def detect(handle: DetectorHandle, image: AnnotatedImage) -> list[Detection]:
+def detect(
+    handle: DetectorHandle, image: AnnotatedImage, prepared: tuple | None = None
+) -> list[Detection]:
     """Run one simulated detector on one image.
 
     A pure function of (profile, seed, image): each object draws from its
     own stream, so the result does not depend on call order, and calls
     from several threads are safe (each thread has its own generator).
-    On a handle ``prepare`` saw the image with, the detections are the
-    prepared ones, and only the streams left to the scalar path draw
-    here.
+    ``prepared`` is the image's entry of ``prepare``: its detections are
+    taken as they are, and only the streams left to the scalar path draw
+    here. Without it, every stream of the image is seeded and drawn here.
     """
-    cached = handle.streams.get((image.id, len(image.objects))) if handle.streams else None
-    if cached is not None and (cached[0] is image or cached[0] == image):
-        outcomes = cached[1]
-    else:
-        outcomes = _stream_states(handle, (image,))[0]
+    outcomes = _stream_states(handle, image) if prepared is None else prepared
     profile = handle.profile
     if not image.objects:
         det = _negative_fp(profile, image, outcomes[0]) if outcomes else None
@@ -746,6 +733,9 @@ def detect(handle: DetectorHandle, image: AnnotatedImage) -> list[Detection]:
 def detect_all(
     handle: DetectorHandle, images: Sequence[AnnotatedImage]
 ) -> list[tuple[Detection, ...]]:
-    """One detector pass: ``prepare`` once, then ``detect`` on each image, in order."""
-    handle = prepare(handle, images)
-    return [tuple(detect(handle, img)) for img in images]
+    """One detector pass: ``prepare`` once, then ``detect`` on each image
+    with its entry, in order; one tuple of detections per image."""
+    return [
+        tuple(detect(handle, img, found))
+        for img, found in zip(images, prepare(handle, images), strict=True)
+    ]

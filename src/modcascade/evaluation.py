@@ -16,9 +16,12 @@ compared by cross-multiplication; consecutive TP ranks under the same
 envelope value are counted and added as one ``Fraction``.
 
 ``score_matches`` is the one scorer: it turns per-image matches into
-AP, mAP, classification error and confusion. ``evaluate_run`` matches
-each image once and keeps the ``MatchResult``s on its report, so a
-report over a subset of the images needs no second matching pass.
+AP, mAP, classification error and confusion, deciding at its own label
+level whether a matched detection's label is right. ``evaluate_run``
+takes the detections (and invoked generals) as sequences aligned with
+the images, matches each image once and keeps the ``MatchResult``s on
+its report, so a report over a subset of the images needs no second
+matching pass.
 
 IoU and greedy matching have one plain-Python implementation, in
 ``_kernels``: there is no compiled backend to build or select.
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ._kernels import greedy_match, iou  # iou is re-exported
 from .core import MISS, AnnotatedImage, ClassTaxonomy, Detection, GroundTruthObject
@@ -48,7 +51,6 @@ class MatchedDetection:
 
     detection: Detection
     ground_truth: GroundTruthObject | None
-    correct_label: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,38 +63,28 @@ class MatchResult:
 
     matched: tuple[MatchedDetection, ...]
     false_negatives: tuple[GroundTruthObject, ...]
-    iou_threshold: float
 
 
 def match_detections(
     dets: Sequence[Detection],
     gts: Sequence[GroundTruthObject],
     iou_threshold: float,
-    gt_label_fn: Callable[[GroundTruthObject], str] | None = None,
 ) -> MatchResult:
     """Greedily assign detections to ground truths, class-agnostically.
 
     Detections are processed in descending confidence (ties keep input
     order); each claims the unclaimed ground truth with the highest
-    IoU >= threshold, IoU ties going to the lowest index. ``gt_label_fn``
-    maps a ground truth to the label a detection must carry to count as
-    correct (default: its fine label).
+    IoU >= threshold, IoU ties going to the lowest index.
     """
     if not (0.0 < iou_threshold <= 1.0):
         raise ValidationError(f"iou_threshold {iou_threshold} outside (0, 1]")
-    if gt_label_fn is None:
-        gt_label_fn = lambda gt: gt.fine_label
     assign = greedy_match(dets, gts, iou_threshold)
-    matched = []
-    for det, g in zip(dets, assign):
-        if g < 0:
-            matched.append(MatchedDetection(det, None, False))
-        else:
-            gt = gts[g]
-            matched.append(MatchedDetection(det, gt, det.label == gt_label_fn(gt)))
+    matched = tuple(
+        MatchedDetection(det, None if g < 0 else gts[g]) for det, g in zip(dets, assign)
+    )
     claimed = set(assign)
     fns = tuple(gt for g, gt in enumerate(gts) if g not in claimed)
-    return MatchResult(tuple(matched), fns, iou_threshold)
+    return MatchResult(matched, fns)
 
 
 def average_precision(records: Sequence[tuple[float, bool]], n_gt: int) -> float:
@@ -185,17 +177,18 @@ class EvalReport:
 
 def fn_image_flags(
     images: Sequence[AnnotatedImage],
-    invoked_by_image: Mapping[str, Sequence[str]],
+    invoked: Sequence[Sequence[str]],
     taxonomy: ClassTaxonomy,
 ) -> tuple[bool, ...]:
     """Per image, whether it is an FN image: a positive image holding an
     object whose general class was not invoked on it. Every other
-    positive image reached each stage-2 detector it needed."""
-    flags = []
-    for img in images:
-        invoked = invoked_by_image.get(img.id, ())
-        flags.append(any(taxonomy.general_of(o.fine_label) not in invoked for o in img.objects))
-    return tuple(flags)
+    positive image reached each stage-2 detector it needed. ``invoked``
+    holds each image's invoked general classes, aligned with ``images``;
+    a length mismatch is a ValueError."""
+    return tuple(
+        any(taxonomy.general_of(o.fine_label) not in generals for o in img.objects)
+        for img, generals in zip(images, invoked, strict=True)
+    )
 
 
 def score_matches(
@@ -211,7 +204,9 @@ def score_matches(
 
     Every ground truth is either claimed by one detection or a false
     negative, so the per-class ground-truth counts come from the
-    matches alone. AP ties break by the order of ``matches``.
+    matches alone. A matched detection is right when its label and its
+    ground truth's label are the same at ``level``. AP ties break by the
+    order of ``matches``.
     """
     records: dict[str, list[tuple[float, bool]]] = {}
     gt_counts: dict[str, int] = {}
@@ -229,12 +224,12 @@ def score_matches(
     for result in matches:
         for m in result.matched:
             det_lbl = project(m.detection.label)
-            records.setdefault(det_lbl, []).append((m.detection.confidence, m.correct_label))
-            if m.ground_truth is not None:
+            gt = m.ground_truth
+            true = project(gt.fine_label) if gt is not None else None
+            records.setdefault(det_lbl, []).append((m.detection.confidence, det_lbl == true))
+            if gt is not None:
                 matched_total += 1
-                if not m.correct_label:
-                    wrong_total += 1
-                true = project(m.ground_truth.fine_label)
+                wrong_total += det_lbl != true
                 gt_counts[true] = gt_counts.get(true, 0) + 1
                 row = confusion.setdefault(true, {})
                 row[det_lbl] = row.get(det_lbl, 0) + 1
@@ -269,45 +264,36 @@ def score_matches(
 
 def evaluate_run(
     images: Sequence[AnnotatedImage],
-    detections_by_image: Mapping[str, Sequence[Detection]],
+    detections: Sequence[Sequence[Detection]],
     taxonomy: ClassTaxonomy,
     *,
     level: str = "fine",
     iou_threshold: float = 0.5,
-    invoked_by_image: Mapping[str, Sequence[str]] | None = None,
+    invoked: Sequence[Sequence[str]] | None = None,
     stage1_inferences: int = 0,
     stage2_inferences: int = 0,
 ) -> EvalReport:
     """Match and score a whole run at the given label level.
 
+    ``detections`` holds each image's detections and ``invoked`` each
+    image's invoked general classes, both aligned with ``images``; a
+    length mismatch is a ValueError. ``invoked`` enables FN-image
+    accounting for cascade runs; omit it for flat baselines.
     Deterministic: images are folded in the given order, AP ties break
-    by that order. ``invoked_by_image`` (image id -> invoked general
-    classes) enables FN-image accounting for cascade runs; omit it for
-    flat baselines. Each image is matched once, and the report keeps the
+    by that order. Each image is matched once, and the report keeps the
     results in ``matches`` so that a subset can be rescored with
     ``score_matches``.
     """
-
-    def gt_label(gt: GroundTruthObject) -> str:
-        return taxonomy.label_at_level(gt.fine_label, level)
-
     matches = [
-        match_detections(
-            list(detections_by_image.get(img.id, ())),
-            img.objects,
-            iou_threshold,
-            gt_label_fn=gt_label,
-        )
-        for img in images
+        match_detections(dets, img.objects, iou_threshold)
+        for img, dets in zip(images, detections, strict=True)
     ]
     return score_matches(
         matches,
         taxonomy,
         level=level,
         fn_image_flags=(
-            fn_image_flags(images, invoked_by_image, taxonomy)
-            if invoked_by_image is not None
-            else ()
+            fn_image_flags(images, invoked, taxonomy) if invoked is not None else ()
         ),
         stage1_inferences=stage1_inferences,
         stage2_inferences=stage2_inferences,

@@ -4,6 +4,8 @@
 ``RunConfig``; ``run_experiment`` loads the dataset, simulates the flat
 baseline and the routed cascade, evaluates both and returns the report
 as a dict for the canonical writer, its per-image trace built lazily.
+Every per-image result (baseline detections, the cascade's detections,
+its trace) is a sequence in dataset order and is paired by position.
 Each (run, image) pair is matched once: the routed-subset mAP is scored
 from the modular evaluation's per-image match results.
 
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -115,11 +116,13 @@ def _det_json(d: Detection) -> dict:
     }
 
 
-def _image_json(baseline_dets: Mapping[str, Sequence[Detection]], t: ImageTrace) -> dict:
-    """One image's entry in the report's trace block."""
+def _image_json(entry: tuple[Sequence[Detection], ImageTrace]) -> dict:
+    """One image's entry in the report's trace block, from its baseline
+    detections and its routing record."""
+    baseline, t = entry
     return {
         "id": t.image_id,
-        "baseline": [_det_json(d) for d in baseline_dets[t.image_id]],
+        "baseline": [_det_json(d) for d in baseline],
         "stage1": [_det_json(d) for d in t.stage1],
         "triggered": list(t.triggered),
         "invoked": list(t.invoked),
@@ -148,9 +151,7 @@ def run_experiment(config: RunConfig, seed: int) -> dict:
         for g, p in config.stage2.items()
     }
 
-    baseline_dets = dict(
-        zip((img.id for img in dataset.images), detect_all(baseline_handle, dataset.images))
-    )
+    baseline_dets = detect_all(baseline_handle, dataset.images)
     route = route_v1 if routing.mode == "v1" else route_v2
     cascade = route(dataset, stage1_handle, stage2_handles, taxonomy, routing)
 
@@ -167,20 +168,22 @@ def run_experiment(config: RunConfig, seed: int) -> dict:
         "stage1_inferences": cascade.trace.stage1_inferences,
         "stage2_inferences": cascade.trace.stage2_inferences,
         # built image by image while the report is written
-        "images": LazyList(cascade.trace.images, partial(_image_json, baseline_dets)),
+        "images": LazyList(
+            list(zip(baseline_dets, cascade.trace.images, strict=True)), _image_json
+        ),
     }
     return report
 
 
 def _evaluate(
     dataset: Dataset,
-    baseline_dets: Mapping[str, Sequence[Detection]],
+    baseline_dets: Sequence[Sequence[Detection]],
     cascade: CascadeOutput,
     iou_threshold: float,
 ) -> dict:
     """The report's "baseline", "modular" and "advantage" blocks."""
     taxonomy = dataset.taxonomy
-    invoked = cascade.trace.invoked_by_image()
+    traces = cascade.trace.images
     baseline_report = evaluate_run(
         dataset.images,
         baseline_dets,
@@ -193,13 +196,13 @@ def _evaluate(
         cascade.detections,
         taxonomy,
         iou_threshold=iou_threshold,
-        invoked_by_image=invoked,
+        invoked=[t.invoked for t in traces],
         stage1_inferences=cascade.trace.stage1_inferences,
         stage2_inferences=cascade.trace.stage2_inferences,
     )
     stage1_report = evaluate_run(
         dataset.images,
-        cascade.trace.stage1_by_image(),
+        [t.stage1 for t in traces],
         taxonomy,
         level="general",
         iou_threshold=iou_threshold,

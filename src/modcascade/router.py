@@ -9,7 +9,8 @@ unchanged — no cropping or transformation.
 
 Both modes run stage by stage: stage 1 over every image, then each
 general's stage-2 detector over exactly the images routed to it, each
-pass one ``detector.detect_all``.
+pass one ``detector.detect_all``. Every per-image result, from a pass
+to the final detections, is a sequence in dataset order.
 """
 
 from __future__ import annotations
@@ -63,18 +64,13 @@ class RoutingTrace:
     stage1_inferences: int
     stage2_inferences: int
 
-    def invoked_by_image(self) -> dict[str, tuple[str, ...]]:
-        return {t.image_id: t.invoked for t in self.images}
-
-    def stage1_by_image(self) -> dict[str, tuple[Detection, ...]]:
-        return {t.image_id: t.stage1 for t in self.images}
-
 
 @dataclass(frozen=True)
 class CascadeOutput:
-    """Final fine-grained detections per image, plus the full trace."""
+    """Final fine-grained detections per image, aligned with
+    ``trace.images``, plus the full trace."""
 
-    detections: Mapping[str, tuple[Detection, ...]]
+    detections: tuple[tuple[Detection, ...], ...]
     trace: RoutingTrace
 
 
@@ -191,7 +187,7 @@ def _route(
         ImageTrace(img.id, dets, trig, inv, found)
         for img, dets, trig, inv, found in zip(images, s1, triggered, invoked, s2)
     )
-    detections = {t.image_id: tuple(d for g in t.invoked for d in t.stage2[g]) for t in traces}
+    detections = tuple(tuple(d for g in t.invoked for d in t.stage2[g]) for t in traces)
     trace = RoutingTrace(
         images=traces,
         stage1_inferences=len(traces),

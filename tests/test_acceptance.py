@@ -60,14 +60,14 @@ def _cascade_handles(taxonomy, seed):
     return s1, s2
 
 
-def _composite_error(dataset, detections_by_image, iou_threshold=0.5):
+def _composite_error(dataset, detections, iou_threshold=0.5):
     wrong = matched = 0
-    for img in dataset.images:
-        res = match_detections(detections_by_image.get(img.id, ()), img.objects, iou_threshold)
+    for img, dets in zip(dataset.images, detections, strict=True):
+        res = match_detections(dets, img.objects, iou_threshold)
         for m in res.matched:
             if m.ground_truth is not None:
                 matched += 1
-                wrong += not m.correct_label
+                wrong += m.detection.label != m.ground_truth.fine_label
     return wrong / matched
 
 
@@ -81,7 +81,7 @@ def test_criterion_1_calibrated_composite_error():
     baseline = DetectorHandle.simulated(
         flat_profile(taxonomy, BASELINE_ERR, loc_noise_sigma=1.0), 777
     )
-    baseline_dets = {img.id: detect(baseline, img) for img in dataset.images}
+    baseline_dets = [detect(baseline, img) for img in dataset.images]
     baseline_err = _composite_error(dataset, baseline_dets)
     assert abs(baseline_err - 0.12) <= 0.01
 
@@ -213,12 +213,12 @@ def test_criterion_6_tree_vs_flat_count():
     }
     out = route_v1(dataset, s1, s2, taxonomy, RoutingConfig(0.5, "v1"))
 
-    invoked = out.trace.invoked_by_image()
-    for img in dataset.images:
+    invoked = [t.invoked for t in out.trace.images]
+    for img, generals in zip(dataset.images, invoked, strict=True):
         if img.objects:
-            assert len(invoked[img.id]) == 1  # every positive routes to exactly one network
-    negatives = [img for img in dataset.images if not img.objects]
-    quiet = sum(1 for img in negatives if not invoked[img.id])
+            assert len(generals) == 1  # every positive routes to exactly one network
+    negatives = [generals for img, generals in zip(dataset.images, invoked) if not img.objects]
+    quiet = sum(1 for generals in negatives if not generals)
     assert quiet / len(negatives) >= 0.95
 
     result = compare_tree_vs_flat(out.trace, n_fine_networks=5)
@@ -251,7 +251,7 @@ def test_criterion_7_metric_golden_values():
     out = route_v1(dataset, s1, s2, taxonomy, RoutingConfig(0.5, "v1"))
     report = evaluate_run(
         dataset.images, out.detections, taxonomy,
-        invoked_by_image=out.trace.invoked_by_image(),
+        invoked=[t.invoked for t in out.trace.images],
     )
     assert report.map == 1.0
     assert report.classification_error == 0.0

@@ -82,9 +82,9 @@ def test_detect_calls_per_role(tmp_path, taxonomy, monkeypatch, mode):
     calls = {"baseline": 0, "stage1": 0, "stage2": 0}
     detect = detector.detect
 
-    def counting_detect(handle, image):
+    def counting_detect(handle, *args):
         calls[roles[frozenset(handle.profile.label_space)]] += 1
-        return detect(handle, image)
+        return detect(handle, *args)
 
     monkeypatch.setattr(detector, "detect", counting_detect)
     cfg = write_config(tmp_path, "run.json", cfg_dict)

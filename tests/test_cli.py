@@ -209,14 +209,15 @@ class TestRun:
             ]
 
         trace = report["trace"]
-        modular_dets, baseline_dets, invoked = {}, {}, {}
+        assert [rec["id"] for rec in trace["images"]] == [img.id for img in ds.images]
+        modular_dets, baseline_dets, invoked = [], [], []
         for rec in trace["images"]:
-            baseline_dets[rec["id"]] = parse_dets(rec["baseline"])
+            baseline_dets.append(parse_dets(rec["baseline"]))
             final = []
             for g in rec["invoked"]:
                 final.extend(parse_dets(rec["stage2"][g]))
-            modular_dets[rec["id"]] = final
-            invoked[rec["id"]] = tuple(rec["invoked"])
+            modular_dets.append(final)
+            invoked.append(tuple(rec["invoked"]))
 
         re_base = evaluate_run(
             ds.images, baseline_dets, ds.taxonomy,
@@ -226,7 +227,7 @@ class TestRun:
         re_mod = evaluate_run(
             ds.images, modular_dets, ds.taxonomy,
             iou_threshold=trace["iou_threshold"],
-            invoked_by_image=invoked,
+            invoked=invoked,
             stage1_inferences=trace["stage1_inferences"],
             stage2_inferences=trace["stage2_inferences"],
         )
@@ -237,12 +238,13 @@ class TestRun:
 
         # the FN-adjusted mAP is reproducible from the trace as well
         routed = [
-            img for img in ds.images
+            k for k, (img, generals) in enumerate(zip(ds.images, invoked))
             if img.objects
-            and all(ds.taxonomy.general_of(o.fine_label) in invoked[img.id] for o in img.objects)
+            and all(ds.taxonomy.general_of(o.fine_label) in generals for o in img.objects)
         ]
         re_routed_map = evaluate_run(
-            routed, modular_dets, ds.taxonomy, iou_threshold=trace["iou_threshold"]
+            [ds.images[k] for k in routed], [modular_dets[k] for k in routed], ds.taxonomy,
+            iou_threshold=trace["iou_threshold"],
         ).map
         assert report["modular"]["map_stage2_routed"] == re_routed_map
         assert report["modular"]["map_fn_adjusted"] == map_with_fn_accounting(
@@ -533,9 +535,9 @@ def test_v2_without_sequences_fails_before_any_detection(tmp_path, taxonomy, cap
     calls = []
     detect = detector.detect
 
-    def counting_detect(handle, image):
+    def counting_detect(handle, image, *args):
         calls.append(image.id)
-        return detect(handle, image)
+        return detect(handle, image, *args)
 
     monkeypatch.setattr(detector, "detect", counting_detect)
     cfg = write_config(

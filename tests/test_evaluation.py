@@ -13,6 +13,7 @@ from modcascade import (
     ClassTaxonomy,
     average_precision,
     evaluate_run,
+    fn_image_flags,
     iou,
     map_with_fn_accounting,
     match_detections,
@@ -103,7 +104,7 @@ class TestMatching:
         det = Detection(B(10, 10, 50, 50), "pekinese", 0.9)
         res = match_detections([det], [gt], 0.5)
         assert res.matched[0].ground_truth is gt
-        assert res.matched[0].correct_label
+        assert score_matches([res], TAXONOMY).classification_error == 0.0
         assert res.false_negatives == ()
 
     def test_two_dets_one_gt(self):
@@ -119,7 +120,9 @@ class TestMatching:
         det = Detection(B(10, 10, 50, 50), "spaniel", 0.9)
         res = match_detections([det], [gt], 0.5)
         assert res.matched[0].ground_truth is gt
-        assert not res.matched[0].correct_label
+        report = score_matches([res], TAXONOMY)
+        assert report.classification_error == 1.0
+        assert report.confusion == {"pekinese": {"spaniel": 1}}
 
     def test_below_threshold_is_fn(self):
         gt = GroundTruthObject(B(0, 0, 10, 10), "pekinese")
@@ -399,6 +402,19 @@ class TestErrorAndConfusion:
         assert _score(res).confusion["pekinese"]["spaniel"] == 1
         assert _score(res, "general").confusion == {"dog": {"dog": 2}}
 
+    def test_sibling_swap_is_right_at_general_level(self):
+        # two dog boxes, each labelled with the other's sibling: wrong at
+        # fine level, right at general level, and the error, the AP and
+        # the confusion all say so
+        res = _match_with_labels([("pekinese", "spaniel"), ("spaniel", "pekinese")])
+        general = _score(res, "general")
+        assert general.classification_error == 0.0
+        assert general.per_class_ap == {"dog": 1.0}
+        assert general.confusion == {"dog": {"dog": 2}}
+        fine = _score(res)
+        assert fine.classification_error == 1.0
+        assert fine.per_class_ap == {"pekinese": 0.0, "spaniel": 0.0}
+
     def test_confusion_fn_goes_to_miss(self):
         res = _match_with_labels([("mars", "mars")], fns=["saturn"])
         assert _score(res).confusion["saturn"][MISS] == 1
@@ -443,10 +459,11 @@ class TestEvaluateRun:
 
     def test_perfect_run(self):
         imgs = self._images()
-        dets = {
-            "a": [Detection(B(10, 10, 50, 50), "pekinese", 0.95)],
-            "b": [Detection(B(20, 20, 60, 60), "mars", 0.9)],
-        }
+        dets = [
+            [Detection(B(10, 10, 50, 50), "pekinese", 0.95)],
+            [Detection(B(20, 20, 60, 60), "mars", 0.9)],
+            [],
+        ]
         rep = evaluate_run(imgs, dets, TAXONOMY)
         assert rep.map == 1.0
         assert rep.classification_error == 0.0
@@ -454,7 +471,7 @@ class TestEvaluateRun:
 
     def test_map_is_mean_over_classes_with_gt(self):
         imgs = self._images()
-        dets = {"a": [Detection(B(10, 10, 50, 50), "pekinese", 0.95)]}
+        dets = [[Detection(B(10, 10, 50, 50), "pekinese", 0.95)], [], []]
         rep = evaluate_run(imgs, dets, TAXONOMY)
         # mars undetected: AP 0; spaniel/saturn have no GT: excluded
         assert set(rep.per_class_ap) == {"pekinese", "mars"}
@@ -462,26 +479,36 @@ class TestEvaluateRun:
 
     def test_fn_image_count_uses_invoked_coverage(self):
         imgs = self._images()
-        rep = evaluate_run(
-            imgs,
-            {},
-            TAXONOMY,
-            invoked_by_image={"a": ("dog",), "b": ()},
-        )
+        rep = evaluate_run(imgs, [(), (), ()], TAXONOMY, invoked=[("dog",), (), ()])
         # b's planet object had no covering invocation; negatives never count
         assert rep.fn_image_count == 1
         assert rep.fn_image_flags == (False, True, False)
 
     def test_order_independence(self):
         imgs = self._images()
-        dets = {
-            "a": [Detection(B(11, 10, 50, 50), "spaniel", 0.7)],
-            "b": [Detection(B(20, 20, 60, 60), "mars", 0.9)],
-        }
+        dets = [
+            [Detection(B(11, 10, 50, 50), "spaniel", 0.7)],
+            [Detection(B(20, 20, 60, 60), "mars", 0.9)],
+            [],
+        ]
         r1 = evaluate_run(imgs, dets, TAXONOMY)
-        r2 = evaluate_run(list(reversed(imgs)), dets, TAXONOMY)
+        r2 = evaluate_run(imgs[::-1], dets[::-1], TAXONOMY)
         assert r1.map == r2.map
         assert r1.classification_error == r2.classification_error
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_misaligned_sequences_raise(self, extra):
+        # per-image results pair with the images by position; one too few
+        # or too many is an error, not an image scored against nothing
+        imgs = self._images()
+        wrong = [()] * (len(imgs) + extra)
+        misaligned = r"argument 2 is (shorter|longer) than argument 1"
+        with pytest.raises(ValueError, match=misaligned):
+            evaluate_run(imgs, wrong, TAXONOMY)
+        with pytest.raises(ValueError, match=misaligned):
+            evaluate_run(imgs, [()] * len(imgs), TAXONOMY, invoked=wrong)
+        with pytest.raises(ValueError, match=misaligned):
+            fn_image_flags(imgs, wrong, TAXONOMY)
 
     def test_subset_rescored_from_matches(self):
         # the routed-subset report of `modcascade run`: score the kept
@@ -498,11 +525,11 @@ class TestEvaluateRun:
             negative_fp_rate=0.5,
             loc_noise_sigma=20.0,
         )
-        dets = {img.id: detect(DetectorHandle.simulated(profile, 4), img) for img in ds.images}
+        dets = [detect(DetectorHandle.simulated(profile, 4), img) for img in ds.images]
         full = evaluate_run(ds.images, dets, taxonomy)
         assert len(full.matches) == len(ds.images)
         keep = [k for k in range(len(ds.images)) if k % 3 != 1]
-        subset = evaluate_run([ds.images[k] for k in keep], dets, taxonomy)
+        subset = evaluate_run([ds.images[k] for k in keep], [dets[k] for k in keep], taxonomy)
         rescored = score_matches([full.matches[k] for k in keep], taxonomy)
         assert rescored.to_json() == subset.to_json()
         assert rescored.map == subset.map
@@ -525,7 +552,7 @@ class TestEvaluateRun:
                     loc_noise_sigma=sigma,
                 )
                 handle = DetectorHandle.simulated(profile, seed)
-                dets = {img.id: detect(handle, img) for img in ds.images}
+                dets = [detect(handle, img) for img in ds.images]
                 per_seed.append(evaluate_run(ds.images, dets, taxonomy).map)
             maps.append(sum(per_seed) / len(per_seed))
         assert maps[0] == 1.0

@@ -45,7 +45,7 @@ class TestRouteV1:
         ds = make_dataset(taxonomy, [img])
         s1, s2 = perfect_handles(taxonomy)
         out = route_v1(ds, s1, s2, taxonomy, RoutingConfig(tau=0.5, mode="v1"))
-        dets = out.detections["one"]
+        (dets,) = out.detections
         assert [d.label for d in dets] == ["pekinese"]
         assert dets[0].box == img.objects[0].box
         assert out.trace.stage1_inferences == 1
@@ -57,7 +57,7 @@ class TestRouteV1:
         s1, s2 = perfect_handles(taxonomy)  # confidences are exactly 0.9
         out = route_v1(ds, s1, s2, taxonomy, RoutingConfig(tau=1.0, mode="v1"))
         assert out.trace.stage2_inferences == 0
-        assert all(len(v) == 0 for v in out.detections.values())
+        assert out.detections == ((),) * len(ds.images)
         assert out.trace.stage1_inferences == len(ds.images)
 
     def test_missing_stage2_network(self, taxonomy):
@@ -106,9 +106,9 @@ class TestRouteV1:
         s1 = DetectorHandle.simulated(prof1, 21)
         s2 = {g: DetectorHandle.simulated(p, 22) for g, p in stage2_profiles(taxonomy, 0.2).items()}
         out = route_v1(ds, s1, s2, taxonomy, RoutingConfig(tau=0.5, mode="v1"))
-        for t in out.trace.images:
+        for t, dets in zip(out.trace.images, out.detections, strict=True):
             scope = {f for g in t.invoked for f in taxonomy.fine_of[g]}
-            for d in out.detections[t.image_id]:
+            for d in dets:
                 assert d.label in scope
 
     def test_selectivity_bound(self, taxonomy):
@@ -126,12 +126,12 @@ class TestRouteV1:
 
 def composite_error(dataset, out, iou_threshold=0.5):
     wrong = matched = 0
-    for img in dataset.images:
-        res = match_detections(out.detections[img.id], img.objects, iou_threshold)
+    for img, dets in zip(dataset.images, out.detections, strict=True):
+        res = match_detections(dets, img.objects, iou_threshold)
         for m in res.matched:
             if m.ground_truth is not None:
                 matched += 1
-                wrong += not m.correct_label
+                wrong += m.detection.label != m.ground_truth.fine_label
     return wrong / matched, matched
 
 
@@ -185,12 +185,14 @@ class TestRouteV2:
     def test_v2_recovers_stage1_misses(self):
         taxonomy, ds, s1, s2 = self._recovery_setup()
         v1 = route_v1(ds, s1, s2, taxonomy, RoutingConfig(0.5, "v1"))
-        assert v1.detections["f1"] == () and v1.detections["f3"] == ()
-        assert [d.label for d in v1.detections["f2"]] == ["spaniel"]
+        f1, f2, f3 = v1.detections
+        assert f1 == () and f3 == ()
+        assert [d.label for d in f2] == ["spaniel"]
 
         v2 = route_v2(ds, s1, s2, taxonomy, RoutingConfig(0.5, "v2"))
-        assert [d.label for d in v2.detections["f1"]] == ["pekinese"]
-        assert [d.label for d in v2.detections["f3"]] == ["pekinese"]
+        f1, _, f3 = v2.detections
+        assert [d.label for d in f1] == ["pekinese"]
+        assert [d.label for d in f3] == ["pekinese"]
         assert v2.trace.stage2_inferences == 3  # dog net on every frame
 
     def test_no_sequences_routes_as_v1(self, taxonomy):
@@ -236,10 +238,10 @@ class TestRouteV2:
         s2 = {g: DetectorHandle.simulated(p, 52) for g, p in stage2_profiles(taxonomy, 0.05).items()}
         v1 = route_v1(ds, s1, s2, taxonomy, RoutingConfig(0.5, "v1"))
         v2 = route_v2(ds, s1, s2, taxonomy, RoutingConfig(0.5, "v2"))
-        v1_inv = v1.trace.invoked_by_image()
-        v2_inv = v2.trace.invoked_by_image()
-        for image_id in v1_inv:
-            assert set(v1_inv[image_id]) <= set(v2_inv[image_id])
+        v1_inv = [t.invoked for t in v1.trace.images]
+        v2_inv = [t.invoked for t in v2.trace.images]
+        for inv1, inv2 in zip(v1_inv, v2_inv, strict=True):
+            assert set(inv1) <= set(inv2)
         # therefore v2 cannot have more FN images
         from modcascade import fn_image_flags
 
