@@ -50,7 +50,6 @@ from .evaluation import (
 )
 from .profiles import flat_profile, stage1_profile, stage2_profiles
 from .router import (
-    CascadeOutput,
     RoutingConfig,
     RoutingTrace,
     compare_tree_vs_flat,

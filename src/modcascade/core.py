@@ -12,6 +12,7 @@ import json
 import math
 import numbers
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -244,7 +245,7 @@ class BoundingBox:
 
     def validate(self) -> None:
         vals = (self.x, self.y, self.w, self.h)
-        if not all(math.isfinite(v) for v in vals):
+        if not all(is_finite_real(v) for v in vals):
             raise ValidationError(f"non-finite box {vals}")
         if self.w <= 0 or self.h <= 0:
             raise ValidationError(f"non-positive box extent {vals}")
@@ -297,17 +298,24 @@ def _validate_image(img: AnnotatedImage, taxonomy: ClassTaxonomy) -> None:
     if not img.id:
         raise ValidationError("image with empty id")
     if not (
-        math.isfinite(img.width)
-        and math.isfinite(img.height)
+        is_finite_real(img.width)
+        and is_finite_real(img.height)
         and img.width > 0
         and img.height > 0
     ):
         raise ValidationError(f"image {img.id!r}: bad dimensions {img.width}x{img.height}")
+    # in float arithmetic, ints too: IoU adds two box areas, which must not overflow
+    if not math.isfinite(2.0 * img.width * img.height):
+        raise ValidationError(f"image {img.id!r}: area of {img.width}x{img.height} is too large")
     for obj in img.objects:
         try:
             obj.box.validate()
         except ValidationError as exc:
             raise ValidationError(f"image {img.id!r}: {exc}") from None
+        if not 1.0 * obj.box.w * obj.box.h >= sys.float_info.min:  # or IoU rounds to 0
+            raise ValidationError(
+                f"image {img.id!r}: area of box {obj.box} is below the smallest normal double"
+            )
         if not taxonomy.is_fine(obj.fine_label):
             raise ValidationError(
                 f"image {img.id!r}: unknown fine label {obj.fine_label!r}"
@@ -392,7 +400,9 @@ def load_dataset(path) -> Dataset:
          "sequences": [["img001", "img002"], ...]}   # optional
 
     Numbers must be JSON numbers (``is_finite_real``), ids and labels
-    strings. Raises ValidationError naming the offending image on any
+    strings. Twice an image's ``width * height`` must be finite and each
+    box's ``w * h`` a normal double, or IoU would overflow or round to
+    zero. Raises ValidationError naming the offending image on any
     invariant violation or malformed value; a file that is not UTF-8 JSON
     raises ValidationError as a parse error (``read_json``).
     """

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ._kernels import greedy_match, iou  # iou is re-exported
 from .core import MISS, AnnotatedImage, ClassTaxonomy, Detection, GroundTruthObject
@@ -264,7 +264,7 @@ def score_matches(
 
 def evaluate_run(
     images: Sequence[AnnotatedImage],
-    detections: Sequence[Sequence[Detection]],
+    detections: Iterable[Sequence[Detection]],
     taxonomy: ClassTaxonomy,
     *,
     level: str = "fine",
@@ -275,14 +275,14 @@ def evaluate_run(
 ) -> EvalReport:
     """Match and score a whole run at the given label level.
 
-    ``detections`` holds each image's detections and ``invoked`` each
-    image's invoked general classes, both aligned with ``images``; a
-    length mismatch is a ValueError. ``invoked`` enables FN-image
-    accounting for cascade runs; omit it for flat baselines.
-    Deterministic: images are folded in the given order, AP ties break
-    by that order. Each image is matched once, and the report keeps the
-    results in ``matches`` so that a subset can be rescored with
-    ``score_matches``.
+    ``detections`` yields each image's detections, once (it may be a
+    generator), and ``invoked`` holds each image's invoked generals, both
+    aligned with ``images``; a length mismatch is a ValueError.
+    ``invoked`` enables FN-image accounting for cascade runs; omit it for
+    flat baselines. Deterministic: images are folded in the given order,
+    AP ties break by that order. Each image is matched once, and the
+    report keeps the results in ``matches`` so that a subset can be
+    rescored with ``score_matches``.
     """
     matches = [
         match_detections(dets, img.objects, iou_threshold)

@@ -4,10 +4,11 @@
 ``RunConfig``; ``run_experiment`` loads the dataset, simulates the flat
 baseline and the routed cascade, evaluates both and returns the report
 as a dict for the canonical writer, its per-image trace built lazily.
-Every per-image result (baseline detections, the cascade's detections,
-its trace) is a sequence in dataset order and is paired by position.
-Each (run, image) pair is matched once: the routed-subset mAP is scored
-from the modular evaluation's per-image match results.
+Every per-image result (the baseline's detections, the cascade's
+``RoutingTrace``) is a sequence in dataset order and is paired by
+position. Each (run, image) pair is matched once: the routed-subset mAP
+is scored from the modular evaluation's per-image match results, and
+no two evaluations' matches are alive at once.
 
 Run config schema (unknown keys are ignored)::
 
@@ -39,9 +40,9 @@ from .errors import ValidationError
 from .evaluation import evaluate_run, map_with_fn_accounting, score_matches
 from .reporting import LazyList
 from .router import (
-    CascadeOutput,
     ImageTrace,
     RoutingConfig,
+    RoutingTrace,
     compare_tree_vs_flat,
     route_v1,
     route_v2,
@@ -126,7 +127,7 @@ def _image_json(entry: tuple[Sequence[Detection], ImageTrace]) -> dict:
         "stage1": [_det_json(d) for d in t.stage1],
         "triggered": list(t.triggered),
         "invoked": list(t.invoked),
-        "stage2": {g: [_det_json(d) for d in ds] for g, ds in t.stage2.items()},
+        "stage2": {g: [_det_json(d) for d in ds] for g, ds in zip(t.invoked, t.stage2)},
     }
 
 
@@ -153,24 +154,20 @@ def run_experiment(config: RunConfig, seed: int) -> dict:
 
     baseline_dets = detect_all(baseline_handle, dataset.images)
     route = route_v1 if routing.mode == "v1" else route_v2
-    cascade = route(dataset, stage1_handle, stage2_handles, taxonomy, routing)
+    trace = route(dataset, stage1_handle, stage2_handles, taxonomy, routing)
 
     # the evaluation's per-image matches are freed before the trace
     # block, the largest part of the report, is built
-    report = _evaluate(dataset, baseline_dets, cascade, iou_threshold)
-    report["tree_vs_flat"] = compare_tree_vs_flat(
-        cascade.trace, n_fine_networks=len(stage2_handles)
-    )
+    report = _evaluate(dataset, baseline_dets, trace, iou_threshold)
+    report["tree_vs_flat"] = compare_tree_vs_flat(trace, n_fine_networks=len(stage2_handles))
     report["trace"] = {
         "mode": routing.mode,
         "tau": routing.tau,
         "iou_threshold": iou_threshold,
-        "stage1_inferences": cascade.trace.stage1_inferences,
-        "stage2_inferences": cascade.trace.stage2_inferences,
+        "stage1_inferences": trace.stage1_inferences,
+        "stage2_inferences": trace.stage2_inferences,
         # built image by image while the report is written
-        "images": LazyList(
-            list(zip(baseline_dets, cascade.trace.images, strict=True)), _image_json
-        ),
+        "images": LazyList(list(zip(baseline_dets, trace.images, strict=True)), _image_json),
     }
     return report
 
@@ -178,35 +175,37 @@ def run_experiment(config: RunConfig, seed: int) -> dict:
 def _evaluate(
     dataset: Dataset,
     baseline_dets: Sequence[Sequence[Detection]],
-    cascade: CascadeOutput,
+    trace: RoutingTrace,
     iou_threshold: float,
 ) -> dict:
-    """The report's "baseline", "modular" and "advantage" blocks."""
+    """The report's "baseline", "modular" and "advantage" blocks. The
+    baseline and stage-1 reports are reduced to the figures used as soon
+    as each is scored; only the modular report keeps its matches."""
     taxonomy = dataset.taxonomy
-    traces = cascade.trace.images
-    baseline_report = evaluate_run(
+    traces = trace.images
+    baseline_json = evaluate_run(
         dataset.images,
         baseline_dets,
         taxonomy,
         iou_threshold=iou_threshold,
         stage1_inferences=len(dataset.images),
-    )
-    modular_report = evaluate_run(
-        dataset.images,
-        cascade.detections,
-        taxonomy,
-        iou_threshold=iou_threshold,
-        invoked=[t.invoked for t in traces],
-        stage1_inferences=cascade.trace.stage1_inferences,
-        stage2_inferences=cascade.trace.stage2_inferences,
-    )
-    stage1_report = evaluate_run(
+    ).to_json()
+    stage1_error = evaluate_run(
         dataset.images,
         [t.stage1 for t in traces],
         taxonomy,
         level="general",
         iou_threshold=iou_threshold,
-        stage1_inferences=cascade.trace.stage1_inferences,
+        stage1_inferences=trace.stage1_inferences,
+    ).classification_error
+    modular_report = evaluate_run(
+        dataset.images,
+        (t.detections for t in traces),
+        taxonomy,
+        iou_threshold=iou_threshold,
+        invoked=[t.invoked for t in traces],
+        stage1_inferences=trace.stage1_inferences,
+        stage2_inferences=trace.stage2_inferences,
     )
 
     # FN-aware total mAP: stage-2 mAP over the positive images that are
@@ -221,10 +220,7 @@ def _evaluate(
         if img.objects and not fn
     ]
     fn_images = modular_report.fn_image_count
-    if routed_matches:
-        stage2_routed_map = score_matches(routed_matches, taxonomy).map
-    else:
-        stage2_routed_map = 0.0
+    stage2_routed_map = score_matches(routed_matches, taxonomy).map  # 0.0 when empty
     if routed_matches or fn_images:
         map_fn_adjusted = map_with_fn_accounting(
             stage2_routed_map, len(routed_matches), fn_images
@@ -232,8 +228,8 @@ def _evaluate(
     else:
         map_fn_adjusted = modular_report.map
 
-    a = 1.0 - baseline_report.classification_error
-    acc_s1 = 1.0 - stage1_report.classification_error
+    a = 1.0 - baseline_json["classification_error"]
+    acc_s1 = 1.0 - stage1_error
     acc_mod = 1.0 - modular_report.classification_error
     delta1 = acc_s1 - a
     # composite accuracy factors through the stages: acc_mod =
@@ -248,7 +244,7 @@ def _evaluate(
     modular_json["map_fn_adjusted"] = map_fn_adjusted
     modular_json["routed_positive_images"] = len(routed_matches)
     return {
-        "baseline": baseline_report.to_json(),
+        "baseline": baseline_json,
         "modular": modular_json,
         "advantage": {
             "a": a,

@@ -9,8 +9,8 @@ unchanged — no cropping or transformation.
 
 Both modes run stage by stage: stage 1 over every image, then each
 general's stage-2 detector over exactly the images routed to it, each
-pass one ``detector.detect_all``. Every per-image result, from a pass
-to the final detections, is a sequence in dataset order.
+pass one ``detector.detect_all``. Both return a ``RoutingTrace``: one
+``ImageTrace`` per image, in dataset order, holding each stage-2 result once.
 """
 
 from __future__ import annotations
@@ -48,38 +48,35 @@ class ImageTrace:
     ``triggered`` lists general classes this image's own stage-1
     detections put over threshold; ``invoked`` lists the fine-grained
     detectors actually run on it (equal to triggered in v1; the
-    sequence-level union in v2).
+    sequence-level union in v2), in sorted order. ``stage2`` holds each
+    invoked detector's detections, aligned with ``invoked``.
     """
 
     image_id: str
     stage1: tuple[Detection, ...]
     triggered: tuple[str, ...]
     invoked: tuple[str, ...]
-    stage2: Mapping[str, tuple[Detection, ...]]
+    stage2: tuple[tuple[Detection, ...], ...]
+
+    @property
+    def detections(self) -> tuple[Detection, ...]:
+        """The final detections: ``stage2`` concatenated, in ``invoked`` order."""
+        return tuple(d for dets in self.stage2 for d in dets)
 
 
 @dataclass(frozen=True)
 class RoutingTrace:
+    """The cascade's result: one ``ImageTrace`` per image, in dataset order."""
+
     images: tuple[ImageTrace, ...]
-    stage1_inferences: int
-    stage2_inferences: int
 
+    @property
+    def stage1_inferences(self) -> int:
+        return len(self.images)
 
-@dataclass(frozen=True)
-class CascadeOutput:
-    """Final fine-grained detections per image, aligned with
-    ``trace.images``, plus the full trace."""
-
-    detections: tuple[tuple[Detection, ...], ...]
-    trace: RoutingTrace
-
-
-def _check_stage2_coverage(
-    stage2: Mapping[str, DetectorHandle], taxonomy: ClassTaxonomy
-) -> None:
-    missing = [g for g in taxonomy.generals if g not in stage2]
-    if missing:
-        raise ValidationError(f"missing stage-2 network for general classes {missing}")
+    @property
+    def stage2_inferences(self) -> int:
+        return sum(len(t.invoked) for t in self.images)
 
 
 def _triggered(dets, tau: float, taxonomy: ClassTaxonomy, image_id: str) -> tuple[str, ...]:
@@ -98,23 +95,24 @@ def _stage2(
     stage2: Mapping[str, DetectorHandle],
     images: Sequence[AnnotatedImage],
     invoked: Sequence[tuple[str, ...]],
-) -> list[dict[str, tuple[Detection, ...]]]:
-    """Per image, the detections of each invoked general's detector.
+) -> list[tuple[tuple[Detection, ...], ...]]:
+    """Per image, the detections of each invoked general's detector,
+    aligned with that image's ``invoked``.
 
     Each general's detector runs one pass over exactly the images routed
-    to it. Generals run in sorted order, so every image's dict is keyed
-    in its (sorted) ``invoked`` order.
+    to it. Generals run in sorted order, so every image's results follow
+    its (sorted) ``invoked`` order.
     """
     routed: dict[str, list[int]] = {}
     for k, generals in enumerate(invoked):
         for g in generals:
             routed.setdefault(g, []).append(k)
-    out: list[dict[str, tuple[Detection, ...]]] = [{} for _ in images]
+    out: list[list[tuple[Detection, ...]]] = [[] for _ in images]
     for g in sorted(routed):
         found = detect_all(stage2[g], [images[k] for k in routed[g]])
         for k, dets in zip(routed[g], found):
-            out[k][g] = dets
-    return out
+            out[k].append(dets)
+    return [tuple(dets) for dets in out]
 
 
 def route_v1(
@@ -123,7 +121,7 @@ def route_v1(
     stage2: Mapping[str, DetectorHandle],
     taxonomy: ClassTaxonomy,
     config: RoutingConfig,
-) -> CascadeOutput:
+) -> RoutingTrace:
     """Per-image cascade routing.
 
     Every image is inferred once by stage 1; each general class with a
@@ -143,7 +141,7 @@ def route_v2(
     stage2: Mapping[str, DetectorHandle],
     taxonomy: ClassTaxonomy,
     config: RoutingConfig,
-) -> CascadeOutput:
+) -> RoutingTrace:
     """Per-sequence cascade routing.
 
     Stage 1 runs on every image; any general class triggered anywhere in
@@ -167,11 +165,13 @@ def _route(
     taxonomy: ClassTaxonomy,
     tau: float,
     sequences: Sequence[Sequence[str]],
-) -> CascadeOutput:
+) -> RoutingTrace:
     """Stage 1 over every image, then each image's invoked stage-2
     detectors: the union of the triggered sets over the image's sequence,
     or its own triggered set if it is in none of ``sequences``."""
-    _check_stage2_coverage(stage2, taxonomy)
+    missing = [g for g in taxonomy.generals if g not in stage2]
+    if missing:
+        raise ValidationError(f"missing stage-2 network for general classes {missing}")
     images = dataset.images
     s1 = detect_all(stage1, images)
     triggered = [_triggered(dets, tau, taxonomy, img.id) for dets, img in zip(s1, images)]
@@ -183,17 +183,12 @@ def _route(
         for k in members:
             invoked[k] = union
     s2 = _stage2(stage2, images, invoked)
-    traces = tuple(
-        ImageTrace(img.id, dets, trig, inv, found)
-        for img, dets, trig, inv, found in zip(images, s1, triggered, invoked, s2)
+    return RoutingTrace(
+        tuple(
+            ImageTrace(img.id, dets, trig, inv, found)
+            for img, dets, trig, inv, found in zip(images, s1, triggered, invoked, s2)
+        )
     )
-    detections = tuple(tuple(d for g in t.invoked for d in t.stage2[g]) for t in traces)
-    trace = RoutingTrace(
-        images=traces,
-        stage1_inferences=len(traces),
-        stage2_inferences=sum(len(t.invoked) for t in traces),
-    )
-    return CascadeOutput(detections=detections, trace=trace)
 
 
 def compare_tree_vs_flat(trace: RoutingTrace, n_fine_networks: int) -> dict:

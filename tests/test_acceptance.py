@@ -97,11 +97,11 @@ def test_criterion_1_calibrated_composite_error():
         s1, s2 = _cascade_handles(taxonomy, seed)
         v1 = route_v1(dataset, s1, s2, taxonomy, RoutingConfig(0.5, "v1"))
         v2 = route_v2(dataset, s1, s2, taxonomy, RoutingConfig(0.5, "v2"))
-        errs_v1.append(_composite_error(dataset, v1.detections))
-        errs_v2.append(_composite_error(dataset, v2.detections))
+        errs_v1.append(_composite_error(dataset, [t.detections for t in v1.images]))
+        errs_v2.append(_composite_error(dataset, [t.detections for t in v2.images]))
         assert errs_v2[-1] <= errs_v1[-1], f"v2 worse than v1 at seed {seed}"
         for out in (v1, v2):
-            ratio = compare_tree_vs_flat(out.trace, 5)["ratio"]
+            ratio = compare_tree_vs_flat(out, 5)["ratio"]
             assert ratio >= 1.0
 
     # canonical measurement: the first seed of the sweep
@@ -213,7 +213,7 @@ def test_criterion_6_tree_vs_flat_count():
     }
     out = route_v1(dataset, s1, s2, taxonomy, RoutingConfig(0.5, "v1"))
 
-    invoked = [t.invoked for t in out.trace.images]
+    invoked = [t.invoked for t in out.images]
     for img, generals in zip(dataset.images, invoked, strict=True):
         if img.objects:
             assert len(generals) == 1  # every positive routes to exactly one network
@@ -221,7 +221,7 @@ def test_criterion_6_tree_vs_flat_count():
     quiet = sum(1 for generals in negatives if not generals)
     assert quiet / len(negatives) >= 0.95
 
-    result = compare_tree_vs_flat(out.trace, n_fine_networks=5)
+    result = compare_tree_vs_flat(out, n_fine_networks=5)
     assert 2.4 <= result["ratio"] <= 2.6
     assert result["ratio"] >= 1.0
     # ratio >= 1 under noisier routing too
@@ -230,7 +230,7 @@ def test_criterion_6_tree_vs_flat_count():
             stage1_profile(taxonomy, 0.2, 0.1, negative_fp_rate=0.3), seed
         )
         noisy = route_v1(dataset, noisy1, s2, taxonomy, RoutingConfig(0.3, "v1"))
-        assert compare_tree_vs_flat(noisy.trace, 5)["ratio"] >= 1.0
+        assert compare_tree_vs_flat(noisy, 5)["ratio"] >= 1.0
     print(f"\nACCEPTANCE 6 PASS: ratio {result['ratio']:.3f} in [2.4, 2.6]; >=1 on all runs")
 
 
@@ -250,8 +250,8 @@ def test_criterion_7_metric_golden_values():
     }
     out = route_v1(dataset, s1, s2, taxonomy, RoutingConfig(0.5, "v1"))
     report = evaluate_run(
-        dataset.images, out.detections, taxonomy,
-        invoked=[t.invoked for t in out.trace.images],
+        dataset.images, [t.detections for t in out.images], taxonomy,
+        invoked=[t.invoked for t in out.images],
     )
     assert report.map == 1.0
     assert report.classification_error == 0.0

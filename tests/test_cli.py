@@ -8,12 +8,13 @@ import gc
 import io
 import json
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modcascade import detector
+from modcascade import detector, experiment
 from modcascade import ClassTaxonomy, evaluate_run, load_dataset, map_with_fn_accounting
 from modcascade.cli import main
 from modcascade.core import BoundingBox, Detection
@@ -427,6 +428,12 @@ def _set_image(value, *path):
     return _set(value, "images", *path)
 
 
+def _set_area(doc, side, box):
+    image = doc["images"][0]
+    image["width"] = image["height"] = side
+    image["objects"][0]["box"] = box
+
+
 BAD_DATASETS = {
     "images-number": _set(5, "images"),
     "image-record-number": _set([5], "images"),
@@ -440,6 +447,14 @@ BAD_DATASETS = {
     "box-beyond-float-range": _set_image([0, 0, 10**400, 10], 0, "objects", 0, "box"),
     "width-string": _set_image("100", 0, "width"),
     "image-id-surrogate": lambda doc: (doc.pop("sequences"), _set_image("\ud800", 0, "id")(doc)),
+    # areas IoU cannot compute in doubles; each ran to exit 0, its box
+    # scored as a false positive plus a miss. The image area overflows,
+    # and so does IoU's sum of two box areas:
+    "area-1.7e308": lambda doc: _set_area(doc, 1.7e308, [0, 0, 1.6e308, 1.6e308]),
+    # the area is finite but twice it is not: IoU of the box with itself is 0.0
+    "area-1.3e154": lambda doc: _set_area(doc, 1.3e154, [0, 0, 1.3e154, 1.3e154]),
+    # the box area is below the smallest normal double: IoU with itself is 0.0
+    "box-area-1e-340": lambda doc: _set_area(doc, 100, [0, 0, 1e-170, 1e-170]),
 }
 
 
@@ -568,6 +583,26 @@ def test_cyclic_garbage_does_not_grow_with_the_dataset(tmp_path, taxonomy):
         assert gc.isenabled()
         collected.append(gc.collect())
     assert collected[1] == collected[2]
+
+
+def test_each_evaluation_is_freed_before_the_next_one(
+    tmp_path, taxonomy, small_dataset, monkeypatch
+):
+    """No two evaluations' reports, each holding its per-image matches,
+    are alive at once."""
+    reports = []
+    evaluate_run = experiment.evaluate_run
+
+    def spy(*args, **kwargs):
+        assert all(ref() is None for ref in reports)
+        report = evaluate_run(*args, **kwargs)
+        reports.append(weakref.ref(report))
+        return report
+
+    monkeypatch.setattr(experiment, "evaluate_run", spy)
+    cfg = write_config(tmp_path, "run.json", run_config(taxonomy, small_dataset, mode="v2"))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert len(reports) == 3
 
 
 class TestExitCodes:

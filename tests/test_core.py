@@ -1,6 +1,7 @@
 """Domain model and annotation I/O tests."""
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -228,6 +229,26 @@ def test_make_dataset_rejects_unknown_sequence_id(taxonomy):
     img = AnnotatedImage("a", 100, 100, ())
     with pytest.raises(ValidationError, match="ghost"):
         make_dataset(taxonomy, [img], [["ghost"]])
+
+
+def test_numeric_edges_are_checked_in_float_arithmetic(taxonomy):
+    """Twice the image area must be finite, and each box area a positive
+    normal double, whether the fields are floats or ints."""
+    tiny = sys.float_info.min
+
+    def image(side, box):
+        return AnnotatedImage("a", side, side, (GroundTruthObject(BoundingBox(*box), "swan"),))
+
+    make_dataset(taxonomy, [image(100, (0, 0, tiny, 1.0))])
+    make_dataset(taxonomy, [image(9e153, (0, 0, 10, 10))])
+    for side in (1.3e154, 10**200):  # the int's exact area is a finite int
+        with pytest.raises(ValidationError, match="area of .* is too large"):
+            make_dataset(taxonomy, [image(side, (0, 0, 10, 10))])
+    for box in ((0, 0, tiny, 0.5), (0, 0, 1e-170, 1e-170)):
+        with pytest.raises(ValidationError, match="below the smallest normal double"):
+            make_dataset(taxonomy, [image(100, box)])
+    with pytest.raises(ValidationError, match="non-finite box"):
+        make_dataset(taxonomy, [image(100, (0, 0, 10**400, 10))])  # no OverflowError
 
 
 def test_dataset_json_structure(taxonomy):

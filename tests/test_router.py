@@ -37,6 +37,24 @@ def perfect_handles(taxonomy, seed=0, tau_conf_spread=0.0):
     return s1, s2
 
 
+def final_detections(trace):
+    """Each image's final detections, after checking that its stage-2
+    results are aligned with its invoked generals and that the final
+    detections are their concatenation in that order."""
+    for t in trace.images:
+        assert len(t.stage2) == len(t.invoked)
+        assert t.invoked == tuple(sorted(t.invoked))
+        assert t.detections == tuple(d for dets in t.stage2 for d in dets)
+    return [t.detections for t in trace.images]
+
+
+def assert_stage2_scoped(trace, taxonomy):
+    """Each stage-2 result holds only labels of the general it is aligned with."""
+    for t in trace.images:
+        for g, dets in zip(t.invoked, t.stage2, strict=True):
+            assert all(d.label in taxonomy.fine_of[g] for d in dets)
+
+
 class TestRouteV1:
     def test_noiseless_end_to_end(self, taxonomy):
         img = AnnotatedImage(
@@ -45,20 +63,20 @@ class TestRouteV1:
         ds = make_dataset(taxonomy, [img])
         s1, s2 = perfect_handles(taxonomy)
         out = route_v1(ds, s1, s2, taxonomy, RoutingConfig(tau=0.5, mode="v1"))
-        (dets,) = out.detections
+        (dets,) = final_detections(out)
         assert [d.label for d in dets] == ["pekinese"]
         assert dets[0].box == img.objects[0].box
-        assert out.trace.stage1_inferences == 1
-        assert out.trace.stage2_inferences == 1
-        assert out.trace.images[0].triggered == ("dog",)
+        assert out.stage1_inferences == 1
+        assert out.stage2_inferences == 1
+        assert out.images[0].triggered == ("dog",)
 
     def test_tau_one_blocks_all(self, taxonomy):
         ds = synth_dataset(taxonomy, per_fine=3, negatives=2)
         s1, s2 = perfect_handles(taxonomy)  # confidences are exactly 0.9
         out = route_v1(ds, s1, s2, taxonomy, RoutingConfig(tau=1.0, mode="v1"))
-        assert out.trace.stage2_inferences == 0
-        assert out.detections == ((),) * len(ds.images)
-        assert out.trace.stage1_inferences == len(ds.images)
+        assert out.stage2_inferences == 0
+        assert tuple(final_detections(out)) == ((),) * len(ds.images)
+        assert out.stage1_inferences == len(ds.images)
 
     def test_missing_stage2_network(self, taxonomy):
         ds = synth_dataset(taxonomy, per_fine=1)
@@ -79,7 +97,9 @@ class TestRouteV1:
         ds = synth_dataset(taxonomy, per_fine=10, negatives=5)
         s1, s2 = perfect_handles(taxonomy)
         out = route_v1(ds, s1, s2, taxonomy, RoutingConfig(tau=0.0, mode="v1"))
-        for t, img in zip(out.trace.images, ds.images):
+        final_detections(out)
+        assert_stage2_scoped(out, taxonomy)
+        for t, img in zip(out.images, ds.images):
             want = tuple(sorted({taxonomy.general_of(o.fine_label) for o in img.objects}))
             assert t.invoked == want
 
@@ -94,7 +114,7 @@ class TestRouteV1:
         prev = None
         for tau in (0.95, 0.8, 0.6, 0.4, 0.0):  # decreasing tau -> growing sets
             out = route_v1(ds, s1, s2, taxonomy, RoutingConfig(tau=tau, mode="v1"))
-            invoked = {t.image_id: set(t.invoked) for t in out.trace.images}
+            invoked = {t.image_id: set(t.invoked) for t in out.images}
             if prev is not None:
                 for image_id in invoked:
                     assert prev[image_id] <= invoked[image_id]
@@ -106,7 +126,8 @@ class TestRouteV1:
         s1 = DetectorHandle.simulated(prof1, 21)
         s2 = {g: DetectorHandle.simulated(p, 22) for g, p in stage2_profiles(taxonomy, 0.2).items()}
         out = route_v1(ds, s1, s2, taxonomy, RoutingConfig(tau=0.5, mode="v1"))
-        for t, dets in zip(out.trace.images, out.detections, strict=True):
+        assert_stage2_scoped(out, taxonomy)
+        for t, dets in zip(out.images, final_detections(out), strict=True):
             scope = {f for g in t.invoked for f in taxonomy.fine_of[g]}
             for d in dets:
                 assert d.label in scope
@@ -117,16 +138,17 @@ class TestRouteV1:
         s1 = DetectorHandle.simulated(prof1, 8)
         s2 = {g: DetectorHandle.simulated(p, 9) for g, p in stage2_profiles(taxonomy, 0.1).items()}
         out = route_v1(ds, s1, s2, taxonomy, RoutingConfig(tau=0.0, mode="v1"))
+        final_detections(out)
         n_generals = len(taxonomy.generals)
-        for t in out.trace.images:
+        for t in out.images:
             assert len(t.invoked) <= n_generals
-        tree = out.trace.stage1_inferences + out.trace.stage2_inferences
-        assert tree <= out.trace.stage1_inferences * (1 + n_generals)
+        tree = out.stage1_inferences + out.stage2_inferences
+        assert tree <= out.stage1_inferences * (1 + n_generals)
 
 
 def composite_error(dataset, out, iou_threshold=0.5):
     wrong = matched = 0
-    for img, dets in zip(dataset.images, out.detections, strict=True):
+    for img, dets in zip(dataset.images, final_detections(out), strict=True):
         res = match_detections(dets, img.objects, iou_threshold)
         for m in res.matched:
             if m.ground_truth is not None:
@@ -185,15 +207,15 @@ class TestRouteV2:
     def test_v2_recovers_stage1_misses(self):
         taxonomy, ds, s1, s2 = self._recovery_setup()
         v1 = route_v1(ds, s1, s2, taxonomy, RoutingConfig(0.5, "v1"))
-        f1, f2, f3 = v1.detections
+        f1, f2, f3 = final_detections(v1)
         assert f1 == () and f3 == ()
         assert [d.label for d in f2] == ["spaniel"]
 
         v2 = route_v2(ds, s1, s2, taxonomy, RoutingConfig(0.5, "v2"))
-        f1, _, f3 = v2.detections
+        f1, _, f3 = final_detections(v2)
         assert [d.label for d in f1] == ["pekinese"]
         assert [d.label for d in f3] == ["pekinese"]
-        assert v2.trace.stage2_inferences == 3  # dog net on every frame
+        assert v2.stage2_inferences == 3  # dog net on every frame
 
     def test_no_sequences_routes_as_v1(self, taxonomy):
         ds = synth_dataset(taxonomy, per_fine=6, negatives=6, seed=5)
@@ -207,13 +229,14 @@ class TestRouteV2:
         v1 = route_v1(ds, s1, s2, taxonomy, RoutingConfig(0.5, "v1"))
         v2 = route_v2(ds, s1, s2, taxonomy, RoutingConfig(0.5, "v2"))
         assert v2 == v1
-        assert 0 < v1.trace.stage2_inferences < len(ds.images)
+        final_detections(v1)
+        assert 0 < v1.stage2_inferences < len(ds.images)
 
     def test_no_trigger_no_stage2(self):
         taxonomy, ds, s1, s2 = self._recovery_setup()
         out = route_v2(ds, s1, s2, taxonomy, RoutingConfig(tau=0.99999, mode="v2"))
         # confidences are 0.9 < tau, so nothing triggers
-        assert out.trace.stage2_inferences == 0
+        assert out.stage2_inferences == 0
 
     def test_requires_sequences(self, taxonomy):
         ds = synth_dataset(taxonomy, per_fine=2)
@@ -225,9 +248,11 @@ class TestRouteV2:
         ds = synth_dataset(taxonomy, per_fine=4, negatives=3, seq_len=2)
         s1, s2 = perfect_handles(taxonomy)
         out = route_v2(ds, s1, s2, taxonomy, RoutingConfig(mode="v2"))
-        assert out.trace.stage1_inferences == len(ds.images)
+        final_detections(out)
+        assert_stage2_scoped(out, taxonomy)
+        assert out.stage1_inferences == len(ds.images)
         # negatives are singletons and trigger nothing
-        for t in out.trace.images:
+        for t in out.images:
             if t.image_id.startswith("neg_"):
                 assert t.invoked == ()
 
@@ -238,8 +263,11 @@ class TestRouteV2:
         s2 = {g: DetectorHandle.simulated(p, 52) for g, p in stage2_profiles(taxonomy, 0.05).items()}
         v1 = route_v1(ds, s1, s2, taxonomy, RoutingConfig(0.5, "v1"))
         v2 = route_v2(ds, s1, s2, taxonomy, RoutingConfig(0.5, "v2"))
-        v1_inv = [t.invoked for t in v1.trace.images]
-        v2_inv = [t.invoked for t in v2.trace.images]
+        for out in (v1, v2):
+            final_detections(out)
+            assert_stage2_scoped(out, taxonomy)
+        v1_inv = [t.invoked for t in v1.images]
+        v2_inv = [t.invoked for t in v2.images]
         for inv1, inv2 in zip(v1_inv, v2_inv, strict=True):
             assert set(inv1) <= set(inv2)
         # therefore v2 cannot have more FN images
@@ -270,14 +298,14 @@ class TestTreeVsFlat:
         ds = synth_dataset(taxonomy, per_fine=10)  # 100 positives, no negatives
         s1, s2 = perfect_handles(taxonomy)
         out = route_v1(ds, s1, s2, taxonomy, RoutingConfig(0.5, "v1"))
-        result = compare_tree_vs_flat(out.trace, n_fine_networks=5)
+        result = compare_tree_vs_flat(out, n_fine_networks=5)
         assert result == {"tree_inferences": 200, "flat_inferences": 500, "ratio": 2.5}
 
     def test_none_routed(self, taxonomy):
         ds = synth_dataset(taxonomy, per_fine=10)
         s1, s2 = perfect_handles(taxonomy)
         out = route_v1(ds, s1, s2, taxonomy, RoutingConfig(tau=1.0, mode="v1"))
-        result = compare_tree_vs_flat(out.trace, n_fine_networks=5)
+        result = compare_tree_vs_flat(out, n_fine_networks=5)
         assert result["tree_inferences"] == 100
         assert result["flat_inferences"] == 500
         assert result["ratio"] == 5.0
@@ -292,7 +320,7 @@ class TestTreeVsFlat:
                 for g, p in stage2_profiles(taxonomy, 0.1).items()
             }
             out = route_v1(ds, s1, s2, taxonomy, RoutingConfig(0.4, "v1"))
-            result = compare_tree_vs_flat(out.trace, n_fine_networks=5)
+            result = compare_tree_vs_flat(out, n_fine_networks=5)
             assert result["ratio"] >= 1.0
 
     def test_requires_positive_network_count(self, taxonomy):
@@ -300,4 +328,4 @@ class TestTreeVsFlat:
         s1, s2 = perfect_handles(taxonomy)
         out = route_v1(ds, s1, s2, taxonomy, RoutingConfig(0.5, "v1"))
         with pytest.raises(ValidationError):
-            compare_tree_vs_flat(out.trace, n_fine_networks=0)
+            compare_tree_vs_flat(out, n_fine_networks=0)
