@@ -76,14 +76,14 @@ def parse_synth_config(config: Mapping) -> SynthConfig:
     max_box_size = read_number(config, "max_box_size", side / 2, above=0, at_most=side)
     return SynthConfig(
         taxonomy=ClassTaxonomy.from_json(read_object(config, "taxonomy")),
-        seed=read_int(config, "seed", 0, minimum=0),
-        images_per_fine=read_int(config, "images_per_fine", 100, minimum=0),
-        negatives=read_int(config, "negatives", 0, minimum=0),
+        seed=read_int(config, "seed", 0, at_least=0),
+        images_per_fine=read_int(config, "images_per_fine", 100, at_least=0),
+        negatives=read_int(config, "negatives", 0, at_least=0),
         width=width,
         height=height,
         min_box_size=read_number(config, "min_box_size", 80, above=0, at_most=max_box_size),
         max_box_size=max_box_size,
-        seq_len=read_int(config, "seq_len", None, minimum=1),
+        seq_len=read_int(config, "seq_len", None, at_least=1),
         filename=read_name(config, "filename", "dataset.json"),
     )
 

@@ -105,10 +105,9 @@ class ClassTaxonomy:
 def is_finite_real(value) -> bool:
     """True for a real number (not a bool) that is neither NaN nor infinite.
 
-    The one type-and-finiteness check behind every numeric config and
-    dataset field, so a string or a NaN is rejected as a ValidationError
-    instead of failing later in arithmetic. An int beyond the float range
-    is not finite either.
+    The type-and-finiteness test of ``check_number``, so a string or a
+    NaN is rejected as a ValidationError instead of failing later in
+    arithmetic. An int beyond the float range is not finite either.
     """
     # the exact types JSON gives skip the slower numbers.Real check
     if type(value) not in (float, int) and (
@@ -151,33 +150,51 @@ def read_json(path, what: str) -> dict:
     return doc
 
 
+def _range_text(above, at_least, at_most) -> str:
+    rules = [f"{op} {b}" for op, b in ((">", above), (">=", at_least), ("<=", at_most))
+             if math.isfinite(b)]
+    return " " + " and ".join(rules) if rules else ""
+
+
+def check_number(
+    value, name: str, *, above=-math.inf, at_least=-math.inf, at_most=math.inf
+) -> float:
+    """``value`` as a float if it is a finite number (``is_finite_real``)
+    > ``above``, >= ``at_least`` and <= ``at_most``, else a ValidationError
+    naming ``name``. Callers on a hot path pass a constant ``name`` and add
+    context by catching and re-raising."""
+    if is_finite_real(value) and above < value and at_least <= value <= at_most:
+        return float(value)
+    bounds = _range_text(above, at_least, at_most)
+    raise ValidationError(f"{name} {value!r} is not a finite number{bounds}")
+
+
+def check_int(value, name: str, *, at_least=-math.inf, at_most=math.inf) -> int:
+    """``value`` if it is an integer (not a bool) in [``at_least``, ``at_most``]."""
+    if isinstance(value, int) and not isinstance(value, bool) and at_least <= value <= at_most:
+        return value
+    bounds = _range_text(-math.inf, at_least, at_most)
+    raise ValidationError(f"{name} {value!r} is not an integer{bounds}")
+
+
 # Each field reader takes ``doc[key]``, or ``default`` when the key is
 # absent, and raises a ValidationError naming the field as ``path + key``.
 # Without a default a missing field reads as null, which only read_int
 # accepts (as None); so the field is required for the other readers.
 
 
-def read_int(doc: Mapping, key: str, default=None, *, minimum=-math.inf, path="") -> int | None:
-    """An integer (not a bool) >= ``minimum``. With ``default`` None the
-    field is optional: absent or null reads as None."""
+def read_int(doc: Mapping, key: str, default=None, *, path="", **bounds) -> int | None:
+    """``check_int`` of the field. With ``default`` None the field is
+    optional: absent or null reads as None."""
     value = doc.get(key, default)
     if value is None and default is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        bound = f" >= {minimum}" if minimum > -math.inf else ""
-        raise ValidationError(f"{path}{key} {value!r} is not an integer{bound}")
-    return value
+    return check_int(value, path + key, **bounds)
 
 
-def read_number(
-    doc: Mapping, key: str, default=None, *, above=-math.inf, at_most=math.inf, path=""
-) -> float:
-    """A finite number (``is_finite_real``) in (``above``, ``at_most``], as a float."""
-    value = doc.get(key, default)
-    if is_finite_real(value) and above < value <= at_most:
-        return float(value)
-    bound = f" in ({above}, {at_most}]" if above > -math.inf else ""
-    raise ValidationError(f"{path}{key} {value!r} is not a finite number{bound}")
+def read_number(doc: Mapping, key: str, default=None, *, path="", **bounds) -> float:
+    """``check_number`` of the field."""
+    return check_number(doc.get(key, default), path + key, **bounds)
 
 
 def read_name(doc: Mapping, key: str, default=None, *, path="") -> str:
@@ -244,13 +261,15 @@ class BoundingBox:
         return (self.x, self.y, self.x + self.w, self.y + self.h)
 
     def validate(self) -> None:
-        vals = (self.x, self.y, self.w, self.h)
-        if not all(is_finite_real(v) for v in vals):
-            raise ValidationError(f"non-finite box {vals}")
-        if self.w <= 0 or self.h <= 0:
-            raise ValidationError(f"non-positive box extent {vals}")
-        if self.x < 0 or self.y < 0:
-            raise ValidationError(f"negative box corner {vals}")
+        """A corner >= 0 and an extent > 0, all finite numbers."""
+        try:
+            check_number(self.x, "x", at_least=0)
+            check_number(self.y, "y", at_least=0)
+            check_number(self.w, "w", above=0)
+            check_number(self.h, "h", above=0)
+        except ValidationError as exc:
+            vals = (self.x, self.y, self.w, self.h)
+            raise ValidationError(f"non-finite box or box out of range {vals}: {exc}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,33 +316,24 @@ class Dataset:
 def _validate_image(img: AnnotatedImage, taxonomy: ClassTaxonomy) -> None:
     if not img.id:
         raise ValidationError("image with empty id")
-    if not (
-        is_finite_real(img.width)
-        and is_finite_real(img.height)
-        and img.width > 0
-        and img.height > 0
-    ):
-        raise ValidationError(f"image {img.id!r}: bad dimensions {img.width}x{img.height}")
-    # in float arithmetic, ints too: IoU adds two box areas, which must not overflow
-    if not math.isfinite(2.0 * img.width * img.height):
-        raise ValidationError(f"image {img.id!r}: area of {img.width}x{img.height} is too large")
-    for obj in img.objects:
-        try:
-            obj.box.validate()
-        except ValidationError as exc:
-            raise ValidationError(f"image {img.id!r}: {exc}") from None
-        if not 1.0 * obj.box.w * obj.box.h >= sys.float_info.min:  # or IoU rounds to 0
-            raise ValidationError(
-                f"image {img.id!r}: area of box {obj.box} is below the smallest normal double"
-            )
-        if not taxonomy.is_fine(obj.fine_label):
-            raise ValidationError(
-                f"image {img.id!r}: unknown fine label {obj.fine_label!r}"
-            )
-        if obj.box.x + obj.box.w > img.width or obj.box.y + obj.box.h > img.height:
-            raise ValidationError(
-                f"image {img.id!r}: box {obj.box} exceeds {img.width}x{img.height}"
-            )
+    # the id is added to the message only on failure: this runs per image
+    try:
+        check_number(img.width, "width", above=0)
+        check_number(img.height, "height", above=0)
+        # in float arithmetic, ints too: IoU adds two box areas, which must not overflow
+        if not math.isfinite(2.0 * img.width * img.height):
+            raise ValidationError(f"area of {img.width}x{img.height} is too large")
+        for obj in img.objects:
+            box = obj.box
+            box.validate()
+            if not 1.0 * box.w * box.h >= sys.float_info.min:  # or IoU rounds to 0
+                raise ValidationError(f"area of box {box} is below the smallest normal double")
+            if not taxonomy.is_fine(obj.fine_label):
+                raise ValidationError(f"unknown fine label {obj.fine_label!r}")
+            if box.x + box.w > img.width or box.y + box.h > img.height:
+                raise ValidationError(f"box {box} exceeds {img.width}x{img.height}")
+    except ValidationError as exc:
+        raise ValidationError(f"image {img.id!r}: {exc}") from None
 
 
 def make_dataset(
@@ -359,33 +369,32 @@ def _image_from_json(obj) -> AnnotatedImage:
     image_id = obj.get("id")
     if not isinstance(image_id, str):
         raise ValidationError(f"image id {image_id!r} is not a string")
-    where = f"image {image_id!r}: "
     isfinite = math.isfinite
-    records = obj.get("objects", [])
-    if not isinstance(records, list):
-        raise ValidationError(f"{where}'objects' is not a list")
-    objects = []
-    for o in records:
-        if not isinstance(o, dict):
-            raise ValidationError(f"{where}object {o!r} is not an object")
-        label = o.get("label")
-        if not isinstance(label, str):
-            raise ValidationError(f"{where}object label {label!r} is not a string")
-        box = o.get("box")
-        if not isinstance(box, list) or len(box) != 4:
-            raise ValidationError(f"{where}box {box!r} is not [x, y, w, h]")
-        # a finite float, the common case, is taken as it is
-        coords = [
-            v if type(v) is float and isfinite(v) else read_number({"box": v}, "box", path=where)
-            for v in box
-        ]
-        objects.append(GroundTruthObject(BoundingBox(*coords), label))
-    return AnnotatedImage(
-        id=image_id,
-        width=read_number(obj, "width", path=where),
-        height=read_number(obj, "height", path=where),
-        objects=tuple(objects),
-    )
+    try:
+        records = obj.get("objects", [])
+        if not isinstance(records, list):
+            raise ValidationError("'objects' is not a list")
+        objects = []
+        for o in records:
+            if not isinstance(o, dict):
+                raise ValidationError(f"object {o!r} is not an object")
+            label = o.get("label")
+            if not isinstance(label, str):
+                raise ValidationError(f"object label {label!r} is not a string")
+            box = o.get("box")
+            if not isinstance(box, list) or len(box) != 4:
+                raise ValidationError(f"box {box!r} is not [x, y, w, h]")
+            # a finite float, the common case, is taken as it is
+            box = [v if type(v) is float and isfinite(v) else check_number(v, "box") for v in box]
+            objects.append(GroundTruthObject(BoundingBox(*box), label))
+        return AnnotatedImage(
+            id=image_id,
+            width=read_number(obj, "width"),
+            height=read_number(obj, "height"),
+            objects=tuple(objects),
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"image {image_id!r}: {exc}") from None
 
 
 def load_dataset(path) -> Dataset:
@@ -399,7 +408,7 @@ def load_dataset(path) -> Dataset:
                      "objects": [{"label": "pekinese", "box": [x, y, w, h]}]}],
          "sequences": [["img001", "img002"], ...]}   # optional
 
-    Numbers must be JSON numbers (``is_finite_real``), ids and labels
+    Numbers must be JSON numbers (``check_number``), ids and labels
     strings. Twice an image's ``width * height`` must be finite and each
     box's ``w * h`` a normal double, or IoU would overflow or round to
     zero. Raises ValidationError naming the offending image on any

@@ -25,13 +25,13 @@ import bisect
 import hashlib
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from ._ziggurat import KI_DOUBLE, WI_DOUBLE
-from .core import AnnotatedImage, BoundingBox, Detection, is_finite_real
+from .core import AnnotatedImage, BoundingBox, Detection, check_int, check_number
 from .errors import UnknownLabelError, ValidationError
 
 _ROW_TOL = 1e-9
@@ -43,7 +43,8 @@ class ConfidenceLaw:
     """Confidence distribution conditioned on label correctness.
 
     Beta-shaped with the given mean and a spread parameter interpreted
-    as a target standard deviation; spread 0 degenerates to the mean.
+    as a target standard deviation; spread 0 degenerates to the mean. A
+    mean so small that a Beta shape rounds to 0 is invalid.
     """
 
     mean_correct: float = 0.9
@@ -51,15 +52,15 @@ class ConfidenceLaw:
     spread: float = 0.08
 
     def validate(self) -> None:
-        if not all(
-            is_finite_real(m) and 0.0 <= m <= 1.0 for m in (self.mean_correct, self.mean_wrong)
-        ):
-            raise ValidationError("confidence means must be numbers in [0, 1]")
-        if not (is_finite_real(self.spread) and self.spread >= 0.0):
-            raise ValidationError("confidence spread must be a finite number >= 0")
+        check_number(self.mean_correct, "confidence mean_correct", at_least=0, at_most=1)
+        check_number(self.mean_wrong, "confidence mean_wrong", at_least=0, at_most=1)
+        check_number(self.spread, "confidence spread", at_least=0)
         # below this, spread**2 underflows and the Beta's concentration is infinite
         if 0.0 < self.spread < 1e-150:
             raise ValidationError("confidence spread must be 0 or at least 1e-150")
+        for correct, which in ((True, "mean_correct"), (False, "mean_wrong")):
+            for shape in self.beta_shapes(correct) or ():
+                check_number(shape, f"Beta shape of confidence {which}", above=0)
 
     def beta_shapes(self, correct: bool) -> tuple[float, float] | None:
         """Shapes ``(a, b)`` of the Beta law a confidence is drawn from, or
@@ -75,6 +76,13 @@ class ConfidenceLaw:
         if shapes is None:
             return self.mean_correct if correct else self.mean_wrong
         return float(rng.beta(*shapes))
+
+
+def _sampling_table(dist: Mapping[str, float]) -> tuple[tuple[str, ...], list[float]]:
+    """The labels of ``dist`` and their cumulative probabilities, as a
+    plain-float list searched with bisect."""
+    labels = tuple(dist)
+    return labels, np.cumsum(np.array([dist[l] for l in labels], dtype=np.float64)).tolist()
 
 
 @dataclass(frozen=True)
@@ -109,21 +117,11 @@ class DetectorProfile:
     def __post_init__(self) -> None:
         object.__setattr__(self, "label_space", tuple(self.label_space))
         self.validate()
-        # per-row sampling tables, precomputed once; cumulative sums as
-        # plain-float lists, searched with bisect
-        tables = {}
-        for true, row in self.confusion.items():
-            labels = tuple(row)
-            cum = np.cumsum(np.array([row[l] for l in labels], dtype=np.float64)).tolist()
-            tables[true] = (labels, cum)
+        # sampling tables, precomputed once
+        tables = {true: _sampling_table(row) for true, row in self.confusion.items()}
         object.__setattr__(self, "_row_tables", tables)
-        if self.fp_label_dist is not None:
-            fp_labels = tuple(self.fp_label_dist)
-            fp_cum = np.cumsum(np.array([self.fp_label_dist[l] for l in fp_labels])).tolist()
-        else:
-            fp_labels = self.label_space
-            fp_cum = np.cumsum(np.full(len(fp_labels), 1.0 / len(fp_labels))).tolist()
-        object.__setattr__(self, "_fp_table", (fp_labels, fp_cum))
+        uniform = dict.fromkeys(self.label_space, 1.0 / len(self.label_space))
+        object.__setattr__(self, "_fp_table", _sampling_table(self.fp_label_dist or uniform))
 
     def validate(self) -> None:
         if not self.label_space:
@@ -136,25 +134,23 @@ class DetectorProfile:
                     raise ValidationError(
                         f"confusion row {true!r} emits {label!r} outside the label space"
                     )
-                if not (is_finite_real(p) and p >= 0.0):
+                try:
+                    total += check_number(p, "probability", at_least=0)
+                except ValidationError as exc:
                     raise ValidationError(
-                        f"confusion row {true!r}: probability {p!r} is negative "
-                        "or not a finite number"
-                    )
-                total += p
+                        f"confusion row {true!r} has a negative or non-finite entry: {exc}"
+                    ) from None
             if total > 1.0 + _ROW_TOL:
                 raise ValidationError(f"confusion row {true!r} sums to {total} > 1")
-        if not (is_finite_real(self.negative_fp_rate) and 0.0 <= self.negative_fp_rate <= 1.0):
-            raise ValidationError("negative_fp_rate must be a number in [0, 1]")
+        check_number(self.negative_fp_rate, "negative_fp_rate", at_least=0, at_most=1)
         if self.fp_label_dist is not None:
-            if not all(is_finite_real(p) and p >= 0.0 for p in self.fp_label_dist.values()):
-                raise ValidationError("fp_label_dist values must be finite numbers >= 0")
+            for label, p in self.fp_label_dist.items():
+                check_number(p, f"fp_label_dist {label!r}", at_least=0)
             if abs(sum(self.fp_label_dist.values()) - 1.0) > _ROW_TOL:
                 raise ValidationError("fp_label_dist must sum to 1")
             if any(l not in space for l in self.fp_label_dist):
                 raise ValidationError("fp_label_dist emits outside the label space")
-        if not (is_finite_real(self.loc_noise_sigma) and self.loc_noise_sigma >= 0.0):
-            raise ValidationError("loc_noise_sigma must be a finite number >= 0")
+        check_number(self.loc_noise_sigma, "loc_noise_sigma", at_least=0)
         if self.correct_for is not None and not isinstance(self.correct_for, Mapping):
             raise ValidationError("correct_for must map true labels to emitted labels")
         self.confidence_law.validate()
@@ -176,11 +172,7 @@ class DetectorProfile:
             "confusion": {t: dict(r) for t, r in self.confusion.items()},
             "negative_fp_rate": self.negative_fp_rate,
             "loc_noise_sigma": self.loc_noise_sigma,
-            "confidence_law": {
-                "mean_correct": self.confidence_law.mean_correct,
-                "mean_wrong": self.confidence_law.mean_wrong,
-                "spread": self.confidence_law.spread,
-            },
+            "confidence_law": asdict(self.confidence_law),
         }
         if self.fp_label_dist is not None:
             out["fp_label_dist"] = dict(self.fp_label_dist)
@@ -190,7 +182,8 @@ class DetectorProfile:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "DetectorProfile":
-        """Build and validate a profile; a malformed document is a ValidationError."""
+        """Build and validate a profile, each number through ``core.check_number``;
+        a malformed document is a ValidationError."""
         try:
             law = obj.get("confidence_law", {})
             return cls(
@@ -222,8 +215,7 @@ class DetectorHandle:
     def __post_init__(self) -> None:
         if not isinstance(self.profile, DetectorProfile):
             raise ValidationError("detector handle needs a DetectorProfile")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ValidationError(f"detector handle seed {self.seed!r} is not an integer")
+        check_int(self.seed, "detector handle seed")
 
     @classmethod
     def simulated(cls, profile: DetectorProfile, seed: int) -> "DetectorHandle":

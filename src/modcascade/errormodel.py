@@ -16,12 +16,13 @@ bit-reproducibility.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import is_finite_real
+from .core import check_int, check_number
 from .errors import UnknownLabelError, ValidationError
 
 _TOL = 1e-9
@@ -63,8 +64,8 @@ class FeatureClassModel:
             raise ValidationError("model has no classes")
         if set(self.priors) != set(self.conditional) or set(self.priors) != set(self.weights):
             raise ValidationError("priors, conditional, and weights must share class labels")
-        if not all(is_finite_real(p) and p >= 0.0 for p in self.priors.values()):
-            raise ValidationError("priors must be finite numbers >= 0")
+        for c, p in self.priors.items():
+            check_number(p, f"prior of class {c!r}", at_least=0)
         if abs(sum(self.priors.values()) - 1.0) > _TOL:
             raise ValidationError(f"priors sum to {sum(self.priors.values())}, not 1")
         for name, arrays in (("conditional", self.conditional), ("weights", self.weights)):
@@ -129,16 +130,8 @@ class CapacityParams:
     max_features: float
 
     def __post_init__(self) -> None:
-        vals = (
-            self.n_params,
-            self.n_filters,
-            self.filter_size,
-            self.filter_channels,
-            self.n_layers,
-            self.max_features,
-        )
-        if not all(is_finite_real(v) and v > 0 for v in vals):
-            raise ValidationError("capacity parameters must be finite numbers > 0")
+        for key, value in self.to_json().items():
+            check_number(value, f"capacity {key}", above=0)
 
     def to_json(self) -> dict:
         return {
@@ -169,7 +162,8 @@ class FeatureBudget:
     transfer + finetuned are single-class features; shared features help
     several classes. With similar training volume per class, each class
     is detected by roughly (transfer + finetuned) / n_classes + shared
-    features.
+    features. n_classes must convert to a double, and so must that count
+    (``feature_count``).
     """
 
     transfer: float
@@ -179,12 +173,11 @@ class FeatureBudget:
     capacity: CapacityParams | None = None
 
     def __post_init__(self) -> None:
-        counts = (self.transfer, self.finetuned, self.shared)
-        if not all(is_finite_real(v) and v >= 0 for v in counts):
-            raise ValidationError("feature counts must be finite numbers >= 0")
-        n = self.n_classes
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValidationError("n_classes must be an integer >= 1")
+        doc = self.to_json()
+        for key in "LTU":
+            check_number(doc[key], f"budget {key}", at_least=0)
+        check_int(self.n_classes, "budget n", at_least=1, at_most=sys.float_info.max)
+        check_number(feature_count(self), "budget features per class (L + T) / n + U")
 
     @property
     def total(self) -> float:
@@ -205,8 +198,9 @@ class FeatureBudget:
 
 
 def feature_count(budget: FeatureBudget) -> float:
-    """Features available per designated class: (transfer + finetuned) / n + shared."""
-    return (budget.transfer + budget.finetuned) / budget.n_classes + budget.shared
+    """Features available per designated class: (transfer + finetuned) / n
+    + shared, in float arithmetic."""
+    return (float(budget.transfer) + budget.finetuned) / budget.n_classes + budget.shared
 
 
 def over_capacity(budget: FeatureBudget) -> bool | None:
@@ -319,12 +313,9 @@ def modular_advantage(a: float, delta1: float, delta2: float) -> AdvantageResult
     product exceeds a. With zero deltas the product a*a never exceeds a:
     stacking stages without per-stage improvement only hurts.
     """
-    if not (0.0 <= a <= 1.0):
-        raise ValidationError(f"accuracy {a} outside [0, 1]")
-    s1 = a + delta1
-    s2 = a + delta2
-    if not (0.0 <= s1 <= 1.0 and 0.0 <= s2 <= 1.0):
-        raise ValidationError("stage accuracies a+delta must be in [0, 1]")
+    check_number(a, "accuracy", at_least=0, at_most=1)
+    s1 = check_number(a + delta1, "stage accuracy a + delta1", at_least=0, at_most=1)
+    s2 = check_number(a + delta2, "stage accuracy a + delta2", at_least=0, at_most=1)
     rhs = s1 * s2
     return AdvantageResult(advantage=a < rhs, lhs=a, rhs=rhs)
 
@@ -334,7 +325,8 @@ def model_file_to_parts(
 ) -> tuple[FeatureClassModel, FeatureBudget | None]:
     """Parse a model file: feature statistics plus optional budget/capacity.
 
-    A malformed or invalid document is a ValidationError.
+    A malformed or invalid document is a ValidationError; each scalar is
+    checked by ``core.check_number`` (``check_int`` for the class count).
     """
     model = FeatureClassModel.from_json(obj)
     budget = None

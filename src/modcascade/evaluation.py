@@ -38,6 +38,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ._kernels import greedy_match, iou  # iou is re-exported
 from .core import MISS, AnnotatedImage, ClassTaxonomy, Detection, GroundTruthObject
+from .core import check_number
 from .errors import ValidationError
 
 
@@ -65,6 +66,11 @@ class MatchResult:
     false_negatives: tuple[GroundTruthObject, ...]
 
 
+def check_iou_threshold(value, name: str = "iou_threshold") -> float:
+    """The one rule of an IoU threshold: a finite number in (0, 1]."""
+    return check_number(value, name, above=0, at_most=1)
+
+
 def match_detections(
     dets: Sequence[Detection],
     gts: Sequence[GroundTruthObject],
@@ -76,8 +82,7 @@ def match_detections(
     order); each claims the unclaimed ground truth with the highest
     IoU >= threshold, IoU ties going to the lowest index.
     """
-    if not (0.0 < iou_threshold <= 1.0):
-        raise ValidationError(f"iou_threshold {iou_threshold} outside (0, 1]")
+    check_iou_threshold(iou_threshold)
     assign = greedy_match(dets, gts, iou_threshold)
     matched = tuple(
         MatchedDetection(det, None if g < 0 else gts[g]) for det, g in zip(dets, assign)

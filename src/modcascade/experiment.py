@@ -32,12 +32,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .core import ClassTaxonomy, Dataset, Detection, load_dataset
-from .core import read_name, read_number, read_object
+from .core import ClassTaxonomy, Dataset, Detection, load_dataset, read_name, read_object
 from .detector import DetectorHandle, DetectorProfile, detect_all
 from .errormodel import modular_advantage
 from .errors import ValidationError
-from .evaluation import evaluate_run, map_with_fn_accounting, score_matches
+from .evaluation import check_iou_threshold, evaluate_run, map_with_fn_accounting
+from .evaluation import score_matches
 from .reporting import LazyList
 from .router import (
     ImageTrace,
@@ -76,15 +76,16 @@ def parse_run_config(config: Mapping, base_dir: Path) -> RunConfig:
     stage2 = read_object(profiles, "stage2", {}, path="profiles.")
     routing = read_object(config, "routing", {})
     eval_doc = read_object(config, "eval", {})
-    read_number(eval_doc, "iou_threshold", 0.5, above=0, at_most=1, path="eval.")
+    # as written, like tau: the report's trace repeats both
+    iou_threshold = eval_doc.get("iou_threshold", 0.5)
+    check_iou_threshold(iou_threshold, "eval.iou_threshold")
     return RunConfig(
         dataset=base_dir / read_name(config, "dataset"),
         baseline=_profile(profiles, "baseline", "profiles."),
         stage1=_profile(profiles, "stage1", "profiles."),
         stage2={g: _profile(stage2, g, "profiles.stage2.") for g in stage2},
         routing=RoutingConfig(tau=routing.get("tau", 0.5), mode=routing.get("mode", "v1")),
-        # as written, like tau: the report's trace repeats both
-        iou_threshold=eval_doc.get("iou_threshold", 0.5),
+        iou_threshold=iou_threshold,
         report_filename=read_name(config, "report_filename", "report.json"),
     )
 

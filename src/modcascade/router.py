@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import AnnotatedImage, ClassTaxonomy, Dataset, Detection, is_finite_real
+from .core import AnnotatedImage, ClassTaxonomy, Dataset, Detection, check_int, check_number
 from .detector import DetectorHandle, detect_all
 from .errors import ValidationError
 
@@ -35,8 +35,7 @@ class RoutingConfig:
     mode: str = "v1"
 
     def __post_init__(self) -> None:
-        if not (is_finite_real(self.tau) and 0.0 <= self.tau <= 1.0):
-            raise ValidationError(f"tau {self.tau!r} is not a number in [0, 1]")
+        check_number(self.tau, "tau", at_least=0, at_most=1)
         if self.mode not in ("v1", "v2"):
             raise ValidationError(f"mode must be 'v1' or 'v2', got {self.mode!r}")
 
@@ -197,8 +196,7 @@ def compare_tree_vs_flat(trace: RoutingTrace, n_fine_networks: int) -> dict:
     tree = stage-1 + stage-2 inferences; flat = every image through
     every fine-grained detector with no routing.
     """
-    if n_fine_networks < 1:
-        raise ValidationError("n_fine_networks must be >= 1")
+    check_int(n_fine_networks, "n_fine_networks", at_least=1)
     tree = trace.stage1_inferences + trace.stage2_inferences
     flat = trace.stage1_inferences * n_fine_networks
     ratio = flat / tree if tree > 0 else 0.0

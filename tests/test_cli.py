@@ -314,6 +314,9 @@ BAD_RUN_CONFIGS = {
     "stage2-list": _set([], "profiles", "stage2"),
     "no-stage1": lambda cfg: cfg["profiles"].pop("stage1"),
     "sigma-string": _set("x", "profiles", "baseline", "loc_noise_sigma"),
+    # valid means whose Beta shape rounds to 0
+    "run-mean-correct-5e-324": _set(5e-324, "profiles", "baseline", "confidence_law", "mean_correct"),
+    "run-mean-wrong-1e-321": _set(1e-321, "profiles", "stage1", "confidence_law", "mean_wrong"),
     "probability-string": _set("0.5", "profiles", "stage1", "confusion", "pekinese", "dog"),
     "fp-dist-negative": _set({"dog": -1.0, "boat": 2.0}, "profiles", "stage1", "fp_label_dist"),
     "profile-no-label-space": lambda cfg: cfg["profiles"]["baseline"].pop("label_space"),
@@ -379,6 +382,13 @@ BAD_ERRORMODEL_CONFIGS = {
     "errormodel-budget-nan": _inline_model(_set(math.nan, "budget", "U")),
     "errormodel-budget-no-n": _inline_model(lambda model: model["budget"].pop("n")),
     "errormodel-budget-n-float": _inline_model(_set(2.5, "budget", "n")),
+    # finite counts whose features per class (L + T) / n + U overflow a double
+    "errormodel-budget-features-overflow": _inline_model(
+        lambda model: model["budget"].update(L=1e308, T=1e308)
+    ),
+    "errormodel-budget-n-beyond-double": _inline_model(
+        lambda model: model["budget"].update(L=80.0, n=10**400)
+    ),
     "errormodel-capacity-string": _inline_model(_set("big", "capacity", "supK")),
     "errormodel-output-names-equal": _set("curves.csv", "summary_filename"),
     "errormodel-output-names-same-path": _set("./summary.json", "curves_filename"),
@@ -768,18 +778,11 @@ FUZZ_PATHS = {kind: sorted(_paths(_fuzz_documents()[file]), key=repr)
               for kind, (_, _, file) in FUZZ_KINDS.items()}
 
 
-@settings(max_examples=500, deadline=None)
-@given(data=st.data())
-def test_one_field_mutations_of_every_document(data, tmp_path_factory):
-    """One field of one of the five input documents replaced by a value
-    of another type, dropped, or wrapped in a list: the command exits 0,
-    2 or 4, and a failure is one stderr line and leaves no output file.
-    No value is a huge integer: as a synth count it would be valid but
-    unbounded work."""
-    kind = data.draw(st.sampled_from(sorted(FUZZ_KINDS)), label="document")
+def _assert_runs_cleanly(kind, path, mutation, tmp_path_factory):
+    """Apply ``mutation`` ("drop", "wrap" or a new value) to the field at
+    ``path`` of the ``kind`` document and run its command: exit 0, 2 or
+    4, and a failure is one stderr line and leaves no output file."""
     command, config_file, file = FUZZ_KINDS[kind]
-    path = data.draw(st.sampled_from(FUZZ_PATHS[kind]), label="field")
-    mutation = data.draw(st.sampled_from(("drop", "wrap") + FUZZ_VALUES), label="mutation")
     docs = copy.deepcopy(_fuzz_documents())
     parent = docs[file]
     for key in path[:-1]:
@@ -803,3 +806,56 @@ def test_one_field_mutations_of_every_document(data, tmp_path_factory):
     if code:
         assert err.getvalue().count("\n") == 1, err.getvalue()
         assert not list(out.glob("*"))
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_one_field_mutations_of_every_document(data, tmp_path_factory):
+    """One field of one of the five input documents replaced by a value
+    of another type, dropped, or wrapped in a list: the command exits 0,
+    2 or 4, and a failure is one stderr line and leaves no output file.
+    No value is a huge integer: as a synth count it would be valid but
+    unbounded work."""
+    kind = data.draw(st.sampled_from(sorted(FUZZ_KINDS)), label="document")
+    path = data.draw(st.sampled_from(FUZZ_PATHS[kind]), label="field")
+    mutation = data.draw(st.sampled_from(("drop", "wrap") + FUZZ_VALUES), label="mutation")
+    _assert_runs_cleanly(kind, path, mutation, tmp_path_factory)
+
+
+FUZZ_EXTREMES = (1e308, 5e-324, -0.0, 2**53 + 1, 10**400)
+# a huge count of synth images is valid, but unbounded work
+FUZZ_UNBOUNDED = {("synth", ("images_per_fine",)), ("synth", ("negatives",))}
+
+
+def _extreme_cases():
+    """(document kind, path, value) for every number-valued field and
+    every extreme value, but the large integers at FUZZ_UNBOUNDED."""
+    docs = _fuzz_documents()
+    cases = []
+    for kind, (_, _, file) in sorted(FUZZ_KINDS.items()):
+        for path in FUZZ_PATHS[kind]:
+            value = docs[file]
+            for key in path:
+                value = value[key]
+            if type(value) in (int, float):
+                cases += [(kind, path, v) for v in FUZZ_EXTREMES
+                          if not ((kind, path) in FUZZ_UNBOUNDED and type(v) is int)]
+    return cases
+
+
+FUZZ_EXTREME_CASES = _extreme_cases()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(FUZZ_EXTREME_CASES))
+def test_numeric_extremes_of_every_document(case, tmp_path_factory):
+    """One number-valued field of one of the five input documents (104
+    fields) set to 1e308, 5e-324, -0.0, 2**53 + 1 or 10**400: the command
+    exits 0, 2 or 4, and a failure is one stderr line and leaves no output
+    file. A value may be valid and still break a later computation: a tiny
+    confidence mean rounds a Beta shape to 0, a huge count overflows the
+    features per class. The two large integers are left out at synth's
+    ``images_per_fine`` and ``negatives``: they are valid counts that mean
+    unbounded work. The cases are sampled, not enumerated, to bound the
+    time of the suite."""
+    _assert_runs_cleanly(*case, tmp_path_factory)

@@ -2,11 +2,13 @@
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modcascade
 from modcascade import (
     ClassTaxonomy,
     UnknownLabelError,
@@ -259,3 +261,14 @@ def test_dataset_json_structure(taxonomy):
     doc = dataset_to_json(ds)
     assert doc["images"][0]["objects"][0]["box"] == [1, 2, 3, 4]
     assert "sequences" not in doc
+
+
+def test_only_core_tests_finiteness():
+    """Every numeric rule is stated once, in ``core.check_number``: no
+    other module of the package references ``is_finite_real``."""
+    package = Path(modcascade.__file__).parent
+    offenders = [
+        p.name for p in sorted(package.glob("*.py"))
+        if p.name != "core.py" and "is_finite_real" in p.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
