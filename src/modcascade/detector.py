@@ -151,8 +151,15 @@ class DetectorProfile:
             if any(l not in space for l in self.fp_label_dist):
                 raise ValidationError("fp_label_dist emits outside the label space")
         check_number(self.loc_noise_sigma, "loc_noise_sigma", at_least=0)
-        if self.correct_for is not None and not isinstance(self.correct_for, Mapping):
-            raise ValidationError("correct_for must map true labels to emitted labels")
+        if self.correct_for is not None:
+            if not isinstance(self.correct_for, Mapping):
+                raise ValidationError("correct_for must map true labels to emitted labels")
+            for true, label in self.correct_for.items():
+                # a tuple test: a label may be any JSON value, hashable or not
+                if label not in self.label_space:
+                    raise ValidationError(
+                        f"correct_for maps {true!r} to {label!r} outside the label space"
+                    )
         self.confidence_law.validate()
 
     def miss_rate(self, true_label: str) -> float:

@@ -19,9 +19,11 @@ envelope value are counted and added as one ``Fraction``.
 AP, mAP, classification error and confusion, deciding at its own label
 level whether a matched detection's label is right. ``evaluate_run``
 takes the detections (and invoked generals) as sequences aligned with
-the images, matches each image once and keeps the ``MatchResult``s on
-its report, so a report over a subset of the images needs no second
-matching pass.
+the images and matches each image once. For a cascade run it also
+scores the FN-aware figures from those same matches: the FN images, the
+routed positive images, their stage-2 mAP and the FN-adjusted mAP. Its
+``EvalReport`` holds exactly what the report prints; the matches are
+dropped when it returns.
 
 IoU and greedy matching have one plain-Python implementation, in
 ``_kernels``: there is no compiled backend to build or select.
@@ -32,7 +34,7 @@ the benchmark itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -47,22 +49,17 @@ class NoGroundTruthError(ValidationError):
 
 
 @dataclass(frozen=True, slots=True)
-class MatchedDetection:
-    """One detection with its claimed ground truth (None = false positive)."""
-
-    detection: Detection
-    ground_truth: GroundTruthObject | None
-
-
-@dataclass(frozen=True, slots=True)
 class MatchResult:
     """Per-image matching outcome at a fixed IoU threshold.
 
-    ``matched`` holds one entry per input detection, in input order;
-    ``false_negatives`` are the ground truths no detection claimed.
+    ``detections`` are the input detections, in input order;
+    ``claimed`` holds, aligned with them, the ground truth each one
+    claimed, or None for a false positive; ``false_negatives`` are the
+    ground truths no detection claimed.
     """
 
-    matched: tuple[MatchedDetection, ...]
+    detections: tuple[Detection, ...]
+    claimed: tuple[GroundTruthObject | None, ...]
     false_negatives: tuple[GroundTruthObject, ...]
 
 
@@ -84,12 +81,10 @@ def match_detections(
     """
     check_iou_threshold(iou_threshold)
     assign = greedy_match(dets, gts, iou_threshold)
-    matched = tuple(
-        MatchedDetection(det, None if g < 0 else gts[g]) for det, g in zip(dets, assign)
-    )
-    claimed = set(assign)
-    fns = tuple(gt for g, gt in enumerate(gts) if g not in claimed)
-    return MatchResult(matched, fns)
+    claimed = tuple(None if g < 0 else gts[g] for g in assign)
+    taken = set(assign)
+    fns = tuple(gt for g, gt in enumerate(gts) if g not in taken)
+    return MatchResult(tuple(dets), claimed, fns)
 
 
 def average_precision(records: Sequence[tuple[float, bool]], n_gt: int) -> float:
@@ -144,16 +139,19 @@ def map_with_fn_accounting(
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Aggregated evaluation of one detection run.
+    """Aggregated evaluation of one detection run; every field is
+    serialized by ``to_json``.
 
     ``map`` is the mean of per-class APs over classes with ground truth;
     ``classification_error`` is wrong/matched over all matched
     detections (0.0 when nothing matched — counts stay visible in the
     confusion matrix). ``fn_image_count`` counts positive images whose
     objects' general class had no covering stage-2 invocation.
-    ``matches`` holds the per-image match results the report was scored
-    from, in image order, and ``fn_image_flags`` the per-image FN flags
-    the count sums (empty without FN accounting); neither is serialized.
+
+    The last three fields are set for a cascade run only (None
+    otherwise): ``routed_positive_images`` counts the positive images
+    that are not FN images, ``map_stage2_routed`` is the mAP over them,
+    and ``map_fn_adjusted`` is that mAP with the FN images rated zero.
     """
 
     per_class_ap: Mapping[str, float]
@@ -162,22 +160,24 @@ class EvalReport:
     confusion: Mapping[str, Mapping[str, int]]
     fn_image_count: int
     matched_count: int = 0
-    stage1_inferences: int = 0
-    stage2_inferences: int = 0
-    matches: tuple[MatchResult, ...] = field(default=(), compare=False, repr=False)
-    fn_image_flags: tuple[bool, ...] = field(default=(), compare=False, repr=False)
+    routed_positive_images: int | None = None
+    map_stage2_routed: float | None = None
+    map_fn_adjusted: float | None = None
 
     def to_json(self) -> dict:
-        return {
+        doc = {
             "per_class_ap": dict(self.per_class_ap),
             "map": self.map,
             "classification_error": self.classification_error,
             "confusion": {t: dict(p) for t, p in self.confusion.items()},
             "fn_image_count": self.fn_image_count,
             "matched_count": self.matched_count,
-            "stage1_inferences": self.stage1_inferences,
-            "stage2_inferences": self.stage2_inferences,
         }
+        if self.routed_positive_images is not None:
+            doc["routed_positive_images"] = self.routed_positive_images
+            doc["map_stage2_routed"] = self.map_stage2_routed
+            doc["map_fn_adjusted"] = self.map_fn_adjusted
+        return doc
 
 
 def fn_image_flags(
@@ -201,9 +201,6 @@ def score_matches(
     taxonomy: ClassTaxonomy,
     *,
     level: str = "fine",
-    fn_image_flags: Sequence[bool] = (),
-    stage1_inferences: int = 0,
-    stage2_inferences: int = 0,
 ) -> EvalReport:
     """Score per-image match results at the given label level.
 
@@ -227,11 +224,10 @@ def score_matches(
         return lbl
 
     for result in matches:
-        for m in result.matched:
-            det_lbl = project(m.detection.label)
-            gt = m.ground_truth
+        for det, gt in zip(result.detections, result.claimed):
+            det_lbl = project(det.label)
             true = project(gt.fine_label) if gt is not None else None
-            records.setdefault(det_lbl, []).append((m.detection.confidence, det_lbl == true))
+            records.setdefault(det_lbl, []).append((det.confidence, det_lbl == true))
             if gt is not None:
                 matched_total += 1
                 wrong_total += det_lbl != true
@@ -258,12 +254,8 @@ def score_matches(
         map=mean_ap,
         classification_error=err,
         confusion=confusion,
-        fn_image_count=sum(fn_image_flags),
+        fn_image_count=0,
         matched_count=matched_total,
-        stage1_inferences=stage1_inferences,
-        stage2_inferences=stage2_inferences,
-        matches=tuple(matches),
-        fn_image_flags=tuple(fn_image_flags),
     )
 
 
@@ -275,31 +267,40 @@ def evaluate_run(
     level: str = "fine",
     iou_threshold: float = 0.5,
     invoked: Sequence[Sequence[str]] | None = None,
-    stage1_inferences: int = 0,
-    stage2_inferences: int = 0,
 ) -> EvalReport:
     """Match and score a whole run at the given label level.
 
     ``detections`` yields each image's detections, once (it may be a
     generator), and ``invoked`` holds each image's invoked generals, both
     aligned with ``images``; a length mismatch is a ValueError.
-    ``invoked`` enables FN-image accounting for cascade runs; omit it for
-    flat baselines. Deterministic: images are folded in the given order,
-    AP ties break by that order. Each image is matched once, and the
-    report keeps the results in ``matches`` so that a subset can be
-    rescored with ``score_matches``.
+    ``invoked`` marks a cascade run: the report then also carries the FN
+    images and the routed-subset and FN-adjusted mAPs, scored from the
+    same matches. Omit it for flat baselines. Deterministic: images are
+    folded in the given order, AP ties break by that order. Each image
+    is matched once.
     """
     matches = [
         match_detections(dets, img.objects, iou_threshold)
         for img, dets in zip(images, detections, strict=True)
     ]
-    return score_matches(
-        matches,
-        taxonomy,
-        level=level,
-        fn_image_flags=(
-            fn_image_flags(images, invoked, taxonomy) if invoked is not None else ()
-        ),
-        stage1_inferences=stage1_inferences,
-        stage2_inferences=stage2_inferences,
+    report = score_matches(matches, taxonomy, level=level)
+    if invoked is None:
+        return report
+    # FN-aware total mAP: the mAP over the positive images that are not
+    # FN images (each reached every stage-2 detector it needed), scaled
+    # down by the FN images
+    flags = fn_image_flags(images, invoked, taxonomy)
+    routed = [m for img, m, fn in zip(images, matches, flags) if img.objects and not fn]
+    fn_images = sum(flags)
+    routed_map = score_matches(routed, taxonomy, level=level).map  # 0.0 when empty
+    if routed or fn_images:
+        fn_adjusted = map_with_fn_accounting(routed_map, len(routed), fn_images)
+    else:
+        fn_adjusted = report.map
+    return replace(
+        report,
+        fn_image_count=fn_images,
+        routed_positive_images=len(routed),
+        map_stage2_routed=routed_map,
+        map_fn_adjusted=fn_adjusted,
     )

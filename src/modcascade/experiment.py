@@ -6,9 +6,9 @@ baseline and the routed cascade, evaluates both and returns the report
 as a dict for the canonical writer, its per-image trace built lazily.
 Every per-image result (the baseline's detections, the cascade's
 ``RoutingTrace``) is a sequence in dataset order and is paired by
-position. Each (run, image) pair is matched once: the routed-subset mAP
-is scored from the modular evaluation's per-image match results, and
-no two evaluations' matches are alive at once.
+position. Each (run, image) pair is matched and scored once, by
+``evaluation.evaluate_run``, FN-aware figures included; no evaluation's
+matches outlive it.
 
 Run config schema (unknown keys are ignored)::
 
@@ -36,8 +36,7 @@ from .core import ClassTaxonomy, Dataset, Detection, load_dataset, read_name, re
 from .detector import DetectorHandle, DetectorProfile, detect_all
 from .errormodel import modular_advantage
 from .errors import ValidationError
-from .evaluation import check_iou_threshold, evaluate_run, map_with_fn_accounting
-from .evaluation import score_matches
+from .evaluation import check_iou_threshold, evaluate_run
 from .reporting import LazyList
 from .router import (
     ImageTrace,
@@ -157,8 +156,6 @@ def run_experiment(config: RunConfig, seed: int) -> dict:
     route = route_v1 if routing.mode == "v1" else route_v2
     trace = route(dataset, stage1_handle, stage2_handles, taxonomy, routing)
 
-    # the evaluation's per-image matches are freed before the trace
-    # block, the largest part of the report, is built
     report = _evaluate(dataset, baseline_dets, trace, iou_threshold)
     report["tree_vs_flat"] = compare_tree_vs_flat(trace, n_fine_networks=len(stage2_handles))
     report["trace"] = {
@@ -179,59 +176,35 @@ def _evaluate(
     trace: RoutingTrace,
     iou_threshold: float,
 ) -> dict:
-    """The report's "baseline", "modular" and "advantage" blocks. The
-    baseline and stage-1 reports are reduced to the figures used as soon
-    as each is scored; only the modular report keeps its matches."""
+    """The report's "baseline", "modular" and "advantage" blocks. Each
+    evaluation is reduced to the figures used as soon as it is scored."""
     taxonomy = dataset.taxonomy
     traces = trace.images
     baseline_json = evaluate_run(
-        dataset.images,
-        baseline_dets,
-        taxonomy,
-        iou_threshold=iou_threshold,
-        stage1_inferences=len(dataset.images),
+        dataset.images, baseline_dets, taxonomy, iou_threshold=iou_threshold
     ).to_json()
+    baseline_json["stage1_inferences"] = len(dataset.images)
+    baseline_json["stage2_inferences"] = 0
     stage1_error = evaluate_run(
         dataset.images,
         [t.stage1 for t in traces],
         taxonomy,
         level="general",
         iou_threshold=iou_threshold,
-        stage1_inferences=trace.stage1_inferences,
     ).classification_error
-    modular_report = evaluate_run(
+    modular_json = evaluate_run(
         dataset.images,
         (t.detections for t in traces),
         taxonomy,
         iou_threshold=iou_threshold,
         invoked=[t.invoked for t in traces],
-        stage1_inferences=trace.stage1_inferences,
-        stage2_inferences=trace.stage2_inferences,
-    )
-
-    # FN-aware total mAP: stage-2 mAP over the positive images that are
-    # not FN images (each reached every stage-2 detector it needed),
-    # scaled down by the FN images. Both come from the modular pass's
-    # per-image FN flags; the matches are its own, in dataset order.
-    routed_matches = [
-        match
-        for img, match, fn in zip(
-            dataset.images, modular_report.matches, modular_report.fn_image_flags
-        )
-        if img.objects and not fn
-    ]
-    fn_images = modular_report.fn_image_count
-    stage2_routed_map = score_matches(routed_matches, taxonomy).map  # 0.0 when empty
-    if routed_matches or fn_images:
-        map_fn_adjusted = map_with_fn_accounting(
-            stage2_routed_map, len(routed_matches), fn_images
-        )
-    else:
-        map_fn_adjusted = modular_report.map
+    ).to_json()
+    modular_json["stage1_inferences"] = trace.stage1_inferences
+    modular_json["stage2_inferences"] = trace.stage2_inferences
 
     a = 1.0 - baseline_json["classification_error"]
     acc_s1 = 1.0 - stage1_error
-    acc_mod = 1.0 - modular_report.classification_error
+    acc_mod = 1.0 - modular_json["classification_error"]
     delta1 = acc_s1 - a
     # composite accuracy factors through the stages: acc_mod =
     # (a+delta1)(a+delta2); the measured ratio can stray above 1 on
@@ -239,11 +212,6 @@ def _evaluate(
     s2_factor = min(acc_mod / acc_s1, 1.0) if acc_s1 > 0 else 0.0
     delta2 = s2_factor - a
     adv = modular_advantage(a, delta1, delta2)
-
-    modular_json = modular_report.to_json()
-    modular_json["map_stage2_routed"] = stage2_routed_map
-    modular_json["map_fn_adjusted"] = map_fn_adjusted
-    modular_json["routed_positive_images"] = len(routed_matches)
     return {
         "baseline": baseline_json,
         "modular": modular_json,

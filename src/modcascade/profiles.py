@@ -7,9 +7,9 @@ into full DetectorProfile confusion tables for a given taxonomy:
 * flat baseline: emits fine labels, confuses within-general siblings;
 * stage 1: emits general labels for fine-labeled ground truth;
 * stage 2 (one per general): emits that general's fine labels; objects
-  of foreign generals, when enabled, look like one of its own classes
-  (always a wrong label), so upstream misroutes surface as
-  classification errors instead of silent misses.
+  of foreign generals look like one of its own classes (always a wrong
+  label), so upstream misroutes surface as classification errors
+  instead of silent misses.
 """
 
 from __future__ import annotations
@@ -92,14 +92,12 @@ def stage2_profiles(
     loc_noise_sigma: float = 0.0,
     negative_fp_rate: float = 0.0,
     confidence_law: ConfidenceLaw | None = None,
-    foreign_objects_fire: bool = True,
 ) -> dict[str, DetectorProfile]:
     """One fine-grained detector per general class.
 
     Within its own general, wrong-label mass spreads over sibling fine
-    classes. With ``foreign_objects_fire``, objects of other generals
-    emit one of this detector's labels uniformly (never correct, at the
-    wrong-label confidence); otherwise they are invisible.
+    classes. Objects of other generals emit one of this detector's
+    labels uniformly (never correct, at the wrong-label confidence).
     """
     out = {}
     for g in taxonomy.generals:
@@ -114,10 +112,9 @@ def stage2_profiles(
             else:
                 row = {f: 1.0 - miss_rate}
             confusion[f] = row
-        if foreign_objects_fire:
-            for f in taxonomy.fine_labels:
-                if taxonomy.general_of(f) != g:
-                    confusion[f] = {m: 1.0 / len(members) for m in members}
+        for f in taxonomy.fine_labels:
+            if taxonomy.general_of(f) != g:
+                confusion[f] = {m: 1.0 / len(members) for m in members}
         out[g] = DetectorProfile(
             label_space=members,
             confusion=confusion,

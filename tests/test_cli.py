@@ -223,19 +223,21 @@ class TestRun:
         re_base = evaluate_run(
             ds.images, baseline_dets, ds.taxonomy,
             iou_threshold=trace["iou_threshold"],
-            stage1_inferences=len(ds.images),
         )
         re_mod = evaluate_run(
             ds.images, modular_dets, ds.taxonomy,
             iou_threshold=trace["iou_threshold"],
             invoked=invoked,
-            stage1_inferences=trace["stage1_inferences"],
-            stage2_inferences=trace["stage2_inferences"],
         )
-        assert re_base.to_json() == report["baseline"]
-        mod_json = re_mod.to_json()
-        for key, value in mod_json.items():
-            assert report["modular"][key] == value
+        # each block, less the two inference counts, is one evaluation
+        counts = {
+            "baseline": (len(ds.images), 0),
+            "modular": (trace["stage1_inferences"], trace["stage2_inferences"]),
+        }
+        for block, rerun in (("baseline", re_base), ("modular", re_mod)):
+            got = dict(report[block])
+            assert (got.pop("stage1_inferences"), got.pop("stage2_inferences")) == counts[block]
+            assert got == rerun.to_json()
 
         # the FN-adjusted mAP is reproducible from the trace as well
         routed = [
@@ -321,6 +323,7 @@ BAD_RUN_CONFIGS = {
     "fp-dist-negative": _set({"dog": -1.0, "boat": 2.0}, "profiles", "stage1", "fp_label_dist"),
     "profile-no-label-space": lambda cfg: cfg["profiles"]["baseline"].pop("label_space"),
     "correct-for-list": _set([], "profiles", "stage1", "correct_for"),
+    "correct-for-outside-label-space": _set("zzz", "profiles", "stage1", "correct_for", "pekinese"),
     "report-filename-number": _set(7, "report_filename"),
     "dataset-surrogate": _set("\ud800", "dataset"),
     "dataset-nul": _set("a\x00b", "dataset"),
@@ -598,8 +601,7 @@ def test_cyclic_garbage_does_not_grow_with_the_dataset(tmp_path, taxonomy):
 def test_each_evaluation_is_freed_before_the_next_one(
     tmp_path, taxonomy, small_dataset, monkeypatch
 ):
-    """No two evaluations' reports, each holding its per-image matches,
-    are alive at once."""
+    """No two evaluations' reports are alive at once."""
     reports = []
     evaluate_run = experiment.evaluate_run
 

@@ -1,6 +1,7 @@
 """Evaluation tests: IoU/matching against brute-force oracles, exact AP
 fixtures, FN-aware mAP arithmetic, error rates, confusion counts."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from modcascade import (
     ClassTaxonomy,
+    EvalReport,
     average_precision,
     evaluate_run,
     fn_image_flags,
@@ -103,7 +105,8 @@ class TestMatching:
         gt = GroundTruthObject(B(10, 10, 50, 50), "pekinese")
         det = Detection(B(10, 10, 50, 50), "pekinese", 0.9)
         res = match_detections([det], [gt], 0.5)
-        assert res.matched[0].ground_truth is gt
+        assert res.detections == (det,)
+        assert res.claimed[0] is gt
         assert score_matches([res], TAXONOMY).classification_error == 0.0
         assert res.false_negatives == ()
 
@@ -112,14 +115,15 @@ class TestMatching:
         hi = Detection(B(12, 10, 50, 50), "pekinese", 0.9)
         lo = Detection(B(10, 10, 50, 50), "pekinese", 0.3)
         res = match_detections([hi, lo], [gt], 0.5)
-        assert res.matched[0].ground_truth is gt  # higher confidence claims it
-        assert res.matched[1].ground_truth is None
+        assert res.detections == (hi, lo)  # input order, not confidence order
+        assert res.claimed[0] is gt  # higher confidence claims it
+        assert res.claimed[1] is None
 
     def test_class_agnostic_match_marks_wrong_label(self):
         gt = GroundTruthObject(B(10, 10, 50, 50), "pekinese")
         det = Detection(B(10, 10, 50, 50), "spaniel", 0.9)
         res = match_detections([det], [gt], 0.5)
-        assert res.matched[0].ground_truth is gt
+        assert res.claimed[0] is gt
         report = score_matches([res], TAXONOMY)
         assert report.classification_error == 1.0
         assert report.confusion == {"pekinese": {"spaniel": 1}}
@@ -128,7 +132,7 @@ class TestMatching:
         gt = GroundTruthObject(B(0, 0, 10, 10), "pekinese")
         det = Detection(B(40, 40, 10, 10), "pekinese", 0.9)
         res = match_detections([det], [gt], 0.5)
-        assert res.matched[0].ground_truth is None
+        assert res.claimed == (None,)
         assert res.false_negatives == (gt,)
 
     def test_invalid_threshold(self):
@@ -159,11 +163,9 @@ class TestMatching:
             thr = rng.choice([0.3, 0.5, 0.7])
             res = match_detections(dets, gts, thr)
             want = greedy_oracle(dets, gts, thr)
-            got = {
-                i: gts.index(m.ground_truth)
-                for i, m in enumerate(res.matched)
-                if m.ground_truth is not None
-            }
+            assert res.detections == tuple(dets)
+            assert len(res.claimed) == n_det
+            got = {i: gts.index(gt) for i, gt in enumerate(res.claimed) if gt is not None}
             assert got == want, f"trial {trial}"
             # structural invariants
             assert len(set(got.values())) == len(got)
@@ -193,8 +195,7 @@ class TestGreedyMatch:
         # A takes gt0; C's best remaining is gt1, below the threshold
         assert greedy_match(dets, gts, 0.5) == [0, -1]
         res = match_detections(dets, gts, 0.5)
-        assert res.matched[0].ground_truth is gts[0]
-        assert res.matched[1].ground_truth is None
+        assert res.claimed == (gts[0], None)
         assert res.false_negatives == (gts[1],)
 
     def test_confidence_order_decides(self):
@@ -203,7 +204,7 @@ class TestGreedyMatch:
         # C goes first and claims gt0; A falls back to gt1
         assert greedy_match(dets, gts, 0.5) == [1, 0]
         res = match_detections(dets, gts, 0.5)
-        assert [m.ground_truth for m in res.matched] == [gts[1], gts[0]]
+        assert res.claimed == (gts[1], gts[0])
         assert res.false_negatives == ()
 
     def test_equal_confidence_keeps_input_order(self):
@@ -219,7 +220,7 @@ class TestGreedyMatch:
         assert iou(det.box, left.box) == iou(det.box, right.box) == 2 / 3
         assert greedy_match([det], [left, right], 0.5) == [0]
         assert greedy_match([det], [right, left], 0.5) == [0]
-        assert match_detections([det], [right, left], 0.5).matched[0].ground_truth is right
+        assert match_detections([det], [right, left], 0.5).claimed[0] is right
 
     def test_iou_equal_to_threshold_matches(self):
         gt = _gt((0, 0, 100, 100))
@@ -253,10 +254,11 @@ class TestGreedyMatch:
         assert greedy_match(dets, [], 0.5) == [-1, -1]
         assert greedy_match([], [], 0.5) == []
         no_gts = match_detections(dets, [], 0.5)
-        assert [m.ground_truth for m in no_gts.matched] == [None, None]
+        assert no_gts.detections == tuple(dets)
+        assert no_gts.claimed == (None, None)
         assert no_gts.false_negatives == ()
         no_dets = match_detections([], gts, 0.5)
-        assert no_dets.matched == ()
+        assert no_dets.detections == no_dets.claimed == ()
         assert no_dets.false_negatives == tuple(gts)
 
 
@@ -482,7 +484,46 @@ class TestEvaluateRun:
         rep = evaluate_run(imgs, [(), (), ()], TAXONOMY, invoked=[("dog",), (), ()])
         # b's planet object had no covering invocation; negatives never count
         assert rep.fn_image_count == 1
-        assert rep.fn_image_flags == (False, True, False)
+        assert fn_image_flags(imgs, [("dog",), (), ()], TAXONOMY) == (False, True, False)
+
+    def _perfect_dets(self):
+        return [
+            [Detection(B(10, 10, 50, 50), "pekinese", 0.95)],
+            [Detection(B(20, 20, 60, 60), "mars", 0.9)],
+            [],
+        ]
+
+    def test_cascade_run_scores_fn_accounting(self):
+        imgs, dets = self._images(), self._perfect_dets()
+        rep = evaluate_run(imgs, dets, TAXONOMY, invoked=[("dog",), (), ()])
+        # b is an FN image: only a is routed, and b is rated zero
+        assert rep.map == 1.0
+        assert (rep.fn_image_count, rep.routed_positive_images) == (1, 1)
+        assert rep.map_stage2_routed == evaluate_run(imgs[:1], dets[:1], TAXONOMY).map == 1.0
+        assert rep.map_fn_adjusted == map_with_fn_accounting(1.0, 1, 1) == 0.5
+
+    def test_cascade_run_without_positive_images(self):
+        # neither routed nor FN images: the FN-adjusted mAP is the run's own
+        imgs = [AnnotatedImage("neg", 200, 200)]
+        dets = [[Detection(B(0, 0, 10, 10), "mars", 0.5)]]
+        rep = evaluate_run(imgs, dets, TAXONOMY, invoked=[("planet",)])
+        assert rep.routed_positive_images == rep.fn_image_count == 0
+        assert rep.map_stage2_routed == rep.map_fn_adjusted == rep.map == 0.0
+
+    def test_flat_run_has_no_cascade_fields(self):
+        rep = evaluate_run(self._images(), self._perfect_dets(), TAXONOMY)
+        assert rep.routed_positive_images is rep.map_stage2_routed is rep.map_fn_adjusted is None
+        assert set(rep.to_json()) == {
+            "per_class_ap", "map", "classification_error", "confusion",
+            "fn_image_count", "matched_count",
+        }
+
+    def test_cascade_report_serializes_every_field(self):
+        # the report holds exactly what it prints: no unserialized side channel
+        rep = evaluate_run(
+            self._images(), self._perfect_dets(), TAXONOMY, invoked=[("dog",), (), ()]
+        )
+        assert set(rep.to_json()) == {f.name for f in dataclasses.fields(EvalReport)}
 
     def test_order_independence(self):
         imgs = self._images()
@@ -511,8 +552,9 @@ class TestEvaluateRun:
             fn_image_flags(imgs, wrong, TAXONOMY)
 
     def test_subset_rescored_from_matches(self):
-        # the routed-subset report of `modcascade run`: score the kept
-        # per-image matches instead of matching the subset again
+        # scoring a subset of a run's per-image matches, as
+        # `evaluate_run` does for the routed images, equals evaluating
+        # that subset afresh
         from modcascade import DetectorHandle, DetectorProfile, detect
         from conftest import synth_dataset, taxonomy_5x2
 
@@ -526,11 +568,10 @@ class TestEvaluateRun:
             loc_noise_sigma=20.0,
         )
         dets = [detect(DetectorHandle.simulated(profile, 4), img) for img in ds.images]
-        full = evaluate_run(ds.images, dets, taxonomy)
-        assert len(full.matches) == len(ds.images)
+        matches = [match_detections(d, img.objects, 0.5) for img, d in zip(ds.images, dets)]
         keep = [k for k in range(len(ds.images)) if k % 3 != 1]
         subset = evaluate_run([ds.images[k] for k in keep], [dets[k] for k in keep], taxonomy)
-        rescored = score_matches([full.matches[k] for k in keep], taxonomy)
+        rescored = score_matches([matches[k] for k in keep], taxonomy)
         assert rescored.to_json() == subset.to_json()
         assert rescored.map == subset.map
 

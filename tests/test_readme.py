@@ -3,11 +3,15 @@ the configs, then its shell block's ``modcascade`` commands run through
 ``cli.main``. A README that names deleted API, or quotes figures this
 setup no longer gives, fails here."""
 
+import dataclasses
+import importlib
 import json
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
+import modcascade
 from modcascade.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -44,3 +48,56 @@ def test_readme_walkthrough(tmp_path, monkeypatch):
     assert round(modular["map_fn_adjusted"], 3) == 0.941
     assert round(report["tree_vs_flat"]["ratio"], 1) == 2.6
     assert report["advantage"]["advantage"] is True
+
+
+# file names are written with a dot too, but are not API
+_FILE_SUFFIXES = (".json", ".py", ".md", ".csv")
+
+
+def _readme_dotted_names() -> list[str]:
+    """Every backticked name with a dot in README.md, outside code
+    blocks; a call's arguments are dropped (`f(x)` names `f`)."""
+    text = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    names = [
+        m.group(1)
+        for m in re.finditer(r"`([A-Za-z_]\w*(?:\.\w+)+)[^`]*`", text)
+    ]
+    return [n for n in names if not n.endswith(_FILE_SUFFIXES)]
+
+
+def _api_namespace() -> dict:
+    """modcascade, its modules and its public classes, by name."""
+    modules = {
+        m.name: importlib.import_module(f"modcascade.{m.name}")
+        for m in pkgutil.iter_modules(modcascade.__path__)
+    }
+    classes = {
+        name: obj
+        for module in modules.values()
+        for name, obj in vars(module).items()
+        if isinstance(obj, type)
+        and not name.startswith("_")
+        and obj.__module__.startswith("modcascade")
+    }
+    return {"modcascade": modcascade, **modules, **classes}
+
+
+def _resolves(dotted: str, namespace: dict) -> bool:
+    """Whether ``dotted`` is a name of ``namespace`` followed by
+    attributes or, last, a dataclass field."""
+    head, *attrs = dotted.split(".")
+    obj = namespace.get(head)
+    for k, attr in enumerate(attrs):
+        if obj is None:
+            return False
+        if dataclasses.is_dataclass(obj) and attr in {f.name for f in dataclasses.fields(obj)}:
+            return k == len(attrs) - 1
+        obj = getattr(obj, attr, None)
+    return obj is not None
+
+
+def test_readme_names_only_existing_api():
+    names = _readme_dotted_names()
+    assert names
+    namespace = _api_namespace()
+    assert [n for n in names if not _resolves(n, namespace)] == []

@@ -150,10 +150,10 @@ def composite_error(dataset, out, iou_threshold=0.5):
     wrong = matched = 0
     for img, dets in zip(dataset.images, final_detections(out), strict=True):
         res = match_detections(dets, img.objects, iou_threshold)
-        for m in res.matched:
-            if m.ground_truth is not None:
+        for det, gt in zip(res.detections, res.claimed):
+            if gt is not None:
                 matched += 1
-                wrong += m.detection.label != m.ground_truth.fine_label
+                wrong += det.label != gt.fine_label
     return wrong / matched, matched
 
 
