@@ -26,7 +26,6 @@ from .detector import (
     detect,
 )
 from .errormodel import (
-    CapacityParams,
     FeatureBudget,
     FeatureClassModel,
     bayes_error,

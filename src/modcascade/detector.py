@@ -193,9 +193,15 @@ class DetectorProfile:
         a malformed document is a ValidationError."""
         try:
             law = obj.get("confidence_law", {})
+            label_space, confusion = obj["label_space"], obj["confusion"]
+            # a string is iterable too, and a list of pairs converts to a dict
+            if not isinstance(label_space, list):
+                raise ValidationError("malformed detector profile: label_space is not a list")
+            if not all(isinstance(r, Mapping) for r in confusion.values()):
+                raise ValidationError("malformed detector profile: confusion row not an object")
             return cls(
-                label_space=tuple(obj["label_space"]),
-                confusion={t: dict(r) for t, r in obj["confusion"].items()},
+                label_space=tuple(label_space),
+                confusion={t: dict(r) for t, r in confusion.items()},
                 negative_fp_rate=obj.get("negative_fp_rate", 0.0),
                 fp_label_dist=obj.get("fp_label_dist"),
                 loc_noise_sigma=obj.get("loc_noise_sigma", 0.0),
@@ -341,21 +347,29 @@ def _pcg64_states(entropy: bytes) -> list[tuple[int, int]]:
 
 
 def _stream_tags(profile: DetectorProfile, image: AnnotatedImage):
-    """Tags of the RNG streams ``detect`` draws from for ``image``."""
+    """Tags of the RNG streams ``detect`` draws from for ``image``: one
+    per object, or on an image without objects one ``negfp`` stream when
+    ``negative_fp_rate > 0``."""
     if image.objects:
         return range(len(image.objects))
     return ("negfp",) if profile.negative_fp_rate > 0.0 else ()
 
 
-def _stream_key(seed: int, image_id: str, tag) -> bytes:
-    """The 16-byte entropy of the stream keyed by (seed, image id, tag)."""
-    return hashlib.blake2b(f"{seed}|{image_id}|{tag}".encode("utf-8"), digest_size=16).digest()
+def _stream_keys(profile: DetectorProfile, seed: int, image: AnnotatedImage) -> list[bytes]:
+    """The 16-byte entropy of each stream of ``image``: the blake2b digest
+    of "seed|image id|tag", hashed as the image's prefix, then each tag."""
+    prefix = hashlib.blake2b(f"{seed}|{image.id}|".encode("utf-8"), digest_size=16)
+    keys = []
+    for tag in _stream_tags(profile, image):
+        key = prefix.copy()
+        key.update(str(tag).encode("ascii"))
+        keys.append(key.digest())
+    return keys
 
 
 def _stream_states(handle: DetectorHandle, image: AnnotatedImage) -> tuple:
-    """The PCG64 state of each stream of ``image``, keyed by (seed, image id, tag)."""
-    tags = _stream_tags(handle.profile, image)
-    return tuple(_pcg64_states(b"".join(_stream_key(handle.seed, image.id, t) for t in tags)))
+    """The PCG64 state of each stream of ``image``."""
+    return tuple(_pcg64_states(b"".join(_stream_keys(handle.profile, handle.seed, image))))
 
 
 # ---------------------------------------------------- batched draws
@@ -373,9 +387,8 @@ _KI = np.array(KI_DOUBLE, dtype=np.uint64)
 # 4,096 the crowded benchmark's peak RSS grew by 0.6 MB more, at no gain)
 _CHUNK = 2048
 # row codes of a stream: the one stream of a negative image, and an
-# object whose class has no confusion row (it never fires, and is not seeded)
+# object whose class has no confusion row (it never fires)
 _NEGFP, _NO_ROW = -1, -2
-_NO_DIGEST = bytes(16)
 # slot kinds: a miss; a detection with a fixed confidence, with a Beta
 # confidence drawn in the batch, or with one left to the scalar path
 _MISS, _FIXED, _BETA, _SCALAR = 0, 1, 2, 3
@@ -563,7 +576,6 @@ def prepare(handle: DetectorHandle, images: Sequence[AnnotatedImage]) -> list[tu
     """
     profile, seed = handle.profile, handle.seed
     slots = _Slots(profile)
-    negfp = profile.negative_fp_rate > 0.0
     out: list = []
     batch: list[int] = []  # positions in ``out`` of the images not yet drawn
     count = 0
@@ -574,48 +586,37 @@ def prepare(handle: DetectorHandle, images: Sequence[AnnotatedImage]) -> list[tu
                 continue
             batch.append(len(out))
             out.append(None)
-            count += len(img.objects) or negfp
+            count += len(_stream_tags(profile, img))
             if count >= _CHUNK:
-                _prepare_batch(profile, seed, slots, negfp, images, batch, out)
+                _prepare_batch(profile, seed, slots, images, batch, out)
                 batch, count = [], 0
         if batch:
-            _prepare_batch(profile, seed, slots, negfp, images, batch, out)
+            _prepare_batch(profile, seed, slots, images, batch, out)
     return out
 
 
-def _prepare_batch(profile, seed, slots: _Slots, negfp: bool, images, batch, out: list) -> None:
+def _prepare_batch(profile, seed, slots: _Slots, images, batch, out: list) -> None:
     """Draw the streams of the images at positions ``batch`` into ``out``."""
     images = [images[k] for k in batch]
     row_of = slots.row_of
-    rows, digests, objects, dims = [], [], [], []
+    rows, digests, objects, dims, counts = [], [], [], [], []
     for img in images:
-        objs = img.objects
-        if objs:
-            # the key "seed|id|tag" hashed as its prefix, then each tag
-            prefix = hashlib.blake2b(f"{seed}|{img.id}|".encode("utf-8"), digest_size=16)
-            for tag, obj in enumerate(objs):
-                r = row_of.get(obj.fine_label, _NO_ROW)
-                rows.append(r)
-                if r >= 0:
-                    key = prefix.copy()
-                    key.update(b"%d" % tag)
-                    digests.append(key.digest())
-                else:
-                    digests.append(_NO_DIGEST)
-            objects.extend(objs)
-            dims.extend([(img.width, img.height)] * len(objs))
-        elif negfp:
-            rows.append(_NEGFP)
-            digests.append(_stream_key(seed, img.id, "negfp"))
-            objects.append(None)
-            dims.append((img.width, img.height))
+        keys = _stream_keys(profile, seed, img)
+        digests.extend(keys)
+        if img.objects:
+            rows.extend([row_of.get(obj.fine_label, _NO_ROW) for obj in img.objects])
+            objects.extend(img.objects)
+        else:
+            rows.extend([_NEGFP] * len(keys))
+            objects.extend([None] * len(keys))
+        dims.extend([(img.width, img.height)] * len(keys))
+        counts.append(len(keys))
     outcomes = _draw_batch(
         profile, slots, rows, b"".join(digests), objects,
         np.array(dims, dtype=np.float64).reshape(-1, 2),
     )
     pos = 0
-    for k, img in zip(batch, images):
-        n = len(img.objects) or negfp
+    for k, n in zip(batch, counts):
         out[k] = tuple(outcomes[pos : pos + n])
         pos += n
 

@@ -10,7 +10,8 @@ general class removes their mutual overlap term entirely, and giving a
 class more dedicated features (fewer classes per detector) shrinks it.
 
 Summations run in fixed feature order via math.fsum for
-bit-reproducibility.
+bit-reproducibility. A model file's ``capacity`` is read for its bound
+``supK`` alone, and its per-feature lists hold JSON numbers only.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import check_int, check_number
+from .core import check_int, check_number, read_object
 from .errors import UnknownLabelError, ValidationError
 
 _TOL = 1e-9
@@ -45,10 +46,12 @@ class FeatureClassModel:
     weights: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        cond = {c: np.asarray(v, dtype=np.float64) for c, v in self.conditional.items()}
-        wts = {c: np.asarray(v, dtype=np.float64) for c, v in self.weights.items()}
-        object.__setattr__(self, "conditional", cond)
-        object.__setattr__(self, "weights", wts)
+        for name in ("conditional", "weights"):
+            try:
+                arrays = {c: np.asarray(v, np.float64) for c, v in getattr(self, name).items()}
+            except (OverflowError, TypeError, ValueError) as exc:
+                raise ValidationError(f"{name} is not a list of doubles: {exc}") from None
+            object.__setattr__(self, name, arrays)
         self.validate()
 
     @property
@@ -97,62 +100,16 @@ class FeatureClassModel:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "FeatureClassModel":
-        """Build and validate a model; a malformed document is a ValidationError."""
-        try:
-            priors = dict(obj["priors"])
-            conditional = {c: np.array(v) for c, v in obj["conditionals"].items()}
-            weights = {c: np.array(v) for c, v in obj["weights"].items()}
-        except KeyError as exc:
-            raise ValidationError(f"model file missing key {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed model file: {exc}") from None
-        # numbers only: the float64 conversion would accept strings and bools
-        for name, arrays in (("conditionals", conditional), ("weights", weights)):
-            for c, v in arrays.items():
-                if v.dtype.kind not in "iuf":
+        """Build and validate a model; a malformed document is a ValidationError.
+        Each per-feature list holds JSON numbers only: a bool, a string or
+        null would convert to a double too."""
+        keys = ("priors", "conditionals", "weights")
+        priors, conditional, weights = (read_object(obj, k, path="model file ") for k in keys)
+        for name, lists in (("conditionals", conditional), ("weights", weights)):
+            for c, v in lists.items():
+                if not (isinstance(v, list) and set(map(type, v)) <= {int, float}):
                     raise ValidationError(f"{name} of class {c!r} is not a list of numbers")
-        return cls(priors=priors, conditional=conditional, weights=weights)
-
-
-@dataclass(frozen=True)
-class CapacityParams:
-    """Architecture knobs bounding how many features a network can hold.
-
-    The bound itself (``max_features``) is a supplied number, not
-    derived from the other parameters; serialized under the key "supK".
-    """
-
-    n_params: float
-    n_filters: float
-    filter_size: float
-    filter_channels: float
-    n_layers: float
-    max_features: float
-
-    def __post_init__(self) -> None:
-        for key, value in self.to_json().items():
-            check_number(value, f"capacity {key}", above=0)
-
-    def to_json(self) -> dict:
-        return {
-            "r": self.n_params,
-            "a_filters": self.n_filters,
-            "d": self.filter_size,
-            "h": self.filter_channels,
-            "q": self.n_layers,
-            "supK": self.max_features,
-        }
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "CapacityParams":
-        return cls(
-            n_params=obj["r"],
-            n_filters=obj["a_filters"],
-            filter_size=obj["d"],
-            filter_channels=obj["h"],
-            n_layers=obj["q"],
-            max_features=obj["supK"],
-        )
+        return cls(priors=dict(priors), conditional=conditional, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -163,14 +120,15 @@ class FeatureBudget:
     several classes. With similar training volume per class, each class
     is detected by roughly (transfer + finetuned) / n_classes + shared
     features. n_classes must convert to a double, and so must that count
-    (``feature_count``).
+    (``feature_count``). max_features, when given, is the supplied bound
+    on the total the network can hold (the model file's capacity supK).
     """
 
     transfer: float
     finetuned: float
     shared: float
     n_classes: int
-    capacity: CapacityParams | None = None
+    max_features: float | None = None
 
     def __post_init__(self) -> None:
         doc = self.to_json()
@@ -178,6 +136,8 @@ class FeatureBudget:
             check_number(doc[key], f"budget {key}", at_least=0)
         check_int(self.n_classes, "budget n", at_least=1, at_most=sys.float_info.max)
         check_number(feature_count(self), "budget features per class (L + T) / n + U")
+        if self.max_features is not None:
+            check_number(self.max_features, "capacity supK", above=0)
 
     @property
     def total(self) -> float:
@@ -187,13 +147,13 @@ class FeatureBudget:
         return {"L": self.transfer, "T": self.finetuned, "U": self.shared, "n": self.n_classes}
 
     @classmethod
-    def from_json(cls, obj: Mapping, capacity: CapacityParams | None = None) -> "FeatureBudget":
+    def from_json(cls, obj: Mapping, max_features: float | None = None) -> "FeatureBudget":
         return cls(
             transfer=obj["L"],
             finetuned=obj["T"],
             shared=obj["U"],
             n_classes=obj["n"],
-            capacity=capacity,
+            max_features=max_features,
         )
 
 
@@ -205,20 +165,25 @@ def feature_count(budget: FeatureBudget) -> float:
 
 def over_capacity(budget: FeatureBudget) -> bool | None:
     """Whether the total feature demand exceeds the supplied capacity bound."""
-    if budget.capacity is None:
+    if budget.max_features is None:
         return None
-    return budget.total > budget.capacity.max_features
+    return budget.total > budget.max_features
+
+
+def _weighted_masses(model: FeatureClassModel, c0: str, c1: str) -> tuple[np.ndarray, np.ndarray]:
+    """The weighted per-feature activation masses, conditional * prior *
+    weights, of two distinct classes of ``model``."""
+    model._check(c0)
+    model._check(c1)
+    if c0 == c1:
+        raise ValidationError("the overlap needs two distinct classes")
+    return tuple(model.conditional[c] * model.priors[c] * model.weights[c] for c in (c0, c1))
 
 
 def bayes_error(model: FeatureClassModel, c0: str, c1: str) -> float:
     """Irreducible two-class confusion: summed minima of the weighted
     per-feature activation masses of the two classes."""
-    model._check(c0)
-    model._check(c1)
-    if c0 == c1:
-        raise ValidationError("bayes_error needs two distinct classes")
-    t0 = model.conditional[c0] * model.priors[c0] * model.weights[c0]
-    t1 = model.conditional[c1] * model.priors[c1] * model.weights[c1]
+    t0, t1 = _weighted_masses(model, c0, c1)
     return math.fsum(np.minimum(t0, t1).tolist())
 
 
@@ -228,10 +193,7 @@ def pdf_curves(model: FeatureClassModel, c0: str, c1: str) -> list[tuple[int, fl
     Rows are (feature index, weighted density of c0, weighted density of
     c1, min term); the min column sums (fsum) to bayes_error exactly.
     """
-    model._check(c0)
-    model._check(c1)
-    t0 = model.conditional[c0] * model.priors[c0] * model.weights[c0]
-    t1 = model.conditional[c1] * model.priors[c1] * model.weights[c1]
+    t0, t1 = _weighted_masses(model, c0, c1)
     mins = np.minimum(t0, t1)
     return [(i, float(t0[i]), float(t1[i]), float(mins[i])) for i in range(len(t0))]
 
@@ -320,10 +282,9 @@ def modular_advantage(a: float, delta1: float, delta2: float) -> AdvantageResult
     return AdvantageResult(advantage=a < rhs, lhs=a, rhs=rhs)
 
 
-def model_file_to_parts(
-    obj: Mapping,
-) -> tuple[FeatureClassModel, FeatureBudget | None]:
-    """Parse a model file: feature statistics plus optional budget/capacity.
+def model_file_to_parts(obj: Mapping) -> tuple[FeatureClassModel, FeatureBudget | None]:
+    """Parse a model file: feature statistics plus optional budget, whose
+    bound is the capacity's supK; other capacity keys are ignored.
 
     A malformed or invalid document is a ValidationError; each scalar is
     checked by ``core.check_number`` (``check_int`` for the class count).
@@ -332,8 +293,8 @@ def model_file_to_parts(
     budget = None
     if "budget" in obj:
         try:
-            capacity = CapacityParams.from_json(obj["capacity"]) if "capacity" in obj else None
-            budget = FeatureBudget.from_json(obj["budget"], capacity=capacity)
+            max_features = obj["capacity"]["supK"] if "capacity" in obj else None
+            budget = FeatureBudget.from_json(obj["budget"], max_features=max_features)
         except KeyError as exc:
             raise ValidationError(f"model file budget or capacity missing key {exc}") from None
         except TypeError as exc:

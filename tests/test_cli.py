@@ -8,12 +8,17 @@ import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modcascade
 from modcascade import detector, experiment
 from modcascade import ClassTaxonomy, evaluate_run, load_dataset, map_with_fn_accounting
 from modcascade.cli import main
@@ -43,7 +48,6 @@ def run_config(
     mode="v1",
     tau=0.5,
     seed=11,
-    workers=1,
     noiseless=False,
     law=None,
 ):
@@ -69,7 +73,6 @@ def run_config(
         "routing": {"tau": tau, "mode": mode},
         "eval": {"iou_threshold": 0.5},
         "seed": seed,
-        "workers": workers,
         "report_filename": "report.json",
     }
 
@@ -78,6 +81,20 @@ def write_config(tmp_path, name, cfg):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+def run_in_fresh_interpreter(config_path, out_dir):
+    """``python -m modcascade.cli run`` in a new process whose string
+    hashes differ from this one's (another ``PYTHONHASHSEED``)."""
+    hash_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = str(Path(modcascade.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    subprocess.run(
+        [sys.executable, "-m", "modcascade.cli", "run",
+         "--config", str(config_path), "--out", str(out_dir)],
+        env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path},
+        check=True, capture_output=True, timeout=120,
+    )
 
 
 class TestSynth:
@@ -176,15 +193,13 @@ class TestRun:
         assert v2["modular"]["fn_image_count"] <= v1["modular"]["fn_image_count"]
 
     def test_byte_identical_reruns_and_parallel(self, tmp_path, taxonomy, small_dataset):
-        outs = []
-        for name, workers in (("r1", 1), ("r2", 1), ("r4", 4)):
-            cfg = write_config(
-                tmp_path, f"{name}.json",
-                run_config(taxonomy, small_dataset, workers=workers),
-            )
-            out = tmp_path / name
-            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-            outs.append((out / "report.json").read_bytes())
+        """Two runs in this process and one in a fresh interpreter with
+        other string hashes write the same bytes."""
+        cfg = write_config(tmp_path, "run.json", run_config(taxonomy, small_dataset))
+        for name in ("r1", "r2"):
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        run_in_fresh_interpreter(cfg, tmp_path / "fresh")
+        outs = [(tmp_path / name / "report.json").read_bytes() for name in ("r1", "r2", "fresh")]
         assert outs[0] == outs[1] == outs[2]
 
     def test_report_floats_have_17_sig_digits(self, tmp_path, taxonomy, small_dataset):
@@ -320,6 +335,9 @@ BAD_RUN_CONFIGS = {
     "run-mean-correct-5e-324": _set(5e-324, "profiles", "baseline", "confidence_law", "mean_correct"),
     "run-mean-wrong-1e-321": _set(1e-321, "profiles", "stage1", "confidence_law", "mean_wrong"),
     "probability-string": _set("0.5", "profiles", "stage1", "confusion", "pekinese", "dog"),
+    "profile-confusion-row-pairs": _set(
+        [["dog", 0.9], ["boat", 0.1]], "profiles", "stage1", "confusion", "pekinese"
+    ),
     "fp-dist-negative": _set({"dog": -1.0, "boat": 2.0}, "profiles", "stage1", "fp_label_dist"),
     "profile-no-label-space": lambda cfg: cfg["profiles"]["baseline"].pop("label_space"),
     "correct-for-list": _set([], "profiles", "stage1", "correct_for"),
@@ -379,6 +397,11 @@ BAD_ERRORMODEL_CONFIGS = {
     "errormodel-conditional-bool": _inline_model(_set([True, False, False, False], "conditionals", "c0")),
     "errormodel-conditional-nan": _inline_model(_set([math.nan, 1.0, 0.0, 0.0], "conditionals", "c0")),
     "errormodel-weight-nan": _inline_model(_set([1.0, math.nan, 1.0, 1.0], "weights", "c1")),
+    "errormodel-weight-bool-mixed": _inline_model(_set([True, 0.8, 1.0, 1.0], "weights", "c0")),
+    "errormodel-conditional-huge-int": _inline_model(
+        _set([0.6, 0.4, 0.0, 10**400], "conditionals", "c0")
+    ),
+    "errormodel-priors-pairs": _inline_model(_set([["c0", 0.5], ["c1", 0.5]], "priors")),
     "errormodel-prior-nan": _inline_model(_set(math.nan, "priors", "c0")),
     "errormodel-budget-list": _inline_model(_set([80, 20, 5, 10], "budget")),
     "errormodel-budget-string": _inline_model(_set("x", "budget", "L")),
@@ -668,7 +691,7 @@ MODEL_DOC = {
     "conditionals": {"c0": [0.6, 0.4, 0.0, 0.0], "c1": [0.0, 0.2, 0.5, 0.3]},
     "weights": {"c0": [1.0, 0.8, 1.0, 1.0], "c1": [1.0, 0.9, 0.7, 1.0]},
     "budget": {"L": 80, "T": 20, "U": 5, "n": 10},
-    "capacity": {"r": 1e7, "a_filters": 256, "d": 3, "h": 64, "q": 13, "supK": 120},
+    "capacity": {"supK": 120},
 }
 
 
@@ -851,7 +874,7 @@ FUZZ_EXTREME_CASES = _extreme_cases()
 @settings(max_examples=300, deadline=None)
 @given(case=st.sampled_from(FUZZ_EXTREME_CASES))
 def test_numeric_extremes_of_every_document(case, tmp_path_factory):
-    """One number-valued field of one of the five input documents (104
+    """One number-valued field of one of the five input documents (98
     fields) set to 1e308, 5e-324, -0.0, 2**53 + 1 or 10**400: the command
     exits 0, 2 or 4, and a failure is one stderr line and leaves no output
     file. A value may be valid and still break a later computation: a tiny

@@ -114,8 +114,11 @@ class TestProfileValidation:
     @pytest.mark.parametrize(
         "doc",
         [[], {"confusion": {}}, {"label_space": ["a"], "confusion": []},
-         {"label_space": ["a"], "confusion": {"a": 0.5}}],
-        ids=["not-object", "no-label-space", "confusion-list", "row-number"],
+         {"label_space": ["a"], "confusion": {"a": 0.5}},
+         {"label_space": ["a"], "confusion": {"a": [["a", 0.5]]}},
+         {"label_space": "gh", "confusion": {"g": {"g": 0.9}}}],
+        ids=["not-object", "no-label-space", "confusion-list", "row-number", "row-pairs",
+             "label-space-string"],
     )
     def test_malformed_json_is_validation_error(self, doc):
         with pytest.raises(ValidationError, match="malformed detector profile"):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from modcascade import (
-    CapacityParams,
     FeatureBudget,
     FeatureClassModel,
     UnknownLabelError,
@@ -144,6 +143,12 @@ class TestPdfCurves:
         m = two_class_model([0.3, 0.7], [0.3, 0.7])
         for _, w0, w1, mn in pdf_curves(m, "c0", "c1"):
             assert mn == w0 == w1
+
+    def test_one_class_twice_is_rejected(self):
+        m = two_class_model([0.3, 0.7], [0.3, 0.7])
+        for f in (bayes_error, pdf_curves):
+            with pytest.raises(ValidationError, match="two distinct classes"):
+                f(m, "c0", "c0")
 
     def test_min_column_sums_to_bayes_error_bitwise(self):
         rng = np.random.default_rng(31)
@@ -327,9 +332,8 @@ class TestFeatureBudget:
         )
 
     def test_capacity_flag(self):
-        cap = CapacityParams(1e6, 512, 3, 64, 16, max_features=100)
-        over = FeatureBudget(80, 30, 5, 4, capacity=cap)
-        under = FeatureBudget(50, 30, 5, 4, capacity=cap)
+        over = FeatureBudget(80, 30, 5, 4, max_features=100)
+        under = FeatureBudget(50, 30, 5, 4, max_features=100)
         assert over_capacity(over) is True
         assert over_capacity(under) is False
         assert over_capacity(FeatureBudget(1, 1, 1, 1)) is None
@@ -339,8 +343,8 @@ class TestFeatureBudget:
             FeatureBudget(-1, 0, 0, 1)
         with pytest.raises(ValidationError):
             FeatureBudget(1, 1, 1, 0)
-        with pytest.raises(ValidationError):
-            CapacityParams(0, 1, 1, 1, 1, 1)
+        with pytest.raises(ValidationError, match="supK"):
+            FeatureBudget(1, 1, 1, 1, max_features=0)
 
 
 def test_model_file_round_trip():
@@ -354,7 +358,24 @@ def test_model_file_round_trip():
     model, budget = model_file_to_parts(doc)
     assert model.classes == ("c0", "c1")
     assert feature_count(budget) == 15.0
-    assert budget.capacity.max_features == 120
+    assert budget.max_features == 120
     assert model.to_json()["conditionals"]["c1"] == [0.0, 0.25, 0.75]
     assert budget.to_json() == {"L": 80, "T": 20, "U": 5, "n": 10}
-    assert budget.capacity.to_json()["supK"] == 120
+
+
+def test_model_file_capacity_is_read_for_supk_alone():
+    """A capacity's other keys are ignored, whatever they hold; a
+    missing or zero supK is an error."""
+    doc = {
+        "priors": {"c0": 0.5, "c1": 0.5},
+        "conditionals": {"c0": [1.0, 0.0], "c1": [0.0, 1.0]},
+        "weights": {"c0": [1.0, 1.0], "c1": [1.0, 1.0]},
+        "budget": {"L": 8, "T": 2, "U": 1, "n": 2},
+    }
+    for capacity, bound in (({"supK": 7}, 7), ({"r": "x", "q": None, "supK": 20.5}, 20.5)):
+        _, budget = model_file_to_parts({**doc, "capacity": capacity})
+        assert budget.max_features == bound
+    for capacity in ({"r": 1e7}, {"supK": 0}, ["supK"]):
+        with pytest.raises(ValidationError):
+            model_file_to_parts({**doc, "capacity": capacity})
+

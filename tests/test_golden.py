@@ -56,7 +56,7 @@ def _report_sha256(tmp_path, cfg) -> str:
 
 def _v1_crowded_config(tmp_path) -> dict:
     _crowded_dataset(tmp_path / "dataset.json")
-    return run_config(taxonomy_5x2(), tmp_path / "dataset.json", mode="v1", seed=5, workers=2)
+    return run_config(taxonomy_5x2(), tmp_path / "dataset.json", mode="v1", seed=5)
 
 
 def _v2_sequences_config(tmp_path) -> dict:

@@ -1,7 +1,8 @@
 """The README's CLI walkthrough, run as written: its Python block writes
 the configs, then its shell block's ``modcascade`` commands run through
-``cli.main``. A README that names deleted API, or quotes figures this
-setup no longer gives, fails here."""
+``cli.main``; so does its ``errormodel`` command, on the quoted config
+and the example model file. A README that names deleted API, or quotes
+figures this setup no longer gives, fails here."""
 
 import dataclasses
 import importlib
@@ -48,6 +49,36 @@ def test_readme_walkthrough(tmp_path, monkeypatch):
     assert round(modular["map_fn_adjusted"], 3) == 0.941
     assert round(report["tree_vs_flat"]["ratio"], 1) == 2.6
     assert report["advantage"]["advantage"] is True
+
+
+def _errormodel_example() -> tuple[list[str], dict, dict]:
+    """The README's ``modcascade errormodel`` command, its quoted
+    ``errormodel.json`` and the model file example of "Error-model file"."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("The analytic model runs from a model file") :]
+    shell = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    [argv] = [
+        shlex.split(line.split("#")[0])[1:]
+        for line in shell.splitlines()
+        if line.startswith("modcascade ")
+    ]
+    config = re.search(r"with `errormodel\.json` like `(\{.*?\})`", section, re.S).group(1)
+    formats = text[text.index("**Error-model file**") :]
+    model = re.search(r"```json\n(.*?)```", formats, re.S).group(1)
+    return argv, json.loads(config), json.loads(model)
+
+
+def test_readme_errormodel_example(tmp_path, monkeypatch):
+    argv, config, model = _errormodel_example()
+    assert argv[:3] == ["errormodel", "--config", "errormodel.json"]
+    assert model["capacity"] == {"supK": 120}
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "errormodel.json").write_text(json.dumps(config))
+    (tmp_path / config["model"]).write_text(json.dumps(model))
+    assert main(argv) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert set(summary) == {"bayes_error", "feature_count", "over_capacity"}
+    assert summary["over_capacity"] is False
 
 
 # file names are written with a dot too, but are not API
