@@ -439,10 +439,7 @@ def dataset_to_json(dataset: Dataset) -> dict:
                 "id": img.id,
                 "width": img.width,
                 "height": img.height,
-                "objects": [
-                    {"label": o.fine_label, "box": [o.box.x, o.box.y, o.box.w, o.box.h]}
-                    for o in img.objects
-                ],
+                "objects": [{"label": o.fine_label, "box": o.box} for o in img.objects],
             }
             for img in dataset.images
         ],

@@ -43,8 +43,10 @@ class ConfidenceLaw:
     """Confidence distribution conditioned on label correctness.
 
     Beta-shaped with the given mean and a spread parameter interpreted
-    as a target standard deviation; spread 0 degenerates to the mean. A
-    mean so small that a Beta shape rounds to 0 is invalid.
+    as a target standard deviation; spread 0 degenerates to the mean.
+    Otherwise both Beta shapes must be finite and > 0, and so must their
+    sum: a mean so small that a shape rounds to 0, or a spread so small
+    that a shape overflows, is invalid.
     """
 
     mean_correct: float = 0.9
@@ -55,12 +57,16 @@ class ConfidenceLaw:
         check_number(self.mean_correct, "confidence mean_correct", at_least=0, at_most=1)
         check_number(self.mean_wrong, "confidence mean_wrong", at_least=0, at_most=1)
         check_number(self.spread, "confidence spread", at_least=0)
-        # below this, spread**2 underflows and the Beta's concentration is infinite
-        if 0.0 < self.spread < 1e-150:
-            raise ValidationError("confidence spread must be 0 or at least 1e-150")
+        if self.spread > 0.0 and self.spread * self.spread == 0.0:
+            raise ValidationError(f"confidence spread {self.spread!r} squares to 0")
         for correct, which in ((True, "mean_correct"), (False, "mean_wrong")):
-            for shape in self.beta_shapes(correct) or ():
-                check_number(shape, f"Beta shape of confidence {which}", above=0)
+            shapes = self.beta_shapes(correct)
+            if shapes is not None:
+                a, b = shapes
+                name = f"Beta shape of confidence {which} at spread {self.spread!r}:"
+                # each draw path divides a gamma by the sum of two
+                for value in (a, b, a + b):
+                    check_number(value, name, above=0)
 
     def beta_shapes(self, correct: bool) -> tuple[float, float] | None:
         """Shapes ``(a, b)`` of the Beta law a confidence is drawn from, or
@@ -127,6 +133,10 @@ class DetectorProfile:
         if not self.label_space:
             raise ValidationError("empty label space")
         space = set(self.label_space)
+        if len(space) != len(self.label_space):
+            raise ValidationError(
+                f"malformed detector profile: label_space {list(self.label_space)} repeats a label"
+            )
         for true, row in self.confusion.items():
             total = 0.0
             for label, p in row.items():

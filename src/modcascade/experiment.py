@@ -109,25 +109,17 @@ def _check_label_spaces(taxonomy: ClassTaxonomy, config: RunConfig) -> None:
             )
 
 
-def _det_json(d: Detection) -> dict:
-    return {
-        "box": [d.box.x, d.box.y, d.box.w, d.box.h],
-        "label": d.label,
-        "confidence": d.confidence,
-    }
-
-
 def _image_json(entry: tuple[Sequence[Detection], ImageTrace]) -> dict:
     """One image's entry in the report's trace block, from its baseline
     detections and its routing record."""
     baseline, t = entry
     return {
         "id": t.image_id,
-        "baseline": [_det_json(d) for d in baseline],
-        "stage1": [_det_json(d) for d in t.stage1],
-        "triggered": list(t.triggered),
-        "invoked": list(t.invoked),
-        "stage2": {g: [_det_json(d) for d in ds] for g, ds in zip(t.invoked, t.stage2)},
+        "baseline": baseline,
+        "stage1": t.stage1,
+        "triggered": t.triggered,
+        "invoked": t.invoked,
+        "stage2": dict(zip(t.invoked, t.stage2)),
     }
 
 
@@ -135,7 +127,7 @@ def run_experiment(config: RunConfig, seed: int) -> dict:
     """Execute a full baseline-vs-cascade comparison; returns the report.
 
     The trace block's ``images`` is a ``reporting.LazyList``: each
-    image's detections become dicts only while that entry is encoded.
+    image's entry is built only while it is encoded.
     """
     dataset = load_dataset(config.dataset)
     taxonomy = dataset.taxonomy

@@ -3,7 +3,14 @@
 json.dumps prints floats with the shortest round-trip repr; report
 files instead need a fixed 17-significant-digit form so that byte
 identity across runs is a meaningful determinism check. Keys are
-sorted, separators fixed, NaN/Inf rejected.
+sorted, separators fixed, NaN/Inf rejected (``ValueError``).
+
+The encoder takes ``dict`` (string keys), ``list``, ``tuple``,
+``LazyList``, ``str``, ``int``, ``float``, ``bool`` and ``None``, a
+subclass of any of these as its base type (``np.float64`` as a float),
+and the two core value types: a ``BoundingBox`` as ``[x,y,w,h]`` and a
+``Detection`` as ``{"box":[x,y,w,h],"confidence":c,"label":l}``, each
+number in the same ``.17g`` form. Anything else is a ``TypeError``.
 
 One encoder appends the document's fragments to a list.
 ``dumps_canonical`` joins them; ``dump_canonical`` streams them to the
@@ -16,10 +23,11 @@ is encoded, so a large block of a report need not exist all at once.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 import re
 from typing import Any, Callable, Sequence
+
+from .core import BoundingBox, Detection
 
 # pending fragments after which dump_canonical writes them to the file
 _FLUSH_FRAGMENTS = 4096
@@ -43,20 +51,22 @@ class LazyList:
 
 
 def _encode(obj: Any, out: list[str], flush) -> None:
-    # exact-type dispatch for what reports are made of; everything else
-    # (bool, None, int and float subclasses such as np.float64) takes the
-    # isinstance chain below and encodes as it always has
     t = type(obj)
     if t is float:
-        if not math.isfinite(obj):
-            raise ValueError(f"non-finite float {obj!r} in report")
-        out.append(format(obj, ".17g"))
+        out.append(_numbers("%.17g", obj))
     elif t is str:
         out.append(_escape(obj))
     elif t is dict:
         _encode_dict(obj, out, flush)
     elif t is list or t is tuple or t is LazyList:
         _encode_list(obj, out, flush)
+    elif t is Detection:
+        b = obj.box
+        box = _numbers(_BOX, b.x, b.y, b.w, b.h)
+        confidence = _numbers("%.17g", obj.confidence)
+        out.append('{"box":%s,"confidence":%s,"label":%s}' % (box, confidence, _escape(obj.label)))
+    elif t is BoundingBox:
+        out.append(_numbers(_BOX, obj.x, obj.y, obj.w, obj.h))
     elif t is int:
         out.append(str(obj))
     elif obj is None:
@@ -65,37 +75,36 @@ def _encode(obj: Any, out: list[str], flush) -> None:
         out.append("true")
     elif obj is False:
         out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"non-finite float {obj!r} in report")
-        out.append(format(obj, ".17g"))
-    elif isinstance(obj, str):
-        out.append(_escape(obj))
-    elif isinstance(obj, (list, tuple)):
-        _encode_list(obj, out, flush)
-    elif isinstance(obj, dict):
-        _encode_dict(obj, out, flush)
     else:
+        # a subclass (np.float64, a str enum, a namedtuple) encodes as its base
+        for base, convert in _BASES:
+            if isinstance(obj, base):
+                _encode(convert(obj), out, flush)
+                return
         raise TypeError(f"unserializable object {obj!r}")
+
+
+_BOX = "[%.17g,%.17g,%.17g,%.17g]"
+_BASES = ((float, float), (int, int), (str, str.__str__), (dict, dict), ((list, tuple), list))
+
+
+def _numbers(fmt: str, *values) -> str:
+    text = fmt % values
+    # .17g writes an "n" only in inf and nan
+    if "n" in text:
+        raise ValueError(f"non-finite number in report: {values!r}")
+    return text
 
 
 def _encode_list(obj, out: list[str], flush) -> None:
     append = out.append
-    isfinite = math.isfinite
     sep = "["
     for item in obj:
         append(sep)
         sep = ","
-        if type(item) is float:
-            if not isfinite(item):
-                raise ValueError(f"non-finite float {item!r} in report")
-            append(format(item, ".17g"))
-        else:
-            _encode(item, out, flush)
-            if flush is not None and len(out) > _FLUSH_FRAGMENTS:
-                flush(out)
+        _encode(item, out, flush)
+        if flush is not None and len(out) > _FLUSH_FRAGMENTS:
+            flush(out)
     append("]" if sep == "," else "[]")
 
 

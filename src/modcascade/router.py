@@ -173,12 +173,18 @@ def _route(
         raise ValidationError(f"missing stage-2 network for general classes {missing}")
     images = dataset.images
     s1 = detect_all(stage1, images)
-    triggered = [_triggered(dets, tau, taxonomy, img.id) for dets, img in zip(s1, images)]
+    # one tuple per distinct set, shared by every image that holds it
+    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
+    triggered = [
+        shared.setdefault(trig, trig)
+        for trig in (_triggered(dets, tau, taxonomy, img.id) for dets, img in zip(s1, images))
+    ]
     invoked = list(triggered)
     position = {img.id: k for k, img in enumerate(images)}
     for seq in sequences:
         members = [position[i] for i in seq]
         union = tuple(sorted(set().union(*(triggered[k] for k in members))))
+        union = shared.setdefault(union, union)
         for k in members:
             invoked[k] = union
     s2 = _stage2(stage2, images, invoked)

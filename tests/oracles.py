@@ -5,7 +5,8 @@ oracle samples the generative story directly (class by prior, feature
 by conditional, essential-flag by weight, classify by the larger
 weighted mass) instead of summing minima; the AP oracle builds the whole
 precision-recall curve as ``Fraction`` points; the escaper walks a
-string one character at a time; the object RNG is seeded through numpy's
+string one character at a time; a detection is the dict of lists the
+report was once built from; the object RNG is seeded through numpy's
 own ``SeedSequence`` and ``PCG64``, one stream at a time; the ziggurat
 tables are read off numpy's own normal draws from crafted PCG64 states.
 """
@@ -165,6 +166,17 @@ def char_loop_escape(s: str) -> str:
             parts.append(ch)
     parts.append('"')
     return "".join(parts)
+
+
+def det_json(d) -> dict:
+    """A ``Detection`` as the dict the report was built from before the
+    writer took detections itself: its box as the list ``[x, y, w, h]``,
+    its label and its confidence."""
+    return {
+        "box": [d.box.x, d.box.y, d.box.w, d.box.h],
+        "label": d.label,
+        "confidence": d.confidence,
+    }
 
 
 def object_rng(seed: int, image_id: str, tag) -> np.random.Generator:

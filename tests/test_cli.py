@@ -340,6 +340,10 @@ BAD_RUN_CONFIGS = {
     ),
     "fp-dist-negative": _set({"dog": -1.0, "boat": 2.0}, "profiles", "stage1", "fp_label_dist"),
     "profile-no-label-space": lambda cfg: cfg["profiles"]["baseline"].pop("label_space"),
+    # the repeat passes the set comparison with the taxonomy's generals
+    "stage1-label-space-repeat": lambda cfg: cfg["profiles"]["stage1"]["label_space"].append(
+        cfg["profiles"]["stage1"]["label_space"][0]
+    ),
     "correct-for-list": _set([], "profiles", "stage1", "correct_for"),
     "correct-for-outside-label-space": _set("zzz", "profiles", "stage1", "correct_for", "pekinese"),
     "report-filename-number": _set(7, "report_filename"),

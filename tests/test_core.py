@@ -253,14 +253,18 @@ def test_numeric_edges_are_checked_in_float_arithmetic(taxonomy):
         make_dataset(taxonomy, [image(100, (0, 0, 10**400, 10))])  # no OverflowError
 
 
-def test_dataset_json_structure(taxonomy):
+def test_dataset_json_structure(taxonomy, tmp_path):
+    """Each object holds its ``BoundingBox``; the writer renders it as
+    ``[x,y,w,h]``."""
     img = AnnotatedImage(
         "a", 100, 100, (GroundTruthObject(BoundingBox(1, 2, 3, 4), "swan"),)
     )
     ds = make_dataset(taxonomy, [img])
     doc = dataset_to_json(ds)
-    assert doc["images"][0]["objects"][0]["box"] == [1, 2, 3, 4]
+    assert doc["images"][0]["objects"][0]["box"] == BoundingBox(1, 2, 3, 4)
     assert "sequences" not in doc
+    save_dataset(ds, tmp_path / "ds.json")
+    assert '"box":[1,2,3,4]' in (tmp_path / "ds.json").read_text()
 
 
 def test_only_core_tests_finiteness():

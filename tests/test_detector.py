@@ -87,6 +87,25 @@ class TestProfileValidation:
         with pytest.raises(ValidationError, match="spread"):
             ConfidenceLaw(spread=spread).validate()
 
+    @pytest.mark.parametrize("spread, valid", [(3.72e-155, False), (3.73e-155, True), (1e-154, True)])
+    def test_spread_valid_exactly_when_beta_shapes_are_finite(self, spread, valid):
+        """At mean 0.5 both shapes overflow below a spread of 3.73e-155;
+        at 3.73e-155 their sum is 1.797e308, still finite."""
+        law = ConfidenceLaw(mean_correct=0.5, mean_wrong=0.5, spread=spread)
+        if valid:
+            law.validate()
+            a, b = law.beta_shapes(True)
+            assert math.isfinite(a + b)
+        else:
+            with pytest.raises(ValidationError, match="spread"):
+                law.validate()
+
+    def test_beta_shape_sum_must_be_finite(self, monkeypatch):
+        """Finite shapes whose sum overflows are rejected too."""
+        monkeypatch.setattr(ConfidenceLaw, "beta_shapes", lambda self, correct: (1e308, 1e308))
+        with pytest.raises(ValidationError, match="Beta shape of confidence mean_correct at spread 0.08"):
+            ConfidenceLaw().validate()
+
     def test_negative_fp_label_dist_rejected(self):
         # sums to 1, but the -1 would hand every spurious detection to "b"
         with pytest.raises(ValidationError, match="fp_label_dist"):
@@ -116,9 +135,10 @@ class TestProfileValidation:
         [[], {"confusion": {}}, {"label_space": ["a"], "confusion": []},
          {"label_space": ["a"], "confusion": {"a": 0.5}},
          {"label_space": ["a"], "confusion": {"a": [["a", 0.5]]}},
-         {"label_space": "gh", "confusion": {"g": {"g": 0.9}}}],
+         {"label_space": "gh", "confusion": {"g": {"g": 0.9}}},
+         {"label_space": ["dog", "dog", "boat"], "confusion": {}}],
         ids=["not-object", "no-label-space", "confusion-list", "row-number", "row-pairs",
-             "label-space-string"],
+             "label-space-string", "label-space-repeat"],
     )
     def test_malformed_json_is_validation_error(self, doc):
         with pytest.raises(ValidationError, match="malformed detector profile"):
@@ -540,6 +560,17 @@ class TestBatchedDraws:
         assert repr(detect_all(handle, images)) == repr(
             [tuple(detect(handle, img)) for img in images]
         )
+
+    def test_spread_at_the_shape_limit_agrees_with_scalar(self):
+        """At spread 3.73e-155 and mean 0.5, ``9 * ba`` overflows, so
+        Marsaglia-Tsang's ``c`` is 0 on both paths, and they still agree."""
+        law = ConfidenceLaw(mean_correct=0.5, mean_wrong=0.6, spread=3.73e-155)
+        profile = flat_profile(taxonomy_5x2(), error_rate=0.3, confidence_law=law)
+        handle = DetectorHandle.simulated(profile, seed=11)
+        images = _crowded_images(40)
+        prepared = prepare(handle, images)
+        assert any(type(o) is not tuple for found in prepared for o in found)
+        assert repr(detect_all(handle, images)) == repr([tuple(detect(handle, img)) for img in images])
 
     def test_int_extent_left_to_scalar_path(self):
         # min() puts an int width into a box as it is; the batch would give a float

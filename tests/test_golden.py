@@ -1,10 +1,11 @@
-"""Golden report digests: the bytes of two small ``modcascade run`` reports.
+"""Golden digests: the bytes of two small ``modcascade run`` reports and
+of the datasets they read.
 
 Any change to simulation, routing, matching, AP or the canonical writer
-that moves a single byte of a report fails here. The inputs are built
-from fixed seeds with the README detector profiles: a crowded v1
-dataset (several objects per image, a few negatives) and a v2 dataset
-of single-object sequences written by ``modcascade synth``.
+that moves a single byte of either fails here. The inputs are built from
+fixed seeds with the README detector profiles: a crowded v1 dataset
+(several objects per image, a few negatives) and a v2 dataset of
+single-object sequences written by ``modcascade synth``.
 """
 
 import hashlib
@@ -26,6 +27,9 @@ V1_CROWDED_SHA256 = "7b978007a5184c581d2c72ba1615bda0da91860d1135568441b2263f129
 V2_SEQUENCES_SHA256 = "8ef8f64a9bb97bc5721ecf5fb48af5dd2aff0049e44edc7d8164194bd911ba5f"
 # 11,000 images, a 5.3 MB report: many times the writer's chunk size
 V2_11K_SHA256 = "7486690c6595b40cf8923d0a41afc62d3b01695347749f33070517a441a1c66e"
+# the datasets the two golden runs read, as save_dataset and synth write them
+V1_CROWDED_DATASET_SHA256 = "4646943da7ff1ecb9be7f36c65f3b017cc649d0cb57063d203d08ae54582a1c9"
+V2_SEQUENCES_DATASET_SHA256 = "9884b04fae8e02084362b706f4228fb55fc7924090e40397b11ea64ccf1dae52"
 
 
 def _crowded_dataset(path, n_images=30, negatives=4, seed=17):
@@ -80,6 +84,17 @@ def test_v1_crowded_report_bytes(tmp_path):
 
 def test_v2_sequences_report_bytes(tmp_path):
     assert _report_sha256(tmp_path, _v2_sequences_config(tmp_path)) == V2_SEQUENCES_SHA256
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [(_v1_crowded_config, V1_CROWDED_DATASET_SHA256),
+     (_v2_sequences_config, V2_SEQUENCES_DATASET_SHA256)],
+    ids=["v1_crowded", "v2_sequences"],
+)
+def test_dataset_bytes(tmp_path, build, digest):
+    build(tmp_path)
+    assert hashlib.sha256((tmp_path / "dataset.json").read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))

@@ -1,5 +1,5 @@
 """Canonical JSON writer: escaping, number forms, exact-type fast paths,
-the streamed file writer and lazily built lists."""
+boxes and detections, the streamed file writer and lazily built lists."""
 
 import json
 import math
@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modcascade import reporting
+from modcascade import BoundingBox, Detection, reporting
 from modcascade.reporting import LazyList, dump_canonical, dumps_canonical
 
-from oracles import char_loop_escape
+from oracles import char_loop_escape, det_json
 
 # characters every escaping rule touches, plus some that pass through
 _SPECIAL = [
@@ -80,10 +80,50 @@ class TestValues:
             dumps_canonical({"x": {1, 2}})
 
 
+# every number a box or confidence may hold: finite doubles (-0.0,
+# subnormals and +-max among them), ints that a double holds exactly,
+# and numpy doubles
+_NUMBER = (
+    _FINITE
+    | st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                       -1.7976931348623157e308])
+    | st.integers(-(2**53), 2**53)
+    | _FINITE.map(np.float64)
+)
+_BOXES = st.builds(BoundingBox, _NUMBER, _NUMBER, _NUMBER, _NUMBER)
+
+
+class TestBoxesAndDetections:
+    """The writer renders a ``BoundingBox`` and a ``Detection`` itself,
+    with the bytes of the list and dict they were once written as."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(box=_BOXES, label=_TEXT, confidence=_NUMBER)
+    def test_same_bytes_as_the_list_and_dict(self, box, label, confidence):
+        det = Detection(box, label, confidence)
+        assert dumps_canonical(box) == dumps_canonical([box.x, box.y, box.w, box.h])
+        assert dumps_canonical(det) == dumps_canonical(det_json(det))
+        assert dumps_canonical([det, box]) == dumps_canonical([det_json(det), det_json(det)["box"]])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["x", "y", "w", "h", "confidence"])
+    def test_non_finite_number_rejected(self, tmp_path, field, bad):
+        values = {"x": 1.0, "y": 2.0, "w": 3.0, "h": 4.0, "confidence": 0.5, field: bad}
+        box = BoundingBox(values["x"], values["y"], values["w"], values["h"])
+        det = Detection(box, "dog", values["confidence"])
+        path = tmp_path / "report.json"
+        for doc in ([det], [box]) if field != "confidence" else ([det],):
+            with pytest.raises(ValueError, match="non-finite"):
+                dumps_canonical(doc)
+            with pytest.raises(ValueError, match="non-finite"):
+                dump_canonical({"images": [doc]}, path)
+            assert not path.exists()
+
+
 # nested documents of every kind the encoder takes, including lazy lists
 _SCALARS = (
     st.none() | st.booleans() | st.integers() | _FINITE | _TEXT
-    | _FINITE.map(np.float64)
+    | _FINITE.map(np.float64) | _BOXES | st.builds(Detection, _BOXES, _TEXT, _NUMBER)
 )
 _DOCS = st.recursive(
     _SCALARS,

@@ -277,6 +277,16 @@ class TestRouteV2:
         fn2 = sum(fn_image_flags(ds.images, v2_inv, taxonomy))
         assert fn2 <= fn1
 
+    @pytest.mark.parametrize("route", [route_v1, route_v2])
+    def test_equal_sets_share_one_tuple(self, taxonomy, route):
+        ds = synth_dataset(taxonomy, per_fine=30, negatives=10, seq_len=5, seed=4)
+        s1 = DetectorHandle.simulated(stage1_profile(taxonomy, error_rate=0.05, miss_rate=0.25), 51)
+        s2 = {g: DetectorHandle.simulated(p, 52) for g, p in stage2_profiles(taxonomy, 0.05).items()}
+        mode = "v1" if route is route_v1 else "v2"
+        images = route(ds, s1, s2, taxonomy, RoutingConfig(0.5, mode)).images
+        sets = [t.triggered for t in images] + [t.invoked for t in images]
+        assert len({id(s) for s in sets}) == len(set(sets)) > 1
+
     def test_v2_composite_error_improves(self, taxonomy):
         e1, m1, e2 = 0.0225, 0.02, 0.023
         ds = synth_dataset(taxonomy, per_fine=150, negatives=50, seq_len=5, seed=6)
