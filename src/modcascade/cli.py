@@ -41,7 +41,6 @@ from .errormodel import (
     pdf_curves,
 )
 from .errors import UnknownLabelError, ValidationError
-from .experiment import parse_run_config, run_experiment
 from .reporting import dump_canonical, output_file
 
 
@@ -137,6 +136,9 @@ def cmd_synth(config: dict, out_dir: Path) -> Path:
 
 def cmd_run(config: dict, seed: int, out_dir: Path, base_dir: Path) -> Path:
     """Run the experiment of ``experiment.py`` and write its report."""
+    # the cascade's layers load here, so synth and errormodel never import them
+    from .experiment import parse_run_config, run_experiment
+
     run_config = parse_run_config(config, base_dir)
     report = run_experiment(run_config, seed)
     out_path = out_dir / run_config.report_filename

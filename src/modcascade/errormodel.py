@@ -195,7 +195,7 @@ def pdf_curves(model: FeatureClassModel, c0: str, c1: str) -> list[tuple[int, fl
     """
     t0, t1 = _weighted_masses(model, c0, c1)
     mins = np.minimum(t0, t1)
-    return [(i, float(t0[i]), float(t1[i]), float(mins[i])) for i in range(len(t0))]
+    return list(zip(range(len(t0)), t0.tolist(), t1.tolist(), mins.tolist()))
 
 
 def merge_general(
