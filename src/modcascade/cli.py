@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,14 +23,15 @@ from .core import (
     AnnotatedImage,
     BoundingBox,
     ClassTaxonomy,
+    Dataset,
     GroundTruthObject,
-    dataset_to_json,
     make_dataset,
     read_int,
     read_json,
     read_name,
     read_number,
     read_object,
+    save_dataset,
 )
 from .errormodel import (
     FeatureBudget,
@@ -87,14 +89,10 @@ def parse_synth_config(config: Mapping) -> SynthConfig:
     )
 
 
-def cmd_synth(config: dict, out_dir: Path) -> Path:
-    """Generate a synthetic annotation file.
-
-    K images per fine class, one centered-at-random object each, plus
-    negative images; optional grouping of each class's images into
-    sequences of ``seq_len``. Deterministic given the seed.
-    """
-    synth = parse_synth_config(config)
+def synth_dataset(synth: SynthConfig) -> Dataset:
+    """A synthetic dataset: K images per fine class, one centered-at-random
+    object each, plus negative images; optional grouping of each class's
+    images into sequences of ``seq_len``. Deterministic given the seed."""
     width, height = synth.width, synth.height
     lo, hi = synth.min_box_size, synth.max_box_size
     seq_len = synth.seq_len
@@ -125,9 +123,14 @@ def cmd_synth(config: dict, out_dir: Path) -> Path:
     for k in range(synth.negatives):
         images.append(AnnotatedImage(id=f"neg_{k:05d}", width=width, height=height))
 
-    dataset = make_dataset(synth.taxonomy, images, sequences if seq_len else None)
+    return make_dataset(synth.taxonomy, images, sequences if seq_len else None)
+
+
+def cmd_synth(config: dict, out_dir: Path) -> Path:
+    """Generate a synthetic annotation file (see ``synth_dataset``)."""
+    synth = parse_synth_config(config)
     out_path = out_dir / synth.filename
-    dump_canonical(dataset_to_json(dataset), out_path)
+    save_dataset(synth_dataset(synth), out_path)
     return out_path
 
 
@@ -175,16 +178,12 @@ def parse_errormodel_config(config: Mapping, base_dir: Path) -> ErrormodelConfig
     for c in pair:
         if c not in model.classes:
             raise UnknownLabelError(f"pair names unknown class {c!r}")
-    curves = read_name(config, "curves_filename", "curves.csv")
-    summary = read_name(config, "summary_filename", "summary.json")
-    if Path(curves) == Path(summary):
-        raise ValidationError(f"curves_filename and summary_filename both name {summary!r}")
     return ErrormodelConfig(
         model=model,
         budget=budget,
         pair=(pair[0], pair[1]),
-        curves_filename=curves,
-        summary_filename=summary,
+        curves_filename=read_name(config, "curves_filename", "curves.csv"),
+        summary_filename=read_name(config, "summary_filename", "summary.json"),
     )
 
 
@@ -192,6 +191,14 @@ def cmd_errormodel(config: dict, out_dir: Path, base_dir: Path) -> tuple[Path, P
     """Write the curves and the summary, both or neither: if either write
     fails, neither file remains and the error is re-raised."""
     em = parse_errormodel_config(config, base_dir)
+    curves_path = out_dir / em.curves_filename
+    summary_path = out_dir / em.summary_filename
+    # resolved, so that "sub/../a.csv" and "a.csv" are one file
+    if os.path.realpath(curves_path) == os.path.realpath(summary_path):
+        raise ValidationError(
+            f"curves_filename {em.curves_filename!r} and summary_filename "
+            f"{em.summary_filename!r} name the same file"
+        )
     model, budget = em.model, em.budget
     c0, c1 = em.pair
 
@@ -201,8 +208,6 @@ def cmd_errormodel(config: dict, out_dir: Path, base_dir: Path) -> tuple[Path, P
         "feature_count": feature_count(budget) if budget is not None else None,
         "over_capacity": over_capacity(budget) if budget is not None else None,
     }
-    curves_path = out_dir / em.curves_filename
-    summary_path = out_dir / em.summary_filename
     with output_file(curves_path) as fh:
         fh.write("feature_index,w_density_c0,w_density_c1,min_term\n")
         for i, w0, w1, mn in rows:

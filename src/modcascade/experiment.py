@@ -21,8 +21,10 @@ Run config schema (unknown keys are ignored)::
      "seed": 0}                           # read by the CLI
 
 ``parse_run_config`` raises ``ValidationError`` for every malformed value,
-before the dataset is loaded; ``run_experiment`` rejects a v2 run on a
-dataset without sequences before any detector runs.
+before the dataset is loaded. ``run_experiment`` checks the baseline's
+label space against the dataset's taxonomy, then routes: the router
+checks the cascade's label spaces, and that a v2 run has sequences,
+before any detector runs. The baseline pass follows the routing.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .core import ClassTaxonomy, Dataset, Detection, load_dataset, read_name, read_object
+from .core import AnnotatedImage, Dataset, Detection, load_dataset, read_name, read_object
 from .detector import DetectorHandle, DetectorProfile, detect_all
 from .errormodel import modular_advantage
 from .errors import ValidationError
@@ -95,26 +97,12 @@ def _role_seed(seed: int, role: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-def _check_label_spaces(taxonomy: ClassTaxonomy, config: RunConfig) -> None:
-    if set(config.baseline.label_space) != set(taxonomy.fine_labels):
-        raise ValidationError("baseline profile must emit exactly the fine labels")
-    if set(config.stage1.label_space) != set(taxonomy.generals):
-        raise ValidationError("stage-1 profile must emit exactly the general labels")
-    if set(config.stage2) != set(taxonomy.generals):
-        raise ValidationError("stage-2 profiles must cover exactly the general classes")
-    for g, prof in config.stage2.items():
-        if set(prof.label_space) != set(taxonomy.fine_of[g]):
-            raise ValidationError(
-                f"stage-2 profile for {g!r} must emit exactly fine_of({g!r})"
-            )
-
-
-def _image_json(entry: tuple[Sequence[Detection], ImageTrace]) -> dict:
-    """One image's entry in the report's trace block, from its baseline
-    detections and its routing record."""
-    baseline, t = entry
+def _image_json(entry: tuple[AnnotatedImage, Sequence[Detection], ImageTrace]) -> dict:
+    """One image's entry in the report's trace block, from the image, its
+    baseline detections and its routing record."""
+    img, baseline, t = entry
     return {
-        "id": t.image_id,
+        "id": img.id,
         "baseline": baseline,
         "stage1": t.stage1,
         "triggered": t.triggered,
@@ -130,11 +118,9 @@ def run_experiment(config: RunConfig, seed: int) -> dict:
     image's entry is built only while it is encoded.
     """
     dataset = load_dataset(config.dataset)
-    taxonomy = dataset.taxonomy
-    _check_label_spaces(taxonomy, config)
+    if set(config.baseline.label_space) != set(dataset.taxonomy.fine_labels):
+        raise ValidationError("baseline profile must emit exactly the fine labels")
     routing = config.routing
-    if routing.mode == "v2" and dataset.sequences is None:
-        raise ValidationError("routing mode 'v2' needs a dataset with 'sequences'")
     iou_threshold = config.iou_threshold
 
     baseline_handle = DetectorHandle.simulated(config.baseline, _role_seed(seed, "baseline"))
@@ -144,9 +130,11 @@ def run_experiment(config: RunConfig, seed: int) -> dict:
         for g, p in config.stage2.items()
     }
 
-    baseline_dets = detect_all(baseline_handle, dataset.images)
+    # the router checks the cascade's label spaces and the v2 sequences
+    # before any detector runs, so the baseline pass comes second
     route = route_v1 if routing.mode == "v1" else route_v2
-    trace = route(dataset, stage1_handle, stage2_handles, taxonomy, routing)
+    trace = route(dataset, stage1_handle, stage2_handles, routing)
+    baseline_dets = detect_all(baseline_handle, dataset.images)
 
     report = _evaluate(dataset, baseline_dets, trace, iou_threshold)
     report["tree_vs_flat"] = compare_tree_vs_flat(trace, n_fine_networks=len(stage2_handles))
@@ -157,7 +145,9 @@ def run_experiment(config: RunConfig, seed: int) -> dict:
         "stage1_inferences": trace.stage1_inferences,
         "stage2_inferences": trace.stage2_inferences,
         # built image by image while the report is written
-        "images": LazyList(list(zip(baseline_dets, trace.images, strict=True)), _image_json),
+        "images": LazyList(
+            list(zip(dataset.images, baseline_dets, trace.images, strict=True)), _image_json
+        ),
     }
     return report
 

@@ -11,6 +11,8 @@ Both modes run stage by stage: stage 1 over every image, then each
 general's stage-2 detector over exactly the images routed to it, each
 pass one ``detector.detect_all``. Both return a ``RoutingTrace``: one
 ``ImageTrace`` per image, in dataset order, holding each stage-2 result once.
+Before any detector runs, both check the detectors' label spaces against
+``dataset.taxonomy``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ class RoutingConfig:
 
 @dataclass(frozen=True, slots=True)
 class ImageTrace:
-    """Routing record for one image.
+    """Routing record for one image; it finds its image by its position
+    in ``RoutingTrace.images``, which is dataset order.
 
     ``triggered`` lists general classes this image's own stage-1
     detections put over threshold; ``invoked`` lists the fine-grained
@@ -51,7 +54,6 @@ class ImageTrace:
     invoked detector's detections, aligned with ``invoked``.
     """
 
-    image_id: str
     stage1: tuple[Detection, ...]
     triggered: tuple[str, ...]
     invoked: tuple[str, ...]
@@ -76,18 +78,6 @@ class RoutingTrace:
     @property
     def stage2_inferences(self) -> int:
         return sum(len(t.invoked) for t in self.images)
-
-
-def _triggered(dets, tau: float, taxonomy: ClassTaxonomy, image_id: str) -> tuple[str, ...]:
-    out = set()
-    for d in dets:
-        if d.confidence >= tau:
-            if not taxonomy.is_general(d.label):
-                raise ValidationError(
-                    f"stage-1 emitted non-general label {d.label!r} on image {image_id!r}"
-                )
-            out.add(d.label)
-    return tuple(sorted(out))
 
 
 def _stage2(
@@ -118,7 +108,6 @@ def route_v1(
     dataset: Dataset,
     stage1: DetectorHandle,
     stage2: Mapping[str, DetectorHandle],
-    taxonomy: ClassTaxonomy,
     config: RoutingConfig,
 ) -> RoutingTrace:
     """Per-image cascade routing.
@@ -131,14 +120,13 @@ def route_v1(
     """
     if config.mode != "v1":
         raise ValidationError(f"route_v1 called with mode {config.mode!r}")
-    return _route(dataset, stage1, stage2, taxonomy, config.tau, ())
+    return _route(dataset, stage1, stage2, config.tau, ())
 
 
 def route_v2(
     dataset: Dataset,
     stage1: DetectorHandle,
     stage2: Mapping[str, DetectorHandle],
-    taxonomy: ClassTaxonomy,
     config: RoutingConfig,
 ) -> RoutingTrace:
     """Per-sequence cascade routing.
@@ -153,31 +141,49 @@ def route_v2(
     if config.mode != "v2":
         raise ValidationError(f"route_v2 called with mode {config.mode!r}")
     if dataset.sequences is None:
-        raise ValidationError("route_v2 requires dataset.sequences")
-    return _route(dataset, stage1, stage2, taxonomy, config.tau, dataset.sequences)
+        raise ValidationError("routing mode 'v2' needs a dataset with 'sequences'")
+    return _route(dataset, stage1, stage2, config.tau, dataset.sequences)
+
+
+def _check_contract(
+    taxonomy: ClassTaxonomy, stage1: DetectorHandle, stage2: Mapping[str, DetectorHandle]
+) -> None:
+    """The cascade's two levels: stage 1 emits exactly the general labels,
+    and each general has one stage-2 detector, which emits exactly its
+    fine labels. A detector emits only labels of its own label space."""
+    generals = set(taxonomy.generals)
+    if set(stage1.profile.label_space) != generals:
+        raise ValidationError("stage-1 profile must emit exactly the general labels")
+    if set(stage2) != generals:
+        differ = sorted(set(stage2) ^ generals, key=str)
+        raise ValidationError(
+            f"stage-2 profiles must cover exactly the general classes; these differ: {differ}"
+        )
+    for g, handle in stage2.items():
+        if set(handle.profile.label_space) != set(taxonomy.fine_of[g]):
+            raise ValidationError(f"stage-2 profile for {g!r} must emit exactly fine_of({g!r})")
 
 
 def _route(
     dataset: Dataset,
     stage1: DetectorHandle,
     stage2: Mapping[str, DetectorHandle],
-    taxonomy: ClassTaxonomy,
     tau: float,
     sequences: Sequence[Sequence[str]],
 ) -> RoutingTrace:
     """Stage 1 over every image, then each image's invoked stage-2
     detectors: the union of the triggered sets over the image's sequence,
     or its own triggered set if it is in none of ``sequences``."""
-    missing = [g for g in taxonomy.generals if g not in stage2]
-    if missing:
-        raise ValidationError(f"missing stage-2 network for general classes {missing}")
+    _check_contract(dataset.taxonomy, stage1, stage2)
     images = dataset.images
     s1 = detect_all(stage1, images)
     # one tuple per distinct set, shared by every image that holds it
     shared: dict[tuple[str, ...], tuple[str, ...]] = {}
     triggered = [
         shared.setdefault(trig, trig)
-        for trig in (_triggered(dets, tau, taxonomy, img.id) for dets, img in zip(s1, images))
+        for trig in (
+            tuple(sorted({d.label for d in dets if d.confidence >= tau})) for dets in s1
+        )
     ]
     invoked = list(triggered)
     position = {img.id: k for k, img in enumerate(images)}
@@ -188,12 +194,7 @@ def _route(
         for k in members:
             invoked[k] = union
     s2 = _stage2(stage2, images, invoked)
-    return RoutingTrace(
-        tuple(
-            ImageTrace(img.id, dets, trig, inv, found)
-            for img, dets, trig, inv, found in zip(images, s1, triggered, invoked, s2)
-        )
-    )
+    return RoutingTrace(tuple(map(ImageTrace, s1, triggered, invoked, s2)))
 
 
 def compare_tree_vs_flat(trace: RoutingTrace, n_fine_networks: int) -> dict:

@@ -1,10 +1,8 @@
 """Shared builders for synthetic taxonomies and datasets."""
 
-import numpy as np
 import pytest
 
-from modcascade import ClassTaxonomy, make_dataset
-from modcascade.core import AnnotatedImage, BoundingBox, GroundTruthObject
+from modcascade import ClassTaxonomy, cli
 
 
 def taxonomy_5x2() -> ClassTaxonomy:
@@ -19,40 +17,14 @@ def taxonomy_5x2() -> ClassTaxonomy:
     )
 
 
-def synth_dataset(
-    taxonomy,
-    per_fine: int,
-    negatives: int = 0,
-    seq_len: int | None = None,
-    seed: int = 0,
-    size: float = 800.0,
-):
-    """One random single-object image per slot, optional same-class sequences."""
-    rng = np.random.default_rng(seed)
-    images, sequences = [], []
-    for fine in taxonomy.fine_labels:
-        ids = []
-        for k in range(per_fine):
-            w = rng.uniform(80, size / 2)
-            h = rng.uniform(80, size / 2)
-            x = rng.uniform(0, size - w)
-            y = rng.uniform(0, size - h)
-            image_id = f"{fine}_{k:05d}"
-            images.append(
-                AnnotatedImage(
-                    id=image_id,
-                    width=size,
-                    height=size,
-                    objects=(GroundTruthObject(BoundingBox(x, y, w, h), fine),),
-                )
-            )
-            ids.append(image_id)
-        if seq_len:
-            for start in range(0, len(ids), seq_len):
-                sequences.append(ids[start : start + seq_len])
-    for k in range(negatives):
-        images.append(AnnotatedImage(id=f"neg_{k:05d}", width=size, height=size))
-    return make_dataset(taxonomy, images, sequences if seq_len else None)
+def synth_dataset(taxonomy, per_fine: int, negatives: int = 0, seq_len: int | None = None,
+                  seed: int = 0):
+    """The dataset ``modcascade synth`` generates from these settings and
+    its defaults: one random single-object image per slot, optional
+    same-class sequences."""
+    config = {"taxonomy": taxonomy.to_json(), "images_per_fine": per_fine,
+              "negatives": negatives, "seq_len": seq_len, "seed": seed}
+    return cli.synth_dataset(cli.parse_synth_config(config))
 
 
 @pytest.fixture

@@ -339,10 +339,21 @@ BAD_RUN_CONFIGS = {
         [["dog", 0.9], ["boat", 0.1]], "profiles", "stage1", "confusion", "pekinese"
     ),
     "fp-dist-negative": _set({"dog": -1.0, "boat": 2.0}, "profiles", "stage1", "fp_label_dist"),
+    "fp-dist-sum-below-one": _set({"dog": 0.5, "boat": 0.4}, "profiles", "stage1", "fp_label_dist"),
+    "fp-dist-outside-label-space": _set(
+        {"dog": 0.5, "pekinese": 0.5}, "profiles", "stage1", "fp_label_dist"
+    ),
     "profile-no-label-space": lambda cfg: cfg["profiles"]["baseline"].pop("label_space"),
+    "profile-label-space-empty": _set([], "profiles", "baseline", "label_space"),
     # the repeat passes the set comparison with the taxonomy's generals
     "stage1-label-space-repeat": lambda cfg: cfg["profiles"]["stage1"]["label_space"].append(
         cfg["profiles"]["stage1"]["label_space"][0]
+    ),
+    "stage1-label-space-names-fine": lambda cfg: cfg["profiles"]["stage1"]["label_space"].append(
+        "pekinese"
+    ),
+    "stage2-label-space-of-another-general": lambda cfg: cfg["profiles"]["stage2"].update(
+        dog=cfg["profiles"]["stage2"]["boat"]
     ),
     "correct-for-list": _set([], "profiles", "stage1", "correct_for"),
     "correct-for-outside-label-space": _set("zzz", "profiles", "stage1", "correct_for", "pekinese"),
@@ -356,6 +367,8 @@ BAD_RUN_CONFIGS = {
 BAD_SYNTH_CONFIGS = {
     "synth-no-taxonomy": _drop("taxonomy"),
     "synth-taxonomy-list": _set([], "taxonomy"),
+    "synth-no-generals": _set({}, "taxonomy", "generals"),
+    "synth-miss-label": _set(["__MISS__", "spaniel"], "taxonomy", "generals", "dog"),
     "synth-generals-list": _set(["dog"], "taxonomy", "generals"),
     "synth-fine-label-list": _set([["a"], "b"], "taxonomy", "generals", "dog"),
     "synth-fine-label-number": _set([1, "b"], "taxonomy", "generals", "dog"),
@@ -397,6 +410,9 @@ BAD_ERRORMODEL_CONFIGS = {
     "errormodel-model-surrogate": _set("\ud800", "model"),
     "errormodel-model-nul": _set("a\x00b", "model"),
     "errormodel-conditionals-list": _inline_model(_set([], "conditionals")),
+    "errormodel-no-classes": _inline_model(
+        lambda model: model.update(priors={}, conditionals={}, weights={})
+    ),
     "errormodel-conditional-string": _inline_model(_set(["x", 1.0, 0.0, 0.0], "conditionals", "c0")),
     "errormodel-conditional-bool": _inline_model(_set([True, False, False, False], "conditionals", "c0")),
     "errormodel-conditional-nan": _inline_model(_set([math.nan, 1.0, 0.0, 0.0], "conditionals", "c0")),
@@ -422,6 +438,9 @@ BAD_ERRORMODEL_CONFIGS = {
     "errormodel-capacity-string": _inline_model(_set("big", "capacity", "supK")),
     "errormodel-output-names-equal": _set("curves.csv", "summary_filename"),
     "errormodel-output-names-same-path": _set("./summary.json", "curves_filename"),
+    "errormodel-output-names-resolve-equal": lambda cfg: cfg.update(
+        curves_filename="sub/../same.txt", summary_filename="same.txt"
+    ),
 }
 
 BAD_CONFIGS = {
@@ -487,6 +506,7 @@ BAD_DATASETS = {
     "box-beyond-float-range": _set_image([0, 0, 10**400, 10], 0, "objects", 0, "box"),
     "width-string": _set_image("100", 0, "width"),
     "image-id-surrogate": lambda doc: (doc.pop("sequences"), _set_image("\ud800", 0, "id")(doc)),
+    "image-id-empty": lambda doc: (doc.pop("sequences"), _set_image("", 0, "id")(doc)),
     # areas IoU cannot compute in doubles; each ran to exit 0, its box
     # scored as a false positive plus a miss. The image area overflows,
     # and so does IoU's sum of two box areas:
