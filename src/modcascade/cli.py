@@ -126,10 +126,23 @@ def synth_dataset(synth: SynthConfig) -> Dataset:
     return make_dataset(synth.taxonomy, images, sequences if seq_len else None)
 
 
-def cmd_synth(config: dict, out_dir: Path) -> Path:
+def check_outputs(inputs: Mapping[str, Path], outputs: Mapping[str, Path]) -> None:
+    """The one rule of a command's files, checked before any work: each
+    output path, resolved, is neither an input (None for none) nor
+    another output."""
+    seen = {os.path.realpath(p): name for name, p in inputs.items() if p is not None}
+    for name, path in outputs.items():
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValidationError(f"{name} {str(path)!r} names the same file as {seen[real]}")
+        seen[real] = name
+
+
+def cmd_synth(config: dict, out_dir: Path, config_path: Path) -> Path:
     """Generate a synthetic annotation file (see ``synth_dataset``)."""
     synth = parse_synth_config(config)
     out_path = out_dir / synth.filename
+    check_outputs({"the config": config_path}, {"filename": out_path})
     save_dataset(synth_dataset(synth), out_path)
     return out_path
 
@@ -137,15 +150,16 @@ def cmd_synth(config: dict, out_dir: Path) -> Path:
 # ------------------------------------------------------------------ run
 
 
-def cmd_run(config: dict, seed: int, out_dir: Path, base_dir: Path) -> Path:
+def cmd_run(config: dict, seed: int, out_dir: Path, config_path: Path) -> Path:
     """Run the experiment of ``experiment.py`` and write its report."""
     # the cascade's layers load here, so synth and errormodel never import them
     from .experiment import parse_run_config, run_experiment
 
-    run_config = parse_run_config(config, base_dir)
-    report = run_experiment(run_config, seed)
+    run_config = parse_run_config(config, config_path.parent)
     out_path = out_dir / run_config.report_filename
-    dump_canonical(report, out_path)
+    inputs = {"the config": config_path, "the dataset": run_config.dataset}
+    check_outputs(inputs, {"report_filename": out_path})
+    dump_canonical(run_experiment(run_config, seed), out_path)
     return out_path
 
 
@@ -157,6 +171,7 @@ class ErrormodelConfig:
     """A validated ``errormodel`` config, its model file already parsed."""
 
     model: FeatureClassModel
+    model_path: Path | None  # None for an inline model
     budget: FeatureBudget | None
     pair: tuple[str, str]
     curves_filename: str
@@ -166,8 +181,10 @@ class ErrormodelConfig:
 def parse_errormodel_config(config: Mapping, base_dir: Path) -> ErrormodelConfig:
     """Validate an errormodel config and parse its model document (inline,
     or a file path relative to ``base_dir``); every fault is a ValidationError."""
+    model_path = None
     if isinstance(config.get("model"), str):
-        model_doc = read_json(base_dir / read_name(config, "model"), "model file")
+        model_path = base_dir / read_name(config, "model")
+        model_doc = read_json(model_path, "model file")
     else:
         model_doc = read_object(config, "model")
     model, budget = model_file_to_parts(model_doc)
@@ -180,6 +197,7 @@ def parse_errormodel_config(config: Mapping, base_dir: Path) -> ErrormodelConfig
             raise UnknownLabelError(f"pair names unknown class {c!r}")
     return ErrormodelConfig(
         model=model,
+        model_path=model_path,
         budget=budget,
         pair=(pair[0], pair[1]),
         curves_filename=read_name(config, "curves_filename", "curves.csv"),
@@ -187,18 +205,14 @@ def parse_errormodel_config(config: Mapping, base_dir: Path) -> ErrormodelConfig
     )
 
 
-def cmd_errormodel(config: dict, out_dir: Path, base_dir: Path) -> tuple[Path, Path]:
+def cmd_errormodel(config: dict, out_dir: Path, config_path: Path) -> tuple[Path, Path]:
     """Write the curves and the summary, both or neither: if either write
     fails, neither file remains and the error is re-raised."""
-    em = parse_errormodel_config(config, base_dir)
+    em = parse_errormodel_config(config, config_path.parent)
     curves_path = out_dir / em.curves_filename
     summary_path = out_dir / em.summary_filename
-    # resolved, so that "sub/../a.csv" and "a.csv" are one file
-    if os.path.realpath(curves_path) == os.path.realpath(summary_path):
-        raise ValidationError(
-            f"curves_filename {em.curves_filename!r} and summary_filename "
-            f"{em.summary_filename!r} name the same file"
-        )
+    inputs = {"the config": config_path, "the model file": em.model_path}
+    check_outputs(inputs, {"curves_filename": curves_path, "summary_filename": summary_path})
     model, budget = em.model, em.budget
     c0, c1 = em.pair
 
@@ -251,15 +265,14 @@ def main(argv=None) -> int:
         seed = read_int(config, "seed", 0)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        base_dir = config_path.parent
         if args.command == "synth":
-            path = cmd_synth(config, out_dir)
+            path = cmd_synth(config, out_dir, config_path)
             print(path)
         elif args.command == "run":
-            path = cmd_run(config, seed, out_dir, base_dir)
+            path = cmd_run(config, seed, out_dir, config_path)
             print(path)
         else:
-            curves, summary = cmd_errormodel(config, out_dir, base_dir)
+            curves, summary = cmd_errormodel(config, out_dir, config_path)
             print(curves)
             print(summary)
         return 0

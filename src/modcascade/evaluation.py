@@ -10,23 +10,21 @@ AP is the area under the all-points-interpolated precision-recall curve
 to float once, so results are bit-reproducible and independent of
 summation order. Every true positive at rank k raises recall by
 1/n_gt, so the area is (1/n_gt) times the sum of the precision envelope
-env(k) = max_{j >= k} tp_j / j over the TP ranks k. The ranks are walked
+env(k) = max_{j >= k} tp_j / j over the TP ranks k. The TP ranks are walked
 backwards with the best precision kept as an integer pair (tp_j, j),
 compared by cross-multiplication; consecutive TP ranks under the same
 envelope value are counted and added as one ``Fraction``.
 
-``score_matches`` is the one scorer: it turns per-image matches into
-AP, mAP, classification error and confusion, deciding at its own label
-level whether a matched detection's label is right. ``evaluate_run``
-takes the detections (and invoked generals) as sequences aligned with
-the images and matches each image once. For a cascade run it also
-scores the FN-aware figures from those same matches: the FN images, the
-routed positive images, their stage-2 mAP and the FN-adjusted mAP. Its
-``EvalReport`` holds exactly what the report prints; the matches are
-dropped when it returns.
+``evaluate_run`` matches and scores a whole run on columns: one numpy
+row per detection and per ground truth, the matcher of ``_kernels``
+over every image at once, and the scores as array reductions over its
+matches. For a cascade run it also scores the FN-aware figures from
+those same matches: the FN images, the routed positive images, their
+stage-2 mAP and the FN-adjusted mAP. Its ``EvalReport`` holds exactly
+what the report prints. ``match_detections`` (one image, into a
+``MatchResult``) and ``score_matches`` (a list of them) are adapters
+over the same matcher and scorer.
 
-IoU and greedy matching have one plain-Python implementation, in
-``_kernels``: there is no compiled backend to build or select.
 Benchmark with ``python3 perfbench/run.py --workload W --seed 1
 --seconds 30 --trace 0|1``; ``python3 perfbench/selftest.py`` checks
 the benchmark itself.
@@ -38,7 +36,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from ._kernels import greedy_match, iou  # iou is re-exported
+import numpy as np
+
+from ._kernels import box_rows, greedy_match, iou, match_columns  # iou is re-exported
 from .core import MISS, AnnotatedImage, ClassTaxonomy, Detection, GroundTruthObject
 from .core import check_number
 from .errors import ValidationError
@@ -73,12 +73,7 @@ def match_detections(
     gts: Sequence[GroundTruthObject],
     iou_threshold: float,
 ) -> MatchResult:
-    """Greedily assign detections to ground truths, class-agnostically.
-
-    Detections are processed in descending confidence (ties keep input
-    order); each claims the unclaimed ground truth with the highest
-    IoU >= threshold, IoU ties going to the lowest index.
-    """
+    """``greedy_match`` of one image, class-agnostic, as a ``MatchResult``."""
     check_iou_threshold(iou_threshold)
     assign = greedy_match(dets, gts, iou_threshold)
     claimed = tuple(None if g < 0 else gts[g] for g in assign)
@@ -91,30 +86,24 @@ def average_precision(records: Sequence[tuple[float, bool]], n_gt: int) -> float
     """Area under the all-points-interpolated precision-recall curve.
 
     records: (confidence, is_true_positive) for every detection of one
-    class; n_gt: ground-truth count of that class. Computed with exact
-    rational arithmetic and rounded to float once at the end.
+    class, as pairs or as the rows of an (n, 2) array; n_gt: ground-truth
+    count of that class. Computed with exact rational arithmetic and
+    rounded to float once at the end.
     """
     if n_gt <= 0:
         raise NoGroundTruthError("average precision undefined without ground truth")
-    # descending confidence, ties keep input order
-    hits = [bool(tp) for _, tp in sorted(records, key=lambda r: -r[0])]
-    tp = sum(hits)
-    if tp == 0:
-        return 0.0
-    # walk the ranks backwards: (best_tp, best_rank) is the envelope
-    # max_{j >= rank} tp_j / j; `run` counts the TP ranks under it
-    area = Fraction(0)
-    best_tp, best_rank = 0, 1
-    run = 0
-    for rank in range(len(hits), 0, -1):
+    rows = np.asarray(records, dtype=float).reshape(-1, 2)
+    # descending confidence, ties keep input order; the ranks of the TPs
+    ranks = (np.flatnonzero(rows[np.argsort(-rows[:, 0], kind="stable"), 1]) + 1).tolist()
+    # walk the TPs backwards: (best_tp, best_rank) is the envelope
+    # max_{j >= rank} tp_j / j, which an FP rank never attains; `run`
+    # counts the TP ranks under it
+    area, run, best_tp, best_rank = Fraction(0), 0, 0, 1
+    for tp, rank in zip(range(len(ranks), 0, -1), reversed(ranks)):
         if tp * best_rank > best_tp * rank:
-            if run:
-                area += Fraction(run * best_tp, best_rank)
-                run = 0
-            best_tp, best_rank = tp, rank
-        if hits[rank - 1]:
-            run += 1
-            tp -= 1
+            area += Fraction(run * best_tp, best_rank)
+            run, best_tp, best_rank = 0, tp, rank
+        run += 1
     area += Fraction(run * best_tp, best_rank)
     return float(area / n_gt)
 
@@ -196,67 +185,62 @@ def fn_image_flags(
     )
 
 
-def score_matches(
-    matches: Sequence[MatchResult],
-    taxonomy: ClassTaxonomy,
-    *,
-    level: str = "fine",
-) -> EvalReport:
-    """Score per-image match results at the given label level.
+def _label_codes(taxonomy: ClassTaxonomy, level: str, dets, gts, claimed):
+    """The sorted labels of ``dets`` and ``gts`` at ``level``; as codes into
+    them, each detection's label, the label of the ground truth it
+    claimed (``claimed``: an index into ``gts``, or -1) and each ground
+    truth's label."""
+    det_labels, gt_labels = [d.label for d in dets], [o.fine_label for o in gts]
+    codes = {lbl: i for i, lbl in enumerate(dict.fromkeys(det_labels + gt_labels))}
+    projected = [taxonomy.label_at_level(lbl, level) for lbl in codes]
+    names = sorted(set(projected))
+    to_level = np.array([names.index(p) for p in projected], dtype=np.intp)
+    pred = to_level[np.fromiter(map(codes.__getitem__, det_labels), np.intp, len(dets))]
+    gt_true = to_level[np.fromiter(map(codes.__getitem__, gt_labels), np.intp, len(gts))]
+    return names, pred, np.append(gt_true, -1)[claimed], gt_true
 
-    Every ground truth is either claimed by one detection or a false
-    negative, so the per-class ground-truth counts come from the
-    matches alone. A matched detection is right when its label and its
-    ground truth's label are the same at ``level``. AP ties break by the
-    order of ``matches``.
-    """
-    records: dict[str, list[tuple[float, bool]]] = {}
-    gt_counts: dict[str, int] = {}
+
+def _score(conf, names, pred, true, gt_true) -> EvalReport:
+    """Scores from columns: per detection its confidence, its label code
+    ``pred`` and the label code of the ground truth it claimed, or -1
+    (``true``); per ground truth its label code (``_label_codes``). AP
+    ties break by detection order."""
+    k = len(names)
+    matched = true >= 0
+    pairs = np.bincount(true[matched] * k + pred[matched], minlength=k * k).reshape(k, k)
+    gt_n = np.bincount(gt_true, minlength=k)
+    missed = gt_n - pairs.sum(axis=1)
+    matched_total = int(matched.sum())
+    wrong_total = matched_total - int(pairs.trace())
+    hits = np.column_stack((conf, pred == true))
     confusion: dict[str, dict[str, int]] = {}
-    at_level: dict[str, str] = {}
-    matched_total = 0
-    wrong_total = 0
-
-    def project(label: str) -> str:
-        lbl = at_level.get(label)
-        if lbl is None:
-            lbl = at_level[label] = taxonomy.label_at_level(label, level)
-        return lbl
-
-    for result in matches:
-        for det, gt in zip(result.detections, result.claimed):
-            det_lbl = project(det.label)
-            true = project(gt.fine_label) if gt is not None else None
-            records.setdefault(det_lbl, []).append((det.confidence, det_lbl == true))
-            if gt is not None:
-                matched_total += 1
-                wrong_total += det_lbl != true
-                gt_counts[true] = gt_counts.get(true, 0) + 1
-                row = confusion.setdefault(true, {})
-                row[det_lbl] = row.get(det_lbl, 0) + 1
-        for gt in result.false_negatives:
-            true = project(gt.fine_label)
-            gt_counts[true] = gt_counts.get(true, 0) + 1
-            row = confusion.setdefault(true, {})
-            row[MISS] = row.get(MISS, 0) + 1
-
-    per_class_ap = {
-        lbl: average_precision(records.get(lbl, []), n)
-        for lbl, n in sorted(gt_counts.items())
-    }
-    if per_class_ap:
-        mean_ap = float(sum(Fraction(v) for v in per_class_ap.values()) / len(per_class_ap))
-    else:
-        mean_ap = 0.0
+    per_class_ap = {}
+    for c in np.flatnonzero(gt_n).tolist():
+        row = {names[p]: n for p, n in enumerate(pairs[c].tolist()) if n}
+        if missed[c]:
+            row[MISS] = int(missed[c])
+        confusion[names[c]] = row
+        per_class_ap[names[c]] = average_precision(hits[pred == c], int(gt_n[c]))
+    mean_ap = sum(map(Fraction, per_class_ap.values())) / len(per_class_ap) if per_class_ap else 0
     err = wrong_total / matched_total if matched_total else 0.0
-    return EvalReport(
-        per_class_ap=per_class_ap,
-        map=mean_ap,
-        classification_error=err,
-        confusion=confusion,
-        fn_image_count=0,
-        matched_count=matched_total,
-    )
+    return EvalReport(per_class_ap=per_class_ap, map=float(mean_ap), classification_error=err,
+                      confusion=confusion, fn_image_count=0, matched_count=matched_total)
+
+
+def score_matches(
+    matches: Sequence[MatchResult], taxonomy: ClassTaxonomy, *, level: str = "fine"
+) -> EvalReport:
+    """Score per-image match results at the given label level, as
+    ``evaluate_run`` scores its own matches. A matched detection is
+    right when its label and its ground truth's label are the same at
+    ``level``. AP ties break by the order of ``matches``."""
+    dets = [d for m in matches for d in m.detections]
+    claimed = [g for m in matches for g in m.claimed]
+    hit = np.array([g is not None for g in claimed], dtype=bool)
+    gts = [g for g in claimed if g is not None] + [g for m in matches for g in m.false_negatives]
+    conf = np.array([d.confidence for d in dets], dtype=float)
+    at = np.where(hit, np.cumsum(hit) - 1, -1)  # each claimed ground truth's index in gts
+    return _score(conf, *_label_codes(taxonomy, level, dets, gts, at))
 
 
 def evaluate_run(
@@ -272,35 +256,40 @@ def evaluate_run(
 
     ``detections`` yields each image's detections, once (it may be a
     generator), and ``invoked`` holds each image's invoked generals, both
-    aligned with ``images``; a length mismatch is a ValueError.
-    ``invoked`` marks a cascade run: the report then also carries the FN
-    images and the routed-subset and FN-adjusted mAPs, scored from the
-    same matches. Omit it for flat baselines. Deterministic: images are
-    folded in the given order, AP ties break by that order. Each image
-    is matched once.
+    aligned with ``images``; a length mismatch is a ValueError. A level
+    other than "fine" or "general", and a confidence or box number that
+    is not finite, are a ValidationError. ``invoked`` marks a cascade
+    run: the report then also carries the FN images and the
+    routed-subset and FN-adjusted mAPs, scored from the same matches.
+    Omit it for flat baselines. AP ties break by the order of images.
     """
-    matches = [
-        match_detections(dets, img.objects, iou_threshold)
-        for img, dets in zip(images, detections, strict=True)
-    ]
-    report = score_matches(matches, taxonomy, level=level)
+    check_iou_threshold(iou_threshold)
+    if level not in ("fine", "general"):
+        raise ValidationError(f"unknown level {level!r}")
+    per_image = [dets for _, dets in zip(images, detections, strict=True)]
+    dets = [d for image_dets in per_image for d in image_dets]
+    gts = [o for img in images for o in img.objects]
+    conf = np.array([d.confidence for d in dets], dtype=float)
+    det_xywh, gt_xywh = box_rows(d.box for d in dets), box_rows(o.box for o in gts)
+    if not all(np.isfinite(column).all() for column in (conf, det_xywh, gt_xywh)):
+        raise ValidationError("evaluate_run needs finite confidences and box numbers")
+    det_counts = np.array([len(image_dets) for image_dets in per_image], dtype=np.intp)
+    gt_counts = np.array([len(img.objects) for img in images], dtype=np.intp)
+    claimed = match_columns(det_xywh, conf, det_counts, gt_xywh, gt_counts, iou_threshold)
+    names, pred, true, gt_true = _label_codes(taxonomy, level, dets, gts, claimed)
+    report = _score(conf, names, pred, true, gt_true)
     if invoked is None:
         return report
     # FN-aware total mAP: the mAP over the positive images that are not
     # FN images (each reached every stage-2 detector it needed), scaled
     # down by the FN images
-    flags = fn_image_flags(images, invoked, taxonomy)
-    routed = [m for img, m, fn in zip(images, matches, flags) if img.objects and not fn]
-    fn_images = sum(flags)
-    routed_map = score_matches(routed, taxonomy, level=level).map  # 0.0 when empty
-    if routed or fn_images:
-        fn_adjusted = map_with_fn_accounting(routed_map, len(routed), fn_images)
-    else:
-        fn_adjusted = report.map
-    return replace(
-        report,
-        fn_image_count=fn_images,
-        routed_positive_images=len(routed),
-        map_stage2_routed=routed_map,
-        map_fn_adjusted=fn_adjusted,
-    )
+    flags = np.array(fn_image_flags(images, invoked, taxonomy), dtype=bool)
+    routed = (gt_counts > 0) & ~flags
+    det_in, gt_in = np.repeat(routed, det_counts), np.repeat(routed, gt_counts)
+    n_routed, fn_images = int(routed.sum()), int(flags.sum())
+    routed_map = _score(conf[det_in], names, pred[det_in], true[det_in], gt_true[gt_in]).map
+    fn_adjusted = report.map  # neither routed nor FN images
+    if n_routed or fn_images:
+        fn_adjusted = map_with_fn_accounting(routed_map, n_routed, fn_images)
+    return replace(report, fn_image_count=fn_images, routed_positive_images=n_routed,
+                   map_stage2_routed=routed_map, map_fn_adjusted=fn_adjusted)

@@ -4,7 +4,9 @@ These deliberately avoid the library's computation paths: the Bayes
 oracle samples the generative story directly (class by prior, feature
 by conditional, essential-flag by weight, classify by the larger
 weighted mass) instead of summing minima; the AP oracle builds the whole
-precision-recall curve as ``Fraction`` points; the escaper walks a
+precision-recall curve as ``Fraction`` points; the matchers loop over
+each image's boxes in Python, and the run evaluation matches and scores
+image by image, from objects, with the AP oracle; the escaper walks a
 string one character at a time; a detection is the dict of lists the
 report was once built from; the object RNG is seeded through numpy's
 own ``SeedSequence`` and ``PCG64``, one stream at a time; the ziggurat
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from modcascade import FeatureClassModel
+from modcascade import MISS, FeatureClassModel
 
 
 # numpy 2 renamed trapz; the oldest supported numpy has only the old name
@@ -147,6 +149,142 @@ def fraction_average_precision(records, n_gt: int) -> float:
             area += (r - prev_r) * env[k]
             prev_r = r
     return float(area)
+
+
+def iou_raw(a, b):
+    """IoU of two ``(x, y, w, h)`` tuples, in the operations of ``iou``."""
+    ix = max(min(a[0] + a[2], b[0] + b[2]) - max(a[0], b[0]), 0.0)
+    iy = max(min(a[1] + a[3], b[1] + b[3]) - max(a[1], b[1]), 0.0)
+    inter = ix * iy
+    union = a[2] * a[3] + b[2] * b[3] - inter
+    return inter / union if union > 0 else 0.0
+
+
+def greedy_oracle(dets, gts, threshold):
+    """Reference matcher: straight re-implementation of the greedy rule."""
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].confidence)
+    claimed = set()
+    assign = {}
+    for d in order:
+        db = dets[d].box
+        best, best_iou = None, 0.0
+        for g, gt in enumerate(gts):
+            if g in claimed:
+                continue
+            v = iou_raw((db.x, db.y, db.w, db.h), (gt.box.x, gt.box.y, gt.box.w, gt.box.h))
+            if v >= threshold and (best is None or v > best_iou):
+                best, best_iou = g, v
+        if best is not None:
+            assign[d] = best
+            claimed.add(best)
+    return assign
+
+
+def greedy_loop(dets, gts, iou_threshold: float) -> list[int]:
+    """One image's greedy matching as a scalar loop, with the IoU inlined
+    in the operations of ``iou``: per detection, the index of the ground
+    truth it claimed, or -1."""
+    assign = [-1] * len(dets)
+    targets = []
+    for gt in gts:
+        b = gt.box
+        targets.append((b.x, b.y, b.x + b.w, b.y + b.h, b.w * b.h))
+    claimed = [False] * len(gts)
+    for d in sorted(range(len(dets)), key=lambda i: -dets[i].confidence):
+        a = dets[d].box
+        ax1, ay1 = a.x, a.y
+        ax2, ay2 = ax1 + a.w, ay1 + a.h
+        a_area = a.w * a.h
+        best = -1
+        best_iou = -1.0
+        for g, (bx1, by1, bx2, by2, b_area) in enumerate(targets):
+            if claimed[g]:
+                continue
+            iw = min(ax2, bx2) - max(ax1, bx1)
+            ih = min(ay2, by2) - max(ay1, by1)
+            if iw <= 0.0 or ih <= 0.0:
+                v = 0.0
+            else:
+                inter = iw * ih
+                union = a_area + b_area - inter
+                v = inter / union if union > 0.0 else 0.0
+            if v >= iou_threshold and v > best_iou:
+                best, best_iou = g, v
+        if best >= 0:
+            assign[d] = best
+            claimed[best] = True
+    return assign
+
+
+def score_loop(matches, taxonomy, level: str) -> dict:
+    """The scores of per-image ``(detections, claimed, false_negatives)``
+    triples, as ``EvalReport.to_json`` of a flat run writes them, from
+    one pass over every detection and missed ground truth."""
+    records, gt_counts, confusion = {}, {}, {}
+    matched_total = wrong_total = 0
+    for dets, claimed, fns in matches:
+        for det, gt in zip(dets, claimed):
+            det_lbl = taxonomy.label_at_level(det.label, level)
+            true = taxonomy.label_at_level(gt.fine_label, level) if gt is not None else None
+            records.setdefault(det_lbl, []).append((det.confidence, det_lbl == true))
+            if gt is not None:
+                matched_total += 1
+                wrong_total += det_lbl != true
+                gt_counts[true] = gt_counts.get(true, 0) + 1
+                row = confusion.setdefault(true, {})
+                row[det_lbl] = row.get(det_lbl, 0) + 1
+        for gt in fns:
+            true = taxonomy.label_at_level(gt.fine_label, level)
+            gt_counts[true] = gt_counts.get(true, 0) + 1
+            row = confusion.setdefault(true, {})
+            row[MISS] = row.get(MISS, 0) + 1
+    per_class_ap = {
+        lbl: fraction_average_precision(records.get(lbl, []), n)
+        for lbl, n in sorted(gt_counts.items())
+    }
+    mean_ap = 0.0
+    if per_class_ap:
+        mean_ap = float(sum(map(Fraction, per_class_ap.values())) / len(per_class_ap))
+    return {
+        "per_class_ap": per_class_ap,
+        "map": mean_ap,
+        "classification_error": wrong_total / matched_total if matched_total else 0.0,
+        "confusion": confusion,
+        "fn_image_count": 0,
+        "matched_count": matched_total,
+    }
+
+
+def evaluate_run_oracle(images, detections, taxonomy, *, level="fine", iou_threshold=0.5,
+                        invoked=None) -> dict:
+    """``evaluate_run(...).to_json()`` computed image by image: each image
+    matched by ``greedy_loop``, the run scored by ``score_loop``, and for
+    a cascade run the routed positive images scored again on their own."""
+    matches = []
+    for img, dets in zip(images, detections, strict=True):
+        assign = greedy_loop(dets, img.objects, iou_threshold)
+        claimed = [None if g < 0 else img.objects[g] for g in assign]
+        fns = [gt for g, gt in enumerate(img.objects) if g not in assign]
+        matches.append((dets, claimed, fns))
+    doc = score_loop(matches, taxonomy, level)
+    if invoked is None:
+        return doc
+    fn = [
+        any(taxonomy.general_of(o.fine_label) not in generals for o in img.objects)
+        for img, generals in zip(images, invoked, strict=True)
+    ]
+    routed = [m for img, m, f in zip(images, matches, fn) if img.objects and not f]
+    routed_map = score_loop(routed, taxonomy, level)["map"]
+    total = len(routed) + sum(fn)
+    doc.update(
+        fn_image_count=sum(fn),
+        routed_positive_images=len(routed),
+        map_stage2_routed=routed_map,
+        map_fn_adjusted=(
+            float(Fraction(routed_map) * Fraction(len(routed), total)) if total else doc["map"]
+        ),
+    )
+    return doc
 
 
 _CHAR_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}

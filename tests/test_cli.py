@@ -362,6 +362,8 @@ BAD_RUN_CONFIGS = {
     "dataset-nul": _set("a\x00b", "dataset"),
     "report-filename-surrogate": _set("\ud800", "report_filename"),
     "report-filename-nul": _set("a\x00b", "report_filename"),
+    # --out is a folder beside the inputs
+    "report-over-dataset": _set("../dataset.json", "report_filename"),
 }
 
 BAD_SYNTH_CONFIGS = {
@@ -391,6 +393,7 @@ BAD_SYNTH_CONFIGS = {
     "synth-box-sizes-crossed": lambda cfg: cfg.update(min_box_size=300, max_box_size=200),
     "synth-max-box-beyond-image": _set(900, "max_box_size"),
     "synth-width-below-default-boxes": _set(50, "width"),
+    "synth-dataset-over-config": _set("../config.json", "filename"),
 }
 
 BAD_ERRORMODEL_CONFIGS = {
@@ -441,6 +444,7 @@ BAD_ERRORMODEL_CONFIGS = {
     "errormodel-output-names-resolve-equal": lambda cfg: cfg.update(
         curves_filename="sub/../same.txt", summary_filename="same.txt"
     ),
+    "errormodel-summary-over-model-file": _set("../model.json", "summary_filename"),
 }
 
 BAD_CONFIGS = {
@@ -453,7 +457,7 @@ BAD_CONFIGS = {
 @pytest.mark.parametrize("command, mutate", list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS))
 def test_bad_run_config_is_one_line_error(tmp_path, taxonomy, capsys, command, mutate):
     """Every malformed config of every command: exit 2, one stderr line,
-    no output file."""
+    no output file, and every input file as it was."""
     if command == "run":
         cfg_dict = run_config(taxonomy, _small_dataset(tmp_path, taxonomy))
     elif command == "synth":
@@ -464,11 +468,13 @@ def test_bad_run_config_is_one_line_error(tmp_path, taxonomy, capsys, command, m
         cfg_dict = {"model": "model.json", "pair": ["c0", "c1"]}
     mutate(cfg_dict)
     cfg = write_config(tmp_path, "config.json", cfg_dict)
+    inputs = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not list(out.glob("*"))
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == inputs
 
 
 def _dataset_doc(taxonomy):

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from modcascade import (
     map_with_fn_accounting,
     match_detections,
 )
+from modcascade import _kernels
 from modcascade._kernels import greedy_match
 from modcascade.core import (
     MISS,
@@ -31,7 +33,7 @@ from modcascade.core import (
 from modcascade.errors import ValidationError
 from modcascade.evaluation import NoGroundTruthError, score_matches
 
-from oracles import fraction_average_precision
+from oracles import evaluate_run_oracle, fraction_average_precision, greedy_oracle, iou_raw
 
 
 def B(x, y, w, h):
@@ -68,36 +70,7 @@ class TestIoU:
         for _ in range(200):
             a = (rng.uniform(0, 100), rng.uniform(0, 100), rng.uniform(0.5, 50), rng.uniform(0.5, 50))
             b = (rng.uniform(0, 100), rng.uniform(0, 100), rng.uniform(0.5, 50), rng.uniform(0.5, 50))
-            assert iou(B(*a), B(*b)) == _iou_raw(a, b)  # same arithmetic, bit-exact
-
-
-def _iou_raw(a, b):
-    # independent scalar IoU for the oracle
-    ix = max(min(a[0] + a[2], b[0] + b[2]) - max(a[0], b[0]), 0.0)
-    iy = max(min(a[1] + a[3], b[1] + b[3]) - max(a[1], b[1]), 0.0)
-    inter = ix * iy
-    union = a[2] * a[3] + b[2] * b[3] - inter
-    return inter / union if union > 0 else 0.0
-
-
-def greedy_oracle(dets, gts, threshold):
-    """Reference matcher: straight re-implementation of the greedy rule."""
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].confidence)
-    claimed = set()
-    assign = {}
-    for d in order:
-        db = dets[d].box
-        best, best_iou = None, 0.0
-        for g, gt in enumerate(gts):
-            if g in claimed:
-                continue
-            v = _iou_raw((db.x, db.y, db.w, db.h), (gt.box.x, gt.box.y, gt.box.w, gt.box.h))
-            if v >= threshold and (best is None or v > best_iou):
-                best, best_iou = g, v
-        if best is not None:
-            assign[d] = best
-            claimed.add(best)
-    return assign
+            assert iou(B(*a), B(*b)) == iou_raw(a, b)  # same arithmetic, bit-exact
 
 
 class TestMatching:
@@ -537,6 +510,20 @@ class TestEvaluateRun:
         assert r1.map == r2.map
         assert r1.classification_error == r2.classification_error
 
+    @pytest.mark.parametrize("image, dets, level", [
+        # no label is projected, so the level was never looked at
+        (AnnotatedImage("neg", 200, 200), [], "bogus"),
+        (AnnotatedImage("neg", 200, 200), [Detection(B(0, 0, 9, 9), "mars", math.nan)], "fine"),
+        (AnnotatedImage("neg", 200, 200), [Detection(B(0, 0, 9, 9), "mars", math.inf)], "fine"),
+        (AnnotatedImage("neg", 200, 200), [Detection(B(0, math.nan, 9, 9), "mars", 0.5)], "fine"),
+        (AnnotatedImage("a", 200, 200, (GroundTruthObject(B(0, 0, math.nan, 9), "mars"),)), [],
+         "general"),
+    ], ids=["level", "nan-confidence", "inf-confidence", "nan-detection-box", "nan-object-box"])
+    def test_unscorable_input_is_validation_error(self, image, dets, level):
+        # each was scored silently; a NaN also leaves the sort order undefined
+        with pytest.raises(ValidationError, match="level|finite"):
+            evaluate_run([image], [dets], TAXONOMY, level=level)
+
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_misaligned_sequences_raise(self, extra):
         # per-image results pair with the images by position; one too few
@@ -598,3 +585,101 @@ class TestEvaluateRun:
             maps.append(sum(per_seed) / len(per_seed))
         assert maps[0] == 1.0
         assert all(a >= b for a, b in zip(maps, maps[1:]))
+
+
+LABELS = {"fine": TAXONOMY.fine_labels, "general": TAXONOMY.fine_labels + TAXONOMY.generals}
+THRESHOLDS = (0.25, 1 / 3, 0.5, 1.0)
+
+
+def _random_run(rng: random.Random) -> dict:
+    """A run for ``evaluate_run``: up to six images with 0-6 objects and
+    0-8 detections on a small integer grid, so that equal IoUs, touching
+    and identical boxes and IoUs of exactly 1/4, 1/3, 1/2 and 1 come up
+    often; confidences from three values; either level, with or without
+    invoked generals."""
+    level = rng.choice(["fine", "general"])
+
+    def box():
+        return B(rng.randint(0, 4), rng.randint(0, 4), rng.randint(1, 3), rng.randint(1, 3))
+
+    images, dets = [], []
+    for k in range(rng.randint(0, 6)):
+        objects = tuple(GroundTruthObject(box(), rng.choice(LABELS["fine"]))
+                        for _ in range(rng.randint(0, 6)))
+        images.append(AnnotatedImage(f"i{k}", 10, 10, objects))
+        dets.append([Detection(box(), rng.choice(LABELS[level]), rng.choice([0.3, 0.6, 1.0]))
+                     for _ in range(rng.randint(0, 8))])
+    invoked = None
+    if rng.random() < 0.5:
+        invoked = [tuple(g for g in TAXONOMY.generals if rng.random() < 0.6) for _ in images]
+    return {"images": images, "detections": dets, "level": level,
+            "iou_threshold": rng.choice(THRESHOLDS), "invoked": invoked}
+
+
+def _case_features(case) -> set[str]:
+    """Which of the edge cases the matcher must get right a run holds."""
+    found = set()
+    thr = case["iou_threshold"]
+    for img, dets in zip(case["images"], case["detections"]):
+        if not dets:
+            found.add("no detections")
+        if not img.objects:
+            found.add("no objects")
+        confs = [d.confidence for d in dets]
+        if len(set(confs)) < len(confs):
+            found.add("equal confidences")
+        for d in dets:
+            ious = [iou(d.box, o.box) for o in img.objects]
+            if thr in ious:
+                found.add(f"IoU at threshold {thr}")
+            if any(v >= thr and ious.count(v) > 1 for v in ious):
+                found.add("equal IoUs")
+            if any(v == 0.0 and (d.box.x + d.box.w == o.box.x or o.box.x + o.box.w == d.box.x)
+                   for v, o in zip(ious, img.objects)):
+                found.add("touching boxes")
+    invoked = case["invoked"]
+    if invoked is not None and any(fn_image_flags(case["images"], invoked, TAXONOMY)):
+        found.add("FN images")
+    return found
+
+
+class TestRunOracle:
+    """``evaluate_run`` against matching and scoring image by image
+    (``oracles.evaluate_run_oracle``), every float compared exactly."""
+
+    def test_equals_image_by_image_evaluation(self):
+        # a chunk of 1 to 8 pairs puts chunk boundaries everywhere
+        rng = random.Random(2010)
+        seen = set()
+        for trial in range(300):
+            case = _random_run(rng)
+            want = evaluate_run_oracle(taxonomy=TAXONOMY, **case)
+            with mock.patch.object(_kernels, "_CHUNK", rng.randint(1, 8)):
+                assert evaluate_run(taxonomy=TAXONOMY, **case).to_json() == want, f"trial {trial}"
+            seen |= _case_features(case)
+        assert seen >= {"no detections", "no objects", "equal confidences", "equal IoUs",
+                        "touching boxes", "FN images",
+                        *(f"IoU at threshold {t}" for t in THRESHOLDS)}
+
+    def test_run_of_several_chunks(self):
+        # crowded images: more same-image pairs than one chunk holds
+        rng = random.Random(23)
+        labels = TAXONOMY.fine_labels
+
+        def box():
+            return B(rng.randint(0, 8), rng.randint(0, 8), rng.randint(2, 6), rng.randint(2, 6))
+
+        images, dets = [], []
+        for k in range(40):
+            images.append(AnnotatedImage(
+                f"i{k}", 20, 20,
+                tuple(GroundTruthObject(box(), rng.choice(labels)) for _ in range(20)),
+            ))
+            dets.append([Detection(box(), rng.choice(labels), rng.choice([0.3, 0.6, 0.9]))
+                         for _ in range(25)])
+        invoked = [tuple(g for g in TAXONOMY.generals if rng.random() < 0.8) for _ in images]
+        assert 40 * 20 * 25 > _kernels._CHUNK
+        for level in ("fine", "general"):
+            for inv in (None, invoked):
+                got = evaluate_run(images, dets, TAXONOMY, level=level, invoked=inv).to_json()
+                assert got == evaluate_run_oracle(images, dets, TAXONOMY, level=level, invoked=inv)
