@@ -22,8 +22,8 @@ _EXPORTS = {
     ),
     "errors": ("UnknownLabelError", "ValidationError"),
     "evaluation": (
-        "EvalReport", "MatchResult", "average_precision", "evaluate_run", "fn_image_flags",
-        "iou", "map_with_fn_accounting", "match_detections",
+        "EvalReport", "average_precision", "evaluate_run", "fn_image_flags", "iou",
+        "map_with_fn_accounting",
     ),
     "profiles": ("flat_profile", "stage1_profile", "stage2_profiles"),
     "router": ("RoutingConfig", "RoutingTrace", "compare_tree_vs_flat", "route_v1", "route_v2"),

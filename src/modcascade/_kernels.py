@@ -1,10 +1,10 @@
 """The one IoU and the one greedy matcher behind evaluation.
 
-The matcher works on columns: the boxes of a whole run as numpy rows,
-grouped by image. It computes the IoU of every same-image pair with the
-operations of ``iou`` in the same order, so each IoU is the same double,
-and only the pairs at or above the threshold reach the greedy rule's
-Python loop.
+``iou_rows`` is the one statement of the IoU arithmetic, over rows of
+boxes; ``iou`` is it applied to one pair. The matcher works on columns:
+the boxes of a whole run as numpy rows, grouped by image. It computes
+the IoU of every same-image pair with ``iou_rows``, and only the pairs
+at or above the threshold reach the greedy rule's Python loop.
 """
 
 from __future__ import annotations
@@ -26,23 +26,30 @@ def backend_name() -> str:
     return "python"
 
 
-def iou(a, b) -> float:
-    """Intersection area over union area of two boxes; 0 when disjoint."""
-    ax1, ay1, ax2, ay2 = a.as_xyxy()
-    bx1, by1, bx2, by2 = b.as_xyxy()
-    iw = max(min(ax2, bx2) - max(ax1, bx1), 0.0)
-    ih = max(min(ay2, by2) - max(ay1, by1), 0.0)
-    inter = iw * ih
-    union = (a.w * a.h) + (b.w * b.h) - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
 def box_rows(boxes) -> np.ndarray:
     """The boxes' ``x, y, w, h`` as the rows of an (n, 4) float array."""
     rows = [(b.x, b.y, b.w, b.h) for b in boxes]
     return np.fromiter(chain.from_iterable(rows), float, 4 * len(rows)).reshape(-1, 4)
+
+
+def iou_rows(a, b) -> np.ndarray:
+    """The IoU of each row of ``a`` with the same row of ``b``, both
+    ``box_rows`` arrays: intersection area over union area, 0 when the
+    boxes are disjoint or the union is not positive."""
+    ax, ay, aw, ah = a.T
+    bx, by, bw, bh = b.T
+    with np.errstate(all="ignore"):  # as Python floats: no warnings
+        iw = np.maximum(np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx), 0.0)
+        ih = np.maximum(np.minimum(ay + ah, by + bh) - np.maximum(ay, by), 0.0)
+        inter = iw * ih
+        union = (aw * ah) + (bw * bh) - inter
+        return np.where(union <= 0.0, 0.0, inter / union)
+
+
+def iou(a, b) -> float:
+    """Intersection area over union area of two boxes, 0 when disjoint:
+    ``iou_rows`` of one pair."""
+    return float(iou_rows(box_rows([a]), box_rows([b]))[0])
 
 
 def match_columns(det_xywh, det_conf, det_counts, gt_xywh, gt_counts, iou_threshold):
@@ -54,29 +61,20 @@ def match_columns(det_xywh, det_conf, det_counts, gt_xywh, gt_counts, iou_thresh
     input order; each claims the unclaimed ground truth with the highest
     IoU >= iou_threshold, IoU ties going to the lowest index. Returns
     per detection the run-wide index of its ground truth, or -1."""
-    ax, ay, aw, ah = det_xywh.T
-    bx, by, bw, bh = gt_xywh.T
-    ax2, ay2, a_area = ax + aw, ay + ah, aw * ah
-    bx2, by2, b_area = bx + bw, by + bh, bw * bh
     # each detection's pairs, with the ground truths of its image in order
     n_pairs = np.repeat(gt_counts, det_counts)
     pair_end = np.cumsum(n_pairs)
     first_gt = np.repeat(np.cumsum(gt_counts) - gt_counts, det_counts) - (pair_end - n_pairs)
     found, d0 = [], 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while d0 < len(n_pairs):  # whole detections: up to _CHUNK pairs, or one's own
-            start = pair_end[d0] - n_pairs[d0]
-            d1 = max(int(np.searchsorted(pair_end, start + _CHUNK, side="right")), d0 + 1)
-            d = np.repeat(np.arange(d0, d1), n_pairs[d0:d1])
-            g = first_gt[d] + np.arange(start, pair_end[d1 - 1])
-            iw = np.maximum(np.minimum(ax2[d], bx2[g]) - np.maximum(ax[d], bx[g]), 0.0)
-            ih = np.maximum(np.minimum(ay2[d], by2[g]) - np.maximum(ay[d], by[g]), 0.0)
-            inter = iw * ih
-            union = a_area[d] + b_area[g] - inter
-            v = np.where(union > 0.0, inter / union, 0.0)
-            hit = v >= iou_threshold
-            found.append((d[hit], g[hit], v[hit]))
-            d0 = d1
+    while d0 < len(n_pairs):  # whole detections: up to _CHUNK pairs, or one's own
+        start = pair_end[d0] - n_pairs[d0]
+        d1 = max(int(np.searchsorted(pair_end, start + _CHUNK, side="right")), d0 + 1)
+        d = np.repeat(np.arange(d0, d1), n_pairs[d0:d1])
+        g = first_gt[d] + np.arange(start, pair_end[d1 - 1])
+        v = iou_rows(det_xywh[d], gt_xywh[g])
+        hit = v >= iou_threshold
+        found.append((d[hit], g[hit], v[hit]))
+        d0 = d1
     claimed = np.full(len(det_conf), -1, dtype=np.intp)
     if not found:
         return claimed
@@ -99,11 +97,3 @@ def match_columns(det_xywh, det_conf, det_counts, gt_xywh, gt_counts, iou_thresh
     if best >= 0:
         claimed[det] = best
     return claimed
-
-
-def greedy_match(dets, gts, iou_threshold: float) -> list[int]:
-    """``match_columns`` of one image: per detection, in input order, the
-    index of the ground truth it claimed, or -1."""
-    conf = np.array([d.confidence for d in dets], dtype=float)
-    det_xywh, gt_xywh = box_rows(d.box for d in dets), box_rows(g.box for g in gts)
-    return match_columns(det_xywh, conf, [len(dets)], gt_xywh, [len(gts)], iou_threshold).tolist()

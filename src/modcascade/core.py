@@ -257,9 +257,6 @@ class BoundingBox:
     w: float
     h: float
 
-    def as_xyxy(self) -> tuple[float, float, float, float]:
-        return (self.x, self.y, self.x + self.w, self.y + self.h)
-
     def validate(self) -> None:
         """A corner >= 0 and an extent > 0, all finite numbers."""
         try:

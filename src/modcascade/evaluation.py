@@ -21,9 +21,8 @@ over every image at once, and the scores as array reductions over its
 matches. For a cascade run it also scores the FN-aware figures from
 those same matches: the FN images, the routed positive images, their
 stage-2 mAP and the FN-adjusted mAP. Its ``EvalReport`` holds exactly
-what the report prints. ``match_detections`` (one image, into a
-``MatchResult``) and ``score_matches`` (a list of them) are adapters
-over the same matcher and scorer.
+what the report prints. It is the one way to match and score: one
+image, or any subset of a run, is scored by calling it on those images.
 
 Benchmark with ``python3 perfbench/run.py --workload W --seed 1
 --seconds 30 --trace 0|1``; ``python3 perfbench/selftest.py`` checks
@@ -38,9 +37,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._kernels import box_rows, greedy_match, iou, match_columns  # iou is re-exported
-from .core import MISS, AnnotatedImage, ClassTaxonomy, Detection, GroundTruthObject
-from .core import check_number
+from ._kernels import box_rows, iou, match_columns  # iou is re-exported
+from .core import MISS, AnnotatedImage, ClassTaxonomy, Detection, check_int, check_number
 from .errors import ValidationError
 
 
@@ -48,38 +46,9 @@ class NoGroundTruthError(ValidationError):
     """AP requested for a class with no ground-truth objects."""
 
 
-@dataclass(frozen=True, slots=True)
-class MatchResult:
-    """Per-image matching outcome at a fixed IoU threshold.
-
-    ``detections`` are the input detections, in input order;
-    ``claimed`` holds, aligned with them, the ground truth each one
-    claimed, or None for a false positive; ``false_negatives`` are the
-    ground truths no detection claimed.
-    """
-
-    detections: tuple[Detection, ...]
-    claimed: tuple[GroundTruthObject | None, ...]
-    false_negatives: tuple[GroundTruthObject, ...]
-
-
 def check_iou_threshold(value, name: str = "iou_threshold") -> float:
     """The one rule of an IoU threshold: a finite number in (0, 1]."""
     return check_number(value, name, above=0, at_most=1)
-
-
-def match_detections(
-    dets: Sequence[Detection],
-    gts: Sequence[GroundTruthObject],
-    iou_threshold: float,
-) -> MatchResult:
-    """``greedy_match`` of one image, class-agnostic, as a ``MatchResult``."""
-    check_iou_threshold(iou_threshold)
-    assign = greedy_match(dets, gts, iou_threshold)
-    claimed = tuple(None if g < 0 else gts[g] for g in assign)
-    taken = set(assign)
-    fns = tuple(gt for g, gt in enumerate(gts) if g not in taken)
-    return MatchResult(tuple(dets), claimed, fns)
 
 
 def average_precision(records: Sequence[tuple[float, bool]], n_gt: int) -> float:
@@ -87,12 +56,16 @@ def average_precision(records: Sequence[tuple[float, bool]], n_gt: int) -> float
 
     records: (confidence, is_true_positive) for every detection of one
     class, as pairs or as the rows of an (n, 2) array; n_gt: ground-truth
-    count of that class. Computed with exact rational arithmetic and
-    rounded to float once at the end.
+    count of that class, an int. Computed with exact rational arithmetic
+    and rounded to float once at the end. A confidence that is not finite
+    and an ``n_gt`` that is not an int are a ValidationError, ``n_gt`` <= 0
+    a NoGroundTruthError.
     """
-    if n_gt <= 0:
+    if check_int(n_gt, "n_gt") <= 0:
         raise NoGroundTruthError("average precision undefined without ground truth")
     rows = np.asarray(records, dtype=float).reshape(-1, 2)
+    if not np.isfinite(rows[:, 0]).all():
+        raise ValidationError("average_precision needs finite confidences")
     # descending confidence, ties keep input order; the ranks of the TPs
     ranks = (np.flatnonzero(rows[np.argsort(-rows[:, 0], kind="stable"), 1]) + 1).tolist()
     # walk the TPs backwards: (best_tp, best_rank) is the envelope
@@ -116,10 +89,13 @@ def map_with_fn_accounting(
     Each positive image the first stage failed to route contributes a
     zero precision term weighted 1/(routed + fn); the routed images
     carry the second-stage mAP. Negative images never enter the
-    denominator. Equals ``stage2_map`` when fn_images == 0.
+    denominator. Equals ``stage2_map`` when fn_images == 0. A
+    ``stage2_map`` outside [0, 1] and a count that is not an int >= 0
+    are a ValidationError.
     """
-    if routed_positive_images < 0 or fn_images < 0:
-        raise ValidationError("image counts must be non-negative")
+    stage2_map = check_number(stage2_map, "stage2_map", at_least=0, at_most=1)
+    check_int(routed_positive_images, "routed_positive_images", at_least=0)
+    check_int(fn_images, "fn_images", at_least=0)
     total = routed_positive_images + fn_images
     if total < 1:
         raise ValidationError("zero positive inference images")
@@ -225,22 +201,6 @@ def _score(conf, names, pred, true, gt_true) -> EvalReport:
     err = wrong_total / matched_total if matched_total else 0.0
     return EvalReport(per_class_ap=per_class_ap, map=float(mean_ap), classification_error=err,
                       confusion=confusion, fn_image_count=0, matched_count=matched_total)
-
-
-def score_matches(
-    matches: Sequence[MatchResult], taxonomy: ClassTaxonomy, *, level: str = "fine"
-) -> EvalReport:
-    """Score per-image match results at the given label level, as
-    ``evaluate_run`` scores its own matches. A matched detection is
-    right when its label and its ground truth's label are the same at
-    ``level``. AP ties break by the order of ``matches``."""
-    dets = [d for m in matches for d in m.detections]
-    claimed = [g for m in matches for g in m.claimed]
-    hit = np.array([g is not None for g in claimed], dtype=bool)
-    gts = [g for g in claimed if g is not None] + [g for m in matches for g in m.false_negatives]
-    conf = np.array([d.confidence for d in dets], dtype=float)
-    at = np.where(hit, np.cumsum(hit) - 1, -1)  # each claimed ground truth's index in gts
-    return _score(conf, *_label_codes(taxonomy, level, dets, gts, at))
 
 
 def evaluate_run(

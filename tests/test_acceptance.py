@@ -21,7 +21,6 @@ from modcascade import (
     evaluate_run,
     iou,
     map_with_fn_accounting,
-    match_detections,
     modular_advantage,
     route_v1,
     route_v2,
@@ -62,14 +61,10 @@ def _cascade_handles(taxonomy, seed):
 
 
 def _composite_error(dataset, detections, iou_threshold=0.5):
-    wrong = matched = 0
-    for img, dets in zip(dataset.images, detections, strict=True):
-        res = match_detections(dets, img.objects, iou_threshold)
-        for det, gt in zip(res.detections, res.claimed):
-            if gt is not None:
-                matched += 1
-                wrong += det.label != gt.fine_label
-    return wrong / matched
+    report = evaluate_run(dataset.images, detections, dataset.taxonomy,
+                          iou_threshold=iou_threshold)
+    assert report.matched_count > 0
+    return report.classification_error
 
 
 def test_criterion_1_calibrated_composite_error():

@@ -31,11 +31,18 @@ def _targets():
     return tracing.TARGETS
 
 
+# traced targets whose functions are gone: tracing skips each one, and its
+# metrics read 0, since evaluate_run matches and scores every run
+RETIRED = {("_kernels", "iou_matrix"), ("_kernels", "greedy_match"),
+           ("evaluation", "match_detections")}
+
+
 @pytest.mark.parametrize("module,func", [(m, f) for m, f, _ in _targets()])
 def test_traced_layer_exists(module, func):
     home = importlib.import_module(f"modcascade.{module}")
-    # _kernels keeps only greedy_match; spans of its other traced names read 0
-    if module != "_kernels" or func == "greedy_match":
+    if (module, func) in RETIRED:
+        assert not hasattr(home, func), f"modcascade.{module}.{func} is back"
+    else:
         assert callable(getattr(home, func, None)), f"modcascade.{module}.{func}"
 
 

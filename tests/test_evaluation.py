@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,10 +20,9 @@ from modcascade import (
     fn_image_flags,
     iou,
     map_with_fn_accounting,
-    match_detections,
 )
 from modcascade import _kernels
-from modcascade._kernels import greedy_match
+from modcascade._kernels import box_rows, match_columns
 from modcascade.core import (
     MISS,
     AnnotatedImage,
@@ -31,7 +31,7 @@ from modcascade.core import (
     GroundTruthObject,
 )
 from modcascade.errors import ValidationError
-from modcascade.evaluation import NoGroundTruthError, score_matches
+from modcascade.evaluation import NoGroundTruthError
 
 from oracles import evaluate_run_oracle, fraction_average_precision, greedy_oracle, iou_raw
 
@@ -41,6 +41,19 @@ def B(x, y, w, h):
 
 
 TAXONOMY = ClassTaxonomy({"dog": ("pekinese", "spaniel"), "planet": ("mars", "saturn")})
+
+
+def assign(dets, gts, iou_threshold):
+    """``match_columns`` of one image: per detection, in input order, the
+    index of the ground truth it claimed, or -1."""
+    conf = np.array([d.confidence for d in dets], dtype=float)
+    det_xywh, gt_xywh = box_rows(d.box for d in dets), box_rows(g.box for g in gts)
+    return match_columns(det_xywh, conf, [len(dets)], gt_xywh, [len(gts)], iou_threshold).tolist()
+
+
+def evaluate_image(dets, gts, level="fine"):
+    """``evaluate_run`` of one image holding ``gts``."""
+    return evaluate_run([AnnotatedImage("i", 1e4, 1e4, tuple(gts))], [dets], TAXONOMY, level=level)
 
 
 class TestIoU:
@@ -71,46 +84,45 @@ class TestIoU:
             a = (rng.uniform(0, 100), rng.uniform(0, 100), rng.uniform(0.5, 50), rng.uniform(0.5, 50))
             b = (rng.uniform(0, 100), rng.uniform(0, 100), rng.uniform(0.5, 50), rng.uniform(0.5, 50))
             assert iou(B(*a), B(*b)) == iou_raw(a, b)  # same arithmetic, bit-exact
+            # integer boxes, as a dataset file may hold them
+            a = (rng.randint(0, 100), rng.randint(0, 100), rng.randint(1, 50), rng.randint(1, 50))
+            b = (rng.randint(0, 100), rng.randint(0, 100), rng.randint(1, 50), rng.randint(1, 50))
+            assert iou(B(*a), B(*b)) == iou_raw(a, b)
 
 
 class TestMatching:
     def test_single_exact_match(self):
         gt = GroundTruthObject(B(10, 10, 50, 50), "pekinese")
         det = Detection(B(10, 10, 50, 50), "pekinese", 0.9)
-        res = match_detections([det], [gt], 0.5)
-        assert res.detections == (det,)
-        assert res.claimed[0] is gt
-        assert score_matches([res], TAXONOMY).classification_error == 0.0
-        assert res.false_negatives == ()
+        assert assign([det], [gt], 0.5) == [0]
+        report = evaluate_image([det], [gt])
+        assert report.classification_error == 0.0
+        assert report.confusion == {"pekinese": {"pekinese": 1}}  # no false negative
 
     def test_two_dets_one_gt(self):
         gt = GroundTruthObject(B(10, 10, 50, 50), "pekinese")
         hi = Detection(B(12, 10, 50, 50), "pekinese", 0.9)
         lo = Detection(B(10, 10, 50, 50), "pekinese", 0.3)
-        res = match_detections([hi, lo], [gt], 0.5)
-        assert res.detections == (hi, lo)  # input order, not confidence order
-        assert res.claimed[0] is gt  # higher confidence claims it
-        assert res.claimed[1] is None
+        # one entry per detection in input order; the higher confidence claims gt
+        assert assign([hi, lo], [gt], 0.5) == [0, -1]
 
     def test_class_agnostic_match_marks_wrong_label(self):
         gt = GroundTruthObject(B(10, 10, 50, 50), "pekinese")
         det = Detection(B(10, 10, 50, 50), "spaniel", 0.9)
-        res = match_detections([det], [gt], 0.5)
-        assert res.claimed[0] is gt
-        report = score_matches([res], TAXONOMY)
+        assert assign([det], [gt], 0.5) == [0]
+        report = evaluate_image([det], [gt])
         assert report.classification_error == 1.0
         assert report.confusion == {"pekinese": {"spaniel": 1}}
 
     def test_below_threshold_is_fn(self):
         gt = GroundTruthObject(B(0, 0, 10, 10), "pekinese")
         det = Detection(B(40, 40, 10, 10), "pekinese", 0.9)
-        res = match_detections([det], [gt], 0.5)
-        assert res.claimed == (None,)
-        assert res.false_negatives == (gt,)
+        assert assign([det], [gt], 0.5) == [-1]
+        assert evaluate_image([det], [gt]).confusion == {"pekinese": {MISS: 1}}
 
     def test_invalid_threshold(self):
         with pytest.raises(ValidationError):
-            match_detections([], [], 0.0)
+            evaluate_run([], [], TAXONOMY, iou_threshold=0.0)
 
     def test_randomized_against_oracle(self):
         rng = random.Random(20240917)
@@ -134,15 +146,14 @@ class TestMatching:
                 for _ in range(n_gt)
             ]
             thr = rng.choice([0.3, 0.5, 0.7])
-            res = match_detections(dets, gts, thr)
+            claimed = assign(dets, gts, thr)
             want = greedy_oracle(dets, gts, thr)
-            assert res.detections == tuple(dets)
-            assert len(res.claimed) == n_det
-            got = {i: gts.index(gt) for i, gt in enumerate(res.claimed) if gt is not None}
+            assert len(claimed) == n_det
+            got = {i: g for i, g in enumerate(claimed) if g >= 0}
             assert got == want, f"trial {trial}"
-            # structural invariants
+            # structural invariants: each ground truth claimed at most once,
+            # and only at or above the threshold
             assert len(set(got.values())) == len(got)
-            assert len(res.false_negatives) == n_gt - len(got)
             for i, g in got.items():
                 db, gb = dets[i].box, gts[g].box
                 assert iou(db, gb) >= thr
@@ -166,40 +177,33 @@ class TestGreedyMatch:
         gts = [_gt(self.GT0), _gt(self.GT1)]
         dets = [_det(self.A, 0.9), _det(self.C, 0.8)]
         # A takes gt0; C's best remaining is gt1, below the threshold
-        assert greedy_match(dets, gts, 0.5) == [0, -1]
-        res = match_detections(dets, gts, 0.5)
-        assert res.claimed == (gts[0], None)
-        assert res.false_negatives == (gts[1],)
+        assert assign(dets, gts, 0.5) == [0, -1]
 
     def test_confidence_order_decides(self):
         gts = [_gt(self.GT0), _gt(self.GT1)]
         dets = [_det(self.A, 0.8), _det(self.C, 0.9)]
         # C goes first and claims gt0; A falls back to gt1
-        assert greedy_match(dets, gts, 0.5) == [1, 0]
-        res = match_detections(dets, gts, 0.5)
-        assert res.claimed == (gts[1], gts[0])
-        assert res.false_negatives == ()
+        assert assign(dets, gts, 0.5) == [1, 0]
 
     def test_equal_confidence_keeps_input_order(self):
         gts = [_gt(self.GT0)]
         a, c = _det(self.A, 0.7), _det(self.C, 0.7)
         # the first detection in input order claims gt0, whatever its IoU
-        assert greedy_match([a, c], gts, 0.5) == [0, -1]
-        assert greedy_match([c, a], gts, 0.5) == [0, -1]
+        assert assign([a, c], gts, 0.5) == [0, -1]
+        assert assign([c, a], gts, 0.5) == [0, -1]
 
     def test_iou_tie_prefers_lower_index(self):
         left, right = _gt((-2, 0, 10, 10)), _gt((2, 0, 10, 10))
         det = _det((0, 0, 10, 10), 0.9)
         assert iou(det.box, left.box) == iou(det.box, right.box) == 2 / 3
-        assert greedy_match([det], [left, right], 0.5) == [0]
-        assert greedy_match([det], [right, left], 0.5) == [0]
-        assert match_detections([det], [right, left], 0.5).claimed[0] is right
+        assert assign([det], [left, right], 0.5) == [0]
+        assert assign([det], [right, left], 0.5) == [0]
 
     def test_iou_equal_to_threshold_matches(self):
         gt = _gt((0, 0, 100, 100))
         det = _det((0, 0, 50, 100), 0.9)
         assert iou(det.box, gt.box) == 0.5
-        assert greedy_match([det], [gt], 0.5) == [0]
+        assert assign([det], [gt], 0.5) == [0]
 
     def test_inlined_iou_is_bit_identical(self):
         # a threshold equal to iou() must match and the next double above
@@ -216,23 +220,17 @@ class TestGreedyMatch:
             v = iou(det.box, gt.box)
             if v > 0.0:
                 checked += 1
-                assert greedy_match([det], [gt], v) == [0]
-                assert greedy_match([det], [gt], math.nextafter(v, 2.0)) == [-1]
+                assert assign([det], [gt], v) == [0]
+                assert assign([det], [gt], math.nextafter(v, 2.0)) == [-1]
         assert checked > 100
 
     def test_empty_dets_or_gts(self):
         gts = [_gt(self.GT0), _gt(self.GT1)]
         dets = [_det(self.A, 0.9), _det(self.C, 0.8)]
-        assert greedy_match([], gts, 0.5) == []
-        assert greedy_match(dets, [], 0.5) == [-1, -1]
-        assert greedy_match([], [], 0.5) == []
-        no_gts = match_detections(dets, [], 0.5)
-        assert no_gts.detections == tuple(dets)
-        assert no_gts.claimed == (None, None)
-        assert no_gts.false_negatives == ()
-        no_dets = match_detections([], gts, 0.5)
-        assert no_dets.detections == no_dets.claimed == ()
-        assert no_dets.false_negatives == tuple(gts)
+        assert assign([], gts, 0.5) == []
+        assert assign(dets, [], 0.5) == [-1, -1]
+        assert assign([], [], 0.5) == []
+        assert evaluate_image([], gts).confusion == {"pekinese": {MISS: 2}}
 
 
 class TestAveragePrecision:
@@ -246,6 +244,19 @@ class TestAveragePrecision:
     def test_no_ground_truth_error(self):
         with pytest.raises(NoGroundTruthError):
             average_precision([(0.9, True)], 0)
+
+    @pytest.mark.parametrize("records, n_gt", [
+        ([(math.nan, True)], 1),
+        ([(math.inf, True), (0.5, False)], 1),
+        ([(0.9, True)], 2.5),
+        ([(0.9, True)], True),
+        ([(0.9, True)], 2.0),
+    ], ids=["nan-confidence", "inf-confidence", "fractional-n_gt", "bool-n_gt", "float-n_gt"])
+    def test_unscorable_input_is_validation_error(self, records, n_gt):
+        # each was scored: the NaN as a hit (1.0), 2.5 by float division (0.4)
+        with pytest.raises(ValidationError, match="finite|integer") as info:
+            average_precision(records, n_gt)
+        assert not isinstance(info.value, NoGroundTruthError)
 
     def test_hand_curve_five_sixths(self):
         # ranks: TP (P=1, R=.5), FP (P=.5), TP (P=2/3, R=1)
@@ -319,6 +330,16 @@ class TestFnAccounting:
         with pytest.raises(ValidationError):
             map_with_fn_accounting(0.9, 0, 0)
 
+    @pytest.mark.parametrize("args", [
+        (math.nan, 1, 1), (0.5, 1.5, 1), (2.0, 1, 1), (-1.0, 1, 1), (0.5, True, 0),
+        (0.5, 1, -1), (0.5, 1, None),
+    ], ids=["nan-map", "fractional-count", "map-above-1", "negative-map", "bool-count",
+            "negative-count", "none-count"])
+    def test_invalid_input_is_validation_error(self, args):
+        # a bare ValueError, a TypeError, 1.0, -0.5 and a bool counted as 1 before
+        with pytest.raises(ValidationError, match="stage2_map|routed_positive_images|fn_images"):
+            map_with_fn_accounting(*args)
+
     def test_linear_in_fn_fraction(self):
         # with the total fixed, halving the FN count moves the result
         # exactly halfway to the stage-2 mAP
@@ -333,8 +354,9 @@ class TestFnAccounting:
             assert got == pytest.approx(m * (1 - fn / total), abs=1e-15)
 
 
-def _match_with_labels(pairs, fns=()):
-    """Build a MatchResult-equivalent via match_detections on stacked boxes."""
+def _image_with_labels(pairs, fns=()):
+    """One image's detections and ground truths: a detection on each
+    pair's ground truth, boxes side by side, then the unmatched ``fns``."""
     dets, gts = [], []
     for k, (true, pred) in enumerate(pairs):
         box = B(k * 100.0, 0, 50, 50)
@@ -342,38 +364,37 @@ def _match_with_labels(pairs, fns=()):
         gts.append(GroundTruthObject(box, true))
     for k, true in enumerate(fns):
         gts.append(GroundTruthObject(B(k * 100.0, 500, 50, 50), true))
-    return match_detections(dets, gts, 0.5)
+    return dets, gts
 
 
-def _score(res, level="fine"):
-    return score_matches([res], TAXONOMY, level=level)
+def _score(image, level="fine"):
+    return evaluate_image(*image, level=level)
 
 
 class TestErrorAndConfusion:
     """Classification error and confusion of one image's matches, as
-    ``score_matches`` computes them."""
+    a one-image ``evaluate_run`` computes them."""
 
     def test_all_correct(self):
-        res = _match_with_labels([("pekinese", "pekinese"), ("mars", "mars")])
+        res = _image_with_labels([("pekinese", "pekinese"), ("mars", "mars")])
         assert _score(res).classification_error == 0.0
 
     def test_direct_ratio(self):
         pairs = [("pekinese", "pekinese")] * 88 + [("pekinese", "spaniel")] * 12
-        res = _match_with_labels(pairs)
+        res = _image_with_labels(pairs)
         assert _score(res).classification_error == pytest.approx(0.12)
 
     def test_no_matches_error(self):
-        res = match_detections([], [GroundTruthObject(B(0, 0, 5, 5), "mars")], 0.5)
-        report = _score(res)
+        report = _score(([], [GroundTruthObject(B(0, 0, 5, 5), "mars")]))
         assert report.classification_error == 0.0 and report.matched_count == 0
         assert report.confusion == {"mars": {MISS: 1}}
 
     def test_confusion_all_correct_diagonal(self):
-        res = _match_with_labels([("pekinese", "pekinese"), ("mars", "mars")])
+        res = _image_with_labels([("pekinese", "pekinese"), ("mars", "mars")])
         assert _score(res).confusion == {"pekinese": {"pekinese": 1}, "mars": {"mars": 1}}
 
     def test_confusion_projection_absorbs_siblings(self):
-        res = _match_with_labels([("pekinese", "spaniel"), ("spaniel", "pekinese")])
+        res = _image_with_labels([("pekinese", "spaniel"), ("spaniel", "pekinese")])
         assert _score(res).confusion["pekinese"]["spaniel"] == 1
         assert _score(res, "general").confusion == {"dog": {"dog": 2}}
 
@@ -381,7 +402,7 @@ class TestErrorAndConfusion:
         # two dog boxes, each labelled with the other's sibling: wrong at
         # fine level, right at general level, and the error, the AP and
         # the confusion all say so
-        res = _match_with_labels([("pekinese", "spaniel"), ("spaniel", "pekinese")])
+        res = _image_with_labels([("pekinese", "spaniel"), ("spaniel", "pekinese")])
         general = _score(res, "general")
         assert general.classification_error == 0.0
         assert general.per_class_ap == {"dog": 1.0}
@@ -391,7 +412,7 @@ class TestErrorAndConfusion:
         assert fine.per_class_ap == {"pekinese": 0.0, "spaniel": 0.0}
 
     def test_confusion_fn_goes_to_miss(self):
-        res = _match_with_labels([("mars", "mars")], fns=["saturn"])
+        res = _image_with_labels([("mars", "mars")], fns=["saturn"])
         assert _score(res).confusion["saturn"][MISS] == 1
 
     def test_row_sums_recount(self):
@@ -399,7 +420,7 @@ class TestErrorAndConfusion:
         labels = ["pekinese", "spaniel", "mars", "saturn"]
         pairs = [(rng.choice(labels), rng.choice(labels)) for _ in range(60)]
         fns = [rng.choice(labels) for _ in range(10)]
-        cm = _score(_match_with_labels(pairs, fns)).confusion
+        cm = _score(_image_with_labels(pairs, fns)).confusion
         for lbl in labels:
             want = sum(1 for t, _ in pairs if t == lbl) + sum(1 for t in fns if t == lbl)
             assert sum(cm.get(lbl, {}).values()) == want
@@ -409,7 +430,7 @@ class TestErrorAndConfusion:
         labels = ["pekinese", "spaniel", "mars", "saturn"]
         for _ in range(50):
             pairs = [(rng.choice(labels), rng.choice(labels)) for _ in range(30)]
-            res = _match_with_labels(pairs)
+            res = _image_with_labels(pairs)
             err_fine = _score(res).classification_error
             general = _score(res, "general").confusion
             wrong_general = sum(n for t, row in general.items() for p, n in row.items() if p != t)
@@ -539,9 +560,9 @@ class TestEvaluateRun:
             fn_image_flags(imgs, wrong, TAXONOMY)
 
     def test_subset_rescored_from_matches(self):
-        # scoring a subset of a run's per-image matches, as
-        # `evaluate_run` does for the routed images, equals evaluating
-        # that subset afresh
+        # the routed-subset mAP that a cascade `evaluate_run` scores from
+        # the run's own matches equals a fresh `evaluate_run` over the
+        # routed images
         from modcascade import DetectorHandle, DetectorProfile, detect
         from conftest import synth_dataset, taxonomy_5x2
 
@@ -555,12 +576,15 @@ class TestEvaluateRun:
             loc_noise_sigma=20.0,
         )
         dets = [detect(DetectorHandle.simulated(profile, 4), img) for img in ds.images]
-        matches = [match_detections(d, img.objects, 0.5) for img, d in zip(ds.images, dets)]
-        keep = [k for k in range(len(ds.images)) if k % 3 != 1]
-        subset = evaluate_run([ds.images[k] for k in keep], [dets[k] for k in keep], taxonomy)
-        rescored = score_matches([matches[k] for k in keep], taxonomy)
-        assert rescored.to_json() == subset.to_json()
-        assert rescored.map == subset.map
+        # every third image invokes no general: a positive one is an FN image
+        invoked = [() if k % 3 == 1 else taxonomy.generals for k in range(len(ds.images))]
+        cascade = evaluate_run(ds.images, dets, taxonomy, invoked=invoked)
+        keep = [k for k, img in enumerate(ds.images) if img.objects and k % 3 != 1]
+        routed = evaluate_run([ds.images[k] for k in keep], [dets[k] for k in keep], taxonomy)
+        assert cascade.routed_positive_images == len(keep)
+        assert 0 < cascade.fn_image_count < len(ds.images) - len(keep)  # negatives are neither
+        assert cascade.map_stage2_routed == routed.map
+        assert routed.map != cascade.map  # the subset is scored on its own
 
     def test_map_degrades_with_localization_noise(self):
         # noiseless identity detector scores exactly 1.0; growing box

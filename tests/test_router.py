@@ -11,8 +11,8 @@ from modcascade import (
     ValidationError,
     compare_tree_vs_flat,
     detector,
+    evaluate_run,
     make_dataset,
-    match_detections,
     route_v1,
     route_v2,
 )
@@ -194,14 +194,9 @@ class TestRouteV1:
 
 
 def composite_error(dataset, out, iou_threshold=0.5):
-    wrong = matched = 0
-    for img, dets in zip(dataset.images, final_detections(out), strict=True):
-        res = match_detections(dets, img.objects, iou_threshold)
-        for det, gt in zip(res.detections, res.claimed):
-            if gt is not None:
-                matched += 1
-                wrong += det.label != gt.fine_label
-    return wrong / matched, matched
+    report = evaluate_run(dataset.images, final_detections(out), dataset.taxonomy,
+                          iou_threshold=iou_threshold)
+    return report.classification_error, report.matched_count
 
 
 class TestCompositionOracle:
