@@ -224,8 +224,7 @@ def cmd_errormodel(config: dict, out_dir: Path, config_path: Path) -> tuple[Path
     }
     with output_file(curves_path) as fh:
         fh.write("feature_index,w_density_c0,w_density_c1,min_term\n")
-        for i, w0, w1, mn in rows:
-            fh.write(f"{i},{w0:.17g},{w1:.17g},{mn:.17g}\n")
+        fh.write("".join(["%d,%.17g,%.17g,%.17g\n" % row for row in rows]))
         dump_canonical(summary, summary_path)
     return curves_path, summary_path
 

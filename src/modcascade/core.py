@@ -8,12 +8,12 @@ support.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
-import re
 import sys
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
+from operator import sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import UnknownLabelError, ValidationError
@@ -120,31 +120,71 @@ def is_finite_real(value) -> bool:
         return False
 
 
-# Only a JSON escape in \ud800-\udfff puts a surrogate into a document
-# read as UTF-8, and it needs a backslash, which a fast scan rules out
-# first. A pair of them decodes to one character, so on a hit the parsed
-# document is encoded, which fails on a lone surrogate.
-_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+# orjson builds nested arrays and objects by recursion without a limit:
+# on an 8 MB stack, 150,000 levels end the process with a segmentation
+# fault. So a deeper document is refused before it is decoded; the repr
+# of a value this deep, in an error message, stays well inside the
+# interpreter's recursion limit.
+_MAX_DEPTH = 512
+_BRACKETS = bytes.maketrans(b"{}", b"[]")
+_NOT_SYNTAX = bytes(sorted(set(range(256)) - set(b'"[]{}')))
+
+
+def _nests_deeper(data: bytes, limit: int) -> bool:
+    """Whether the arrays and objects of the JSON text ``data`` nest more
+    than ``limit`` deep; a bracket inside a string does not count. In a
+    text that is not JSON the answer holds up to its first fault, where
+    the parser stops."""
+    # the depth is at most the number of openers, which a model file of
+    # a few megabytes of numbers keeps low
+    openers = 0
+    for char in b"[{":
+        at = data.find(char)
+        while at >= 0 and openers <= limit:
+            openers += 1
+            at = data.find(char, at + 1)
+    if openers <= limit:
+        return False
+    if b"\\" in data:
+        # without escaped backslashes and quotes, each quote opens or closes a string
+        data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
+    # quotes and brackets, "[" and "]" for both kinds; two adjacent quotes
+    # enclose nothing, and each other quote still opens or closes a string
+    marks = data.translate(_BRACKETS, _NOT_SYNTAX).replace(b'""', b"")
+    if b'"' in marks:
+        marks = b"".join(marks.split(b'"')[::2])
+    # just before the k-th "]" the depth is the number of "[" so far minus k - 1
+    runs = marks.split(b"]")
+    return 1 + max(accumulate(map(sub, map(len, runs), repeat(1)))) > limit
 
 
 def read_json(path, what: str) -> dict:
-    """The JSON object in the file at ``path``, read as UTF-8.
+    """The JSON object in the file at ``path``, decoded by orjson.
 
-    Undecodable bytes, malformed JSON, nesting too deep for the parser, an
-    integer too long to convert, a string (key or value) holding a lone
-    surrogate, which UTF-8 cannot encode, and a document that is not an
-    object are a ValidationError naming ``what`` and the path; a file that
-    cannot be read raises OSError.
+    The file must be UTF-8 without a byte order mark and hold one JSON
+    document: an object whose arrays and objects nest at most
+    ``_MAX_DEPTH`` (512) deep. A fault is a ValidationError naming
+    ``what`` and the path. orjson reports as faults undecodable bytes, a
+    lone surrogate escape (``\\ud800``), which UTF-8 cannot encode,
+    content after the document, the literals ``NaN`` and ``Infinity``,
+    even under a key nothing reads, and a number whose nearest double is
+    infinite. An integer in [-2**63, 2**64) is read as an int and any other
+    as the nearest double: 2**64 reads as 1.8446744073709552e+19. A file
+    that cannot be read raises OSError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        # ValueError: JSONDecodeError, UnicodeError, an integer too long to convert
-        try:
-            text = fh.read()
-            doc = json.loads(text)
-            if "\\" in text and _SURROGATE_ESCAPE.search(text):
-                json.dumps(doc, ensure_ascii=False).encode("utf-8")
-        except (ValueError, RecursionError) as exc:
-            raise ValidationError(f"parse error in {what} {path}: {exc}") from None
+    # importing orjson loads uuid, zoneinfo and datetime: only a read pays
+    import orjson
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if _nests_deeper(data, _MAX_DEPTH):
+        raise ValidationError(
+            f"parse error in {what} {path}: arrays and objects nest deeper than {_MAX_DEPTH}"
+        )
+    try:
+        doc = orjson.loads(data)
+    except ValueError as exc:
+        raise ValidationError(f"parse error in {what} {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} {path}: expected a JSON object")
     return doc
@@ -314,6 +354,7 @@ def _validate_image(img: AnnotatedImage, taxonomy: ClassTaxonomy) -> None:
     if not img.id:
         raise ValidationError("image with empty id")
     # the id is added to the message only on failure: this runs per image
+    inf = math.inf
     try:
         check_number(img.width, "width", above=0)
         check_number(img.height, "height", above=0)
@@ -322,12 +363,16 @@ def _validate_image(img: AnnotatedImage, taxonomy: ClassTaxonomy) -> None:
             raise ValidationError(f"area of {img.width}x{img.height} is too large")
         for obj in img.objects:
             box = obj.box
-            box.validate()
-            if not 1.0 * box.w * box.h >= sys.float_info.min:  # or IoU rounds to 0
+            x, y, w, h = box.x, box.y, box.w, box.h
+            # four floats in range, as load_dataset gives them, need no checker call
+            if not (type(x) is type(y) is type(w) is type(h) is float
+                    and 0.0 <= x < inf and 0.0 <= y < inf and 0.0 < w < inf and 0.0 < h < inf):
+                box.validate()
+            if not 1.0 * w * h >= sys.float_info.min:  # or IoU rounds to 0
                 raise ValidationError(f"area of box {box} is below the smallest normal double")
             if not taxonomy.is_fine(obj.fine_label):
                 raise ValidationError(f"unknown fine label {obj.fine_label!r}")
-            if box.x + box.w > img.width or box.y + box.h > img.height:
+            if x + w > img.width or y + h > img.height:
                 raise ValidationError(f"box {box} exceeds {img.width}x{img.height}")
     except ValidationError as exc:
         raise ValidationError(f"image {img.id!r}: {exc}") from None
@@ -366,7 +411,6 @@ def _image_from_json(obj) -> AnnotatedImage:
     image_id = obj.get("id")
     if not isinstance(image_id, str):
         raise ValidationError(f"image id {image_id!r} is not a string")
-    isfinite = math.isfinite
     try:
         records = obj.get("objects", [])
         if not isinstance(records, list):
@@ -381,8 +425,9 @@ def _image_from_json(obj) -> AnnotatedImage:
             box = o.get("box")
             if not isinstance(box, list) or len(box) != 4:
                 raise ValidationError(f"box {box!r} is not [x, y, w, h]")
-            # a finite float, the common case, is taken as it is
-            box = [v if type(v) is float and isfinite(v) else check_number(v, "box") for v in box]
+            # a float, the common case, is taken as it is: read_json gives
+            # finite ones only, and make_dataset checks each box's range
+            box = [v if type(v) is float else check_number(v, "box") for v in box]
             objects.append(GroundTruthObject(BoundingBox(*box), label))
         return AnnotatedImage(
             id=image_id,

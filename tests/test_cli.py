@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modcascade
-from modcascade import detector, experiment
+from modcascade import core, detector, experiment
 from modcascade import ClassTaxonomy, evaluate_run, load_dataset, map_with_fn_accounting
 from modcascade.cli import main
 from modcascade.core import BoundingBox, Detection
@@ -541,7 +541,7 @@ def test_bad_dataset_is_one_line_error(tmp_path, taxonomy, capsys, mutate):
     assert not list(out.glob("*"))
 
 
-DEEP = b"[" * 100_000  # nested past the JSON parser's recursion limit
+DEEP = b"[" * 100_000  # unclosed, nested past the reader's depth limit
 
 # (command, the document written as raw bytes, its bytes); every other
 # input of the command is valid
@@ -556,7 +556,7 @@ RAW_DOCUMENTS = {
     "dataset-deep": ("run", "dataset", DEEP),
     "model-undecodable-key": ("errormodel", "model", b'{"priors": {"\xff": 1.0}}'),
     "model-deep": ("errormodel", "model", DEEP),
-    # past the interpreter's limit on converting a decimal string to int
+    # 5,000 digits, whose nearest double is infinite
     "run-config-long-integer": ("run", "config", b'{"seed": ' + b"1" * 5000 + b"}"),
 }
 
@@ -833,26 +833,31 @@ FUZZ_PATHS = {kind: sorted(_paths(_fuzz_documents()[file]), key=repr)
               for kind, (_, _, file) in FUZZ_KINDS.items()}
 
 
-def _assert_runs_cleanly(kind, path, mutation, tmp_path_factory):
-    """Apply ``mutation`` ("drop", "wrap" or a new value) to the field at
-    ``path`` of the ``kind`` document and run its command: exit 0, 2 or
-    4, and a failure is one stderr line and leaves no output file."""
+def _assert_runs_cleanly(kind, path, mutation, work):
+    """Apply ``mutation`` to the field at ``path`` of the ``kind`` document:
+    "drop", "wrap", a new value, or bytes written there as raw JSON text
+    (a new key when ``path`` names none). Write the five documents to
+    ``work`` and run the command: exit 0, 2 or 4, and a failure is one
+    stderr line and leaves no output file. Returns the code and stderr."""
     command, config_file, file = FUZZ_KINDS[kind]
     docs = copy.deepcopy(_fuzz_documents())
     parent = docs[file]
     for key in path[:-1]:
         parent = parent[key]
     key = path[-1]
-    if mutation == "drop":
+    raw = mutation if isinstance(mutation, bytes) else None
+    if raw is not None:
+        parent[key] = "<raw>"
+    elif mutation == "drop":
         parent.pop(key)
     elif mutation == "wrap":
         parent[key] = [parent[key]]
     else:
         parent[key] = mutation
 
-    work = tmp_path_factory.mktemp("fuzz")
     for name, doc in docs.items():
-        (work / name).write_text(json.dumps(doc))
+        text = json.dumps(doc).encode()
+        (work / name).write_bytes(text if raw is None else text.replace(b'"<raw>"', raw))
     out = work / "out"
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -861,6 +866,7 @@ def _assert_runs_cleanly(kind, path, mutation, tmp_path_factory):
     if code:
         assert err.getvalue().count("\n") == 1, err.getvalue()
         assert not list(out.glob("*"))
+    return code, err.getvalue()
 
 
 @settings(max_examples=500, deadline=None)
@@ -874,7 +880,7 @@ def test_one_field_mutations_of_every_document(data, tmp_path_factory):
     kind = data.draw(st.sampled_from(sorted(FUZZ_KINDS)), label="document")
     path = data.draw(st.sampled_from(FUZZ_PATHS[kind]), label="field")
     mutation = data.draw(st.sampled_from(("drop", "wrap") + FUZZ_VALUES), label="mutation")
-    _assert_runs_cleanly(kind, path, mutation, tmp_path_factory)
+    _assert_runs_cleanly(kind, path, mutation, tmp_path_factory.mktemp("fuzz"))
 
 
 FUZZ_EXTREMES = (1e308, 5e-324, -0.0, 2**53 + 1, 10**400)
@@ -913,4 +919,74 @@ def test_numeric_extremes_of_every_document(case, tmp_path_factory):
     ``images_per_fine`` and ``negatives``: they are valid counts that mean
     unbounded work. The cases are sampled, not enumerated, to bound the
     time of the suite."""
-    _assert_runs_cleanly(*case, tmp_path_factory)
+    _assert_runs_cleanly(*case, tmp_path_factory.mktemp("fuzz"))
+
+
+def _nested(depth):
+    return b"[" * depth + b"]" * depth
+
+
+# a field of each document that its command validates, and whose value
+# the error message repeats
+VALIDATED_FIELDS = {
+    "run": ("dataset",),
+    "synth": ("filename",),
+    "errormodel": ("curves_filename",),
+    "dataset": ("images", 0, "id"),
+    "model": ("conditionals", "c0"),
+}
+
+
+@pytest.mark.parametrize("field", ["validated", "unknown"])
+@pytest.mark.parametrize("kind", sorted(FUZZ_KINDS))
+def test_closed_deep_value_in_every_document(tmp_path, kind, field):
+    """A closed array 100,000 deep, which the decoder would read, at a
+    field the command validates or under a key nothing reads, in each of
+    the five documents: exit 2, one stderr line, no output file. Read, it
+    would end validation in a RecursionError from the value's repr, and
+    150,000 levels crash the decoder."""
+    path = VALIDATED_FIELDS[kind] if field == "validated" else ("unknown",)
+    code, err = _assert_runs_cleanly(kind, path, _nested(100_000), tmp_path)
+    assert code == 2 and "nest deeper than" in err
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZ_KINDS))
+def test_value_at_the_depth_limit_is_validated(tmp_path, kind):
+    """At a validated field, a value whose document nests exactly as deep
+    as the reader allows is read and rejected for its type, one level
+    more is refused unread: both one-line errors with exit 2."""
+    path = VALIDATED_FIELDS[kind]
+    depth = core._MAX_DEPTH - len(path)  # each key or index is one level
+    code, err = _assert_runs_cleanly(kind, path, _nested(depth), tmp_path)
+    assert code == 2 and "nest deeper than" not in err
+    (tmp_path / "deeper").mkdir()
+    code, err = _assert_runs_cleanly(kind, path, _nested(depth + 1), tmp_path / "deeper")
+    assert code == 2 and "nest deeper than" in err
+
+
+# (document kind, field, JSON text of its value, exit code, text of the error)
+DECODER_NUMBER_RULES = {
+    # an integer in [-2**63, 2**64) is an int
+    "seed-2**64-1": ("run", ("seed",), b"18446744073709551615", 0, ""),
+    # beyond it, the nearest double, which is no integer
+    "seed-2**64": ("run", ("seed",), b"18446744073709551616", 2,
+                   "seed 1.8446744073709552e+19 is not an integer"),
+    "seed--2**63-1": ("run", ("seed",), b"-9223372036854775809", 2,
+                      "seed -9.223372036854776e+18 is not an integer"),
+    # a number whose nearest double is infinite does not parse
+    "seed-10**400": ("run", ("seed",), b"1" + b"0" * 400, 2, "parse error"),
+    # NaN and Infinity are not JSON, also where nothing reads them
+    "nan-under-unknown-key": ("run", ("unknown",), b"NaN", 2, "parse error"),
+    "infinity-in-model-under-unknown-key": ("model", ("unknown",), b"-Infinity", 2, "parse error"),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, path, raw, code, message", list(DECODER_NUMBER_RULES.values()),
+    ids=list(DECODER_NUMBER_RULES),
+)
+def test_decoder_number_rules(tmp_path, kind, path, raw, code, message):
+    """The number rules of the decoder, as README "File formats" states
+    them: a long integer reads as a double, NaN is a parse error."""
+    got, err = _assert_runs_cleanly(kind, path, raw, tmp_path)
+    assert got == code and message in err

@@ -1,6 +1,10 @@
 """Domain model and annotation I/O tests."""
 
 import json
+import math
+import os
+import struct
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,11 +22,13 @@ from modcascade import (
     save_dataset,
     validate_taxonomy,
 )
+from modcascade import core
 from modcascade.core import (
     AnnotatedImage,
     BoundingBox,
     GroundTruthObject,
     dataset_to_json,
+    read_json,
 )
 
 
@@ -276,3 +282,111 @@ def test_only_core_tests_finiteness():
         if p.name != "core.py" and "is_finite_real" in p.read_text(encoding="utf-8")
     ]
     assert offenders == []
+
+
+@pytest.mark.parametrize(
+    "box",
+    [(-1.0, 0.0, 10.0, 10.0), (math.nan, 0.0, 10.0, 10.0), (0.0, math.inf, 10.0, 10.0),
+     (0.0, 0.0, 0.0, 10.0), (0.0, 0.0, 10.0, -0.0), (0, 0, True, 10), (0.0, 0.0, "10", 10.0)],
+)
+def test_box_out_of_range_is_rejected_by_its_checker(taxonomy, box):
+    """A box that is not four floats in range, which ``make_dataset``
+    takes without a call, gets ``BoundingBox.validate`` and its message."""
+    img = AnnotatedImage("a", 100.0, 100.0, (GroundTruthObject(BoundingBox(*box), "swan"),))
+    with pytest.raises(ValidationError, match=r"image 'a': non-finite box or box out of range"):
+        make_dataset(taxonomy, [img])
+
+
+def test_box_integer_beyond_int64_loads_as_nearest_double(taxonomy, tmp_path):
+    """The decoder reads an integer outside [-2**63, 2**64) as the
+    nearest double; as a box value it is a valid number."""
+    doc = {"taxonomy": taxonomy.to_json(),
+           "images": [{"id": "a", "width": 2**66, "height": 2**66,
+                       "objects": [{"label": "swan", "box": [2**64 - 1, 0, 2**64, 10]}]}]}
+    (tmp_path / "d.json").write_text(json.dumps(doc))
+    assert read_json(tmp_path / "d.json", "dataset")["images"][0]["objects"][0]["box"] == [
+        2**64 - 1, 0, float(2**64), 10]
+    box = load_dataset(tmp_path / "d.json").images[0].objects[0].box
+    assert type(box.w) is float and box.w == float(2**64)
+
+
+_DOUBLES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, sys.float_info.min, 2.225073858507201e-308, sys.float_info.max,
+     0.1, 1 / 3, 9007199254740993.0, 1.2345678901234567e-300]
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(_DOUBLES, max_size=20),
+       ints=st.lists(st.integers(-(2**63), 2**64 - 1), max_size=10))
+def test_read_json_keeps_every_double(values, ints, tmp_path_factory):
+    """Doubles written by ``json.dumps`` (shortest repr) and by
+    ``%.17g``, subnormals and -0.0 included, decode to the bits
+    ``json.loads`` gives; integers in [-2**63, 2**64) stay ints."""
+    text = '{"dumps": %s, "g17": [%s], "ints": %s}' % (
+        json.dumps(values), ",".join("%.17g" % v for v in values), json.dumps(ints))
+    path = tmp_path_factory.getbasetemp() / "doubles.json"
+    path.write_text(text)
+    got, want = read_json(path, "doc"), json.loads(text)
+
+    def bits(numbers):
+        return [(type(v), struct.pack("<d", v)) for v in numbers]
+
+    assert bits(got["dumps"]) == bits(want["dumps"]) == bits(values)
+    assert bits(got["g17"]) == bits(want["g17"])
+    assert got["ints"] == ints and all(type(v) is int for v in got["ints"])
+
+
+DEPTH = core._MAX_DEPTH
+
+
+@pytest.mark.parametrize(
+    "text, refused",
+    [
+        (b"{}", False),
+        (b'{"a":' + b"[" * (DEPTH - 1) + b"]" * (DEPTH - 1) + b"}", False),
+        (b'{"a":' + b"[" * DEPTH + b"]" * DEPTH + b"}", True),
+        (b'{"a":' + b"[{}," * (DEPTH - 2) + b"[]" + b"]" * (DEPTH - 2) + b"}", False),
+        (b'{"a":' + b"[{}," * (DEPTH - 1) + b"{}" + b"]" * (DEPTH - 1) + b"}", True),
+        # brackets inside strings do not count, either way
+        (b'{"a": "' + b"[" * 2 * DEPTH + b'"}', False),
+        (b'{"a": "' + b"]" * 2 * DEPTH + b'", "b":' + b"[" * DEPTH + b"]" * DEPTH + b"}", True),
+        (b'{"a": "\\"' + b"]" * 2 * DEPTH + b'", "b":' + b"[" * DEPTH + b"]" * DEPTH + b"}", True),
+        (b'{"a": "\\\\", "b": "' + b"[" * 2 * DEPTH + b'"}', False),
+        # an unclosed array is refused by its depth, before the parser sees it
+        (b'{"a":' + b"[" * DEPTH, True),
+    ],
+    ids=["empty", "at-limit", "over-limit", "siblings-at-limit", "siblings-over-limit",
+         "openers-in-string", "closers-in-string", "escaped-quote", "escaped-backslash",
+         "unclosed"],
+)
+def test_read_json_nesting_limit(tmp_path, text, refused):
+    path = tmp_path / "doc.json"
+    path.write_bytes(text)
+    if refused:
+        with pytest.raises(ValidationError, match=f"nest deeper than {DEPTH}$"):
+            read_json(path, "doc")
+    else:
+        assert isinstance(read_json(path, "doc"), dict)
+
+
+def test_read_json_refuses_nesting_that_would_crash_the_decoder(tmp_path):
+    """A million closed levels, which overflow the decoder's C stack: a
+    ValidationError, checked in a child process, which a crash would end
+    without taking this one down."""
+    path = tmp_path / "deep.json"
+    path.write_bytes(b'{"a":' + b"[" * 10**6 + b"]" * 10**6 + b"}")
+    src = str(Path(modcascade.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from modcascade.core import read_json\n"
+         "from modcascade.errors import ValidationError\n"
+         "try:\n"
+         "    read_json(sys.argv[1], 'doc')\n"
+         "except ValidationError as exc:\n"
+         "    print(exc)\n",
+         str(path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0 and child.stdout.endswith(f"nest deeper than {DEPTH}\n")
