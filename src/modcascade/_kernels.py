@@ -13,8 +13,9 @@ from itertools import chain
 
 import numpy as np
 
-# pairs per IoU chunk of whole detections, ~2 MB of temporaries; one chunk for
-# all 138k pairs of a crowded benchmark run raised its peak RSS by 0.4 MB
+# pairs per IoU chunk of whole detections, ~2 MB of temporaries, and per
+# slice of the greedy walk; one chunk for all 138k pairs of a crowded
+# benchmark run raised its peak RSS by 0.4 MB
 _CHUNK = 16384
 
 
@@ -71,7 +72,7 @@ def match_columns(det_xywh, det_conf, det_counts, gt_xywh, gt_counts, iou_thresh
         d1 = max(int(np.searchsorted(pair_end, start + _CHUNK, side="right")), d0 + 1)
         d = np.repeat(np.arange(d0, d1), n_pairs[d0:d1])
         g = first_gt[d] + np.arange(start, pair_end[d1 - 1])
-        v = iou_rows(det_xywh[d], gt_xywh[g])
+        v = iou_rows(np.take(det_xywh, d, axis=0), np.take(gt_xywh, g, axis=0))
         hit = v >= iou_threshold
         found.append((d[hit], g[hit], v[hit]))
         d0 = d1
@@ -86,14 +87,16 @@ def match_columns(det_xywh, det_conf, det_counts, gt_xywh, gt_counts, iou_thresh
     order = np.argsort(-det_conf[d], kind="stable")
     taken: set[int] = set()
     det, best, best_iou = -1, -1, 0.0
-    for dk, gk, vk in zip(d[order].tolist(), g[order].tolist(), v[order].tolist()):
-        if dk != det:
-            if best >= 0:  # the previous detection claims its best
-                taken.add(best)
-                claimed[det] = best
-            det, best, best_iou = dk, -1, 0.0
-        if vk > best_iou and gk not in taken:
-            best, best_iou = gk, vk
+    for start in range(0, len(order), _CHUNK):  # as Python numbers, a chunk at a time
+        chunk = order[start : start + _CHUNK]
+        for dk, gk, vk in zip(*(np.take(c, chunk).tolist() for c in (d, g, v))):
+            if dk != det:
+                if best >= 0:  # the previous detection claims its best
+                    taken.add(best)
+                    claimed[det] = best
+                det, best, best_iou = dk, -1, 0.0
+            if vk > best_iou and gk not in taken:
+                best, best_iou = gk, vk
     if best >= 0:
         claimed[det] = best
     return claimed

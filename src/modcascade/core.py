@@ -341,8 +341,8 @@ class Dataset:
     """An ordered image collection with its taxonomy.
 
     ``sequences`` optionally groups image ids into ordered runs for the
-    sequence-aware routing mode; each id may appear in at most one
-    sequence.
+    sequence-aware routing mode; each id may appear at most once in
+    them.
     """
 
     taxonomy: ClassTaxonomy
@@ -400,7 +400,9 @@ def make_dataset(
                 if image_id not in seen_ids:
                     raise ValidationError(f"sequence references unknown image id {image_id!r}")
                 if image_id in covered:
-                    raise ValidationError(f"image id {image_id!r} in more than one sequence")
+                    raise ValidationError(
+                        f"image id {image_id!r} appears more than once in the sequences"
+                    )
                 covered.add(image_id)
     return Dataset(taxonomy=taxonomy, images=images, sequences=seqs)
 

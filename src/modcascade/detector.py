@@ -240,10 +240,6 @@ class DetectorHandle:
             raise ValidationError("detector handle needs a DetectorProfile")
         check_int(self.seed, "detector handle seed")
 
-    @classmethod
-    def simulated(cls, profile: DetectorProfile, seed: int) -> "DetectorHandle":
-        return cls(profile=profile, seed=seed)
-
 
 # numpy's SeedSequence (NEP 19): pool of four 32-bit words, hash
 # constants and multipliers, and the PCG64 LCG multiplier (O'Neill 2014)

@@ -226,14 +226,17 @@ def evaluate_run(
     check_iou_threshold(iou_threshold)
     if level not in ("fine", "general"):
         raise ValidationError(f"unknown level {level!r}")
-    per_image = [dets for _, dets in zip(images, detections, strict=True)]
-    dets = [d for image_dets in per_image for d in image_dets]
+    dets: list[Detection] = []
+    det_counts = []
+    for _, image_dets in zip(images, detections, strict=True):
+        dets += image_dets
+        det_counts.append(len(image_dets))
     gts = [o for img in images for o in img.objects]
     conf = np.array([d.confidence for d in dets], dtype=float)
     det_xywh, gt_xywh = box_rows(d.box for d in dets), box_rows(o.box for o in gts)
     if not all(np.isfinite(column).all() for column in (conf, det_xywh, gt_xywh)):
         raise ValidationError("evaluate_run needs finite confidences and box numbers")
-    det_counts = np.array([len(image_dets) for image_dets in per_image], dtype=np.intp)
+    det_counts = np.array(det_counts, dtype=np.intp)
     gt_counts = np.array([len(img.objects) for img in images], dtype=np.intp)
     claimed = match_columns(det_xywh, conf, det_counts, gt_xywh, gt_counts, iou_threshold)
     names, pred, true, gt_true = _label_codes(taxonomy, level, dets, gts, claimed)

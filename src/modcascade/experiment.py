@@ -4,11 +4,11 @@
 ``RunConfig``; ``run_experiment`` loads the dataset, simulates the flat
 baseline and the routed cascade, evaluates both and returns the report
 as a dict for the canonical writer, its per-image trace built lazily.
-Every per-image result (the baseline's detections, the cascade's
-``RoutingTrace``) is a sequence in dataset order and is paired by
-position. Each (run, image) pair is matched and scored once, by
-``evaluation.evaluate_run``, FN-aware figures included; no evaluation's
-matches outlive it.
+Every per-image result (the baseline's detections, each column of the
+cascade's ``RoutingTrace``) is a sequence in dataset order, and an
+image's entries are found by its position ``k``. Each (run, image) pair
+is matched and scored once, by ``evaluation.evaluate_run``, FN-aware
+figures included; no evaluation's matches outlive it.
 
 Run config schema (unknown keys are ignored)::
 
@@ -34,20 +34,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .core import AnnotatedImage, Dataset, Detection, load_dataset, read_name, read_object
+from .core import Dataset, Detection, load_dataset, read_name, read_object
 from .detector import DetectorHandle, DetectorProfile, detect_all
 from .errormodel import modular_advantage
 from .errors import ValidationError
 from .evaluation import check_iou_threshold, evaluate_run
 from .reporting import LazyList
-from .router import (
-    ImageTrace,
-    RoutingConfig,
-    RoutingTrace,
-    compare_tree_vs_flat,
-    route_v1,
-    route_v2,
-)
+from .router import RoutingConfig, RoutingTrace, compare_tree_vs_flat, route_v1, route_v2
 
 
 @dataclass(frozen=True)
@@ -97,20 +90,6 @@ def _role_seed(seed: int, role: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-def _image_json(entry: tuple[AnnotatedImage, Sequence[Detection], ImageTrace]) -> dict:
-    """One image's entry in the report's trace block, from the image, its
-    baseline detections and its routing record."""
-    img, baseline, t = entry
-    return {
-        "id": img.id,
-        "baseline": baseline,
-        "stage1": t.stage1,
-        "triggered": t.triggered,
-        "invoked": t.invoked,
-        "stage2": dict(zip(t.invoked, t.stage2)),
-    }
-
-
 def run_experiment(config: RunConfig, seed: int) -> dict:
     """Execute a full baseline-vs-cascade comparison; returns the report.
 
@@ -123,10 +102,10 @@ def run_experiment(config: RunConfig, seed: int) -> dict:
     routing = config.routing
     iou_threshold = config.iou_threshold
 
-    baseline_handle = DetectorHandle.simulated(config.baseline, _role_seed(seed, "baseline"))
-    stage1_handle = DetectorHandle.simulated(config.stage1, _role_seed(seed, "stage1"))
+    baseline_handle = DetectorHandle(config.baseline, _role_seed(seed, "baseline"))
+    stage1_handle = DetectorHandle(config.stage1, _role_seed(seed, "stage1"))
     stage2_handles = {
-        g: DetectorHandle.simulated(p, _role_seed(seed, f"stage2|{g}"))
+        g: DetectorHandle(p, _role_seed(seed, f"stage2|{g}"))
         for g, p in config.stage2.items()
     }
 
@@ -138,6 +117,20 @@ def run_experiment(config: RunConfig, seed: int) -> dict:
 
     report = _evaluate(dataset, baseline_dets, trace, iou_threshold)
     report["tree_vs_flat"] = compare_tree_vs_flat(trace, n_fine_networks=len(stage2_handles))
+    images = dataset.images
+
+    def image_json(k: int) -> dict:
+        """Image ``k``'s entry in the report's trace block."""
+        invoked = trace.invoked[k]
+        return {
+            "id": images[k].id,
+            "baseline": baseline_dets[k],
+            "stage1": trace.stage1[k],
+            "triggered": trace.triggered[k],
+            "invoked": invoked,
+            "stage2": dict(zip(invoked, trace.stage2[k])),
+        }
+
     report["trace"] = {
         "mode": routing.mode,
         "tau": routing.tau,
@@ -145,9 +138,7 @@ def run_experiment(config: RunConfig, seed: int) -> dict:
         "stage1_inferences": trace.stage1_inferences,
         "stage2_inferences": trace.stage2_inferences,
         # built image by image while the report is written
-        "images": LazyList(
-            list(zip(dataset.images, baseline_dets, trace.images, strict=True)), _image_json
-        ),
+        "images": LazyList(range(len(images)), image_json),
     }
     return report
 
@@ -161,7 +152,6 @@ def _evaluate(
     """The report's "baseline", "modular" and "advantage" blocks. Each
     evaluation is reduced to the figures used as soon as it is scored."""
     taxonomy = dataset.taxonomy
-    traces = trace.images
     baseline_json = evaluate_run(
         dataset.images, baseline_dets, taxonomy, iou_threshold=iou_threshold
     ).to_json()
@@ -169,17 +159,17 @@ def _evaluate(
     baseline_json["stage2_inferences"] = 0
     stage1_error = evaluate_run(
         dataset.images,
-        [t.stage1 for t in traces],
+        trace.stage1,
         taxonomy,
         level="general",
         iou_threshold=iou_threshold,
     ).classification_error
     modular_json = evaluate_run(
         dataset.images,
-        (t.detections for t in traces),
+        trace.detections,
         taxonomy,
         iou_threshold=iou_threshold,
-        invoked=[t.invoked for t in traces],
+        invoked=trace.invoked,
     ).to_json()
     modular_json["stage1_inferences"] = trace.stage1_inferences
     modular_json["stage2_inferences"] = trace.stage2_inferences

@@ -9,16 +9,17 @@ unchanged — no cropping or transformation.
 
 Both modes run stage by stage: stage 1 over every image, then each
 general's stage-2 detector over exactly the images routed to it, each
-pass one ``detector.detect_all``. Both return a ``RoutingTrace``: one
-``ImageTrace`` per image, in dataset order, holding each stage-2 result once.
-Before any detector runs, both check the detectors' label spaces against
-``dataset.taxonomy``.
+pass one ``detector.detect_all``. Both return a ``RoutingTrace``: four
+columns in dataset order, where an image's entries are found by its
+position, holding each stage-2 result once. Before any detector runs,
+both check the detectors' label spaces against ``dataset.taxonomy``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Iterator, Mapping, Sequence
 
 from .core import AnnotatedImage, ClassTaxonomy, Dataset, Detection, check_int, check_number
 from .detector import DetectorHandle, detect_all
@@ -42,42 +43,36 @@ class RoutingConfig:
             raise ValidationError(f"mode must be 'v1' or 'v2', got {self.mode!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class ImageTrace:
-    """Routing record for one image; it finds its image by its position
-    in ``RoutingTrace.images``, which is dataset order.
-
-    ``triggered`` lists general classes this image's own stage-1
-    detections put over threshold; ``invoked`` lists the fine-grained
-    detectors actually run on it (equal to triggered in v1; the
-    sequence-level union in v2), in sorted order. ``stage2`` holds each
-    invoked detector's detections, aligned with ``invoked``.
-    """
-
-    stage1: tuple[Detection, ...]
-    triggered: tuple[str, ...]
-    invoked: tuple[str, ...]
-    stage2: tuple[tuple[Detection, ...], ...]
-
-    @property
-    def detections(self) -> tuple[Detection, ...]:
-        """The final detections: ``stage2`` concatenated, in ``invoked`` order."""
-        return tuple(d for dets in self.stage2 for d in dets)
-
-
 @dataclass(frozen=True)
 class RoutingTrace:
-    """The cascade's result: one ``ImageTrace`` per image, in dataset order."""
+    """The cascade's result: four columns aligned with ``dataset.images``.
 
-    images: tuple[ImageTrace, ...]
+    Per image: ``stage1`` holds its stage-1 detections; ``triggered`` the
+    general classes its own stage-1 detections put over threshold;
+    ``invoked`` the generals whose fine-grained detectors ran on it (equal
+    to ``triggered`` in v1, the sequence-level union in v2), in sorted
+    order; ``stage2`` each invoked detector's detections, aligned with
+    its ``invoked``.
+    """
+
+    stage1: tuple[tuple[Detection, ...], ...]
+    triggered: tuple[tuple[str, ...], ...]
+    invoked: tuple[tuple[str, ...], ...]
+    stage2: tuple[tuple[tuple[Detection, ...], ...], ...]
+
+    @property
+    def detections(self) -> Iterator[tuple[Detection, ...]]:
+        """Each image's final detections, its ``stage2`` concatenated in
+        ``invoked`` order, built as they are read."""
+        return (tuple(chain.from_iterable(dets)) for dets in self.stage2)
 
     @property
     def stage1_inferences(self) -> int:
-        return len(self.images)
+        return len(self.stage1)
 
     @property
     def stage2_inferences(self) -> int:
-        return sum(len(t.invoked) for t in self.images)
+        return sum(map(len, self.invoked))
 
 
 def _stage2(
@@ -194,7 +189,7 @@ def _route(
         for k in members:
             invoked[k] = union
     s2 = _stage2(stage2, images, invoked)
-    return RoutingTrace(tuple(map(ImageTrace, s1, triggered, invoked, s2)))
+    return RoutingTrace(tuple(s1), tuple(triggered), tuple(invoked), tuple(s2))
 
 
 def compare_tree_vs_flat(trace: RoutingTrace, n_fine_networks: int) -> dict:

@@ -10,7 +10,10 @@ image by image, from objects, with the AP oracle; the escaper walks a
 string one character at a time; a detection is the dict of lists the
 report was once built from; the object RNG is seeded through numpy's
 own ``SeedSequence`` and ``PCG64``, one stream at a time; the ziggurat
-tables are read off numpy's own normal draws from crafted PCG64 states.
+tables are read off numpy's own normal draws from crafted PCG64 states;
+a whole run's report is built image by image from the definitions of
+routing, simulation and scoring, with the scalar detector and the run
+evaluation oracle.
 """
 
 import hashlib
@@ -19,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from modcascade import MISS, FeatureClassModel
+from modcascade import MISS, DetectorHandle, FeatureClassModel, detect
 
 
 # numpy 2 renamed trapz; the oldest supported numpy has only the old name
@@ -376,3 +379,89 @@ def ziggurat_tables() -> tuple[list[float], list[int]]:
                 hi = mid
         ki.append(lo)
     return wi, ki
+
+
+def role_seed(seed: int, role: str) -> int:
+    """A detector role's seed: the first 8 bytes, little-endian, of the
+    blake2b digest of ``"<seed>|<role>"``."""
+    digest = hashlib.blake2b(f"{seed}|{role}".encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
+
+
+def reference_routing(dataset, stage1, stage2, tau, mode) -> tuple[list, list, list, list]:
+    """The cascade's four per-image columns, image by image: the stage-1
+    detections (scalar ``detect``), the generals detected at confidence
+    >= ``tau``, the invoked generals (in v2 the union over the image's
+    sequence, an unsequenced image being its own sequence) and, per
+    invoked general in sorted order, that general's detections."""
+    images = dataset.images
+    s1 = [tuple(detect(stage1, img)) for img in images]
+    triggered = [tuple(sorted({d.label for d in dets if d.confidence >= tau})) for dets in s1]
+    groups = [[img.id] for img in images]
+    if mode == "v2":
+        sequenced = {i for seq in dataset.sequences for i in seq}
+        groups = [list(seq) for seq in dataset.sequences]
+        groups += [[img.id] for img in images if img.id not in sequenced]
+    union_of = {}
+    trig_of = {img.id: trig for img, trig in zip(images, triggered)}
+    for group in groups:
+        union = tuple(sorted({g for i in group for g in trig_of[i]}))
+        for i in group:
+            union_of[i] = union
+    invoked = [union_of[img.id] for img in images]
+    s2 = [tuple(tuple(detect(stage2[g], img)) for g in inv) for img, inv in zip(images, invoked)]
+    return s1, triggered, invoked, s2
+
+
+def reference_report(dataset, baseline, stage1, stage2, tau, mode, iou_threshold, seed) -> dict:
+    """The report ``modcascade run`` writes, as ``json.loads`` reads it,
+    built by the definitions: detector profiles ``baseline``, ``stage1``
+    and ``stage2`` (general -> profile) seeded per role, the routing of
+    ``reference_routing``, each evaluation by ``evaluate_run_oracle``,
+    and the advantage, tree-vs-flat and trace blocks."""
+    images, taxonomy = dataset.images, dataset.taxonomy
+    base = DetectorHandle(baseline, role_seed(seed, "baseline"))
+    s1h = DetectorHandle(stage1, role_seed(seed, "stage1"))
+    s2h = {g: DetectorHandle(p, role_seed(seed, f"stage2|{g}")) for g, p in stage2.items()}
+    base_dets = [detect(base, img) for img in images]
+    s1, triggered, invoked, s2 = reference_routing(dataset, s1h, s2h, tau, mode)
+    final = [[d for dets in per_general for d in dets] for per_general in s2]
+    n, n2 = len(images), sum(map(len, invoked))
+
+    def evaluate(detections, **kw):
+        return evaluate_run_oracle(images, detections, taxonomy, iou_threshold=iou_threshold, **kw)
+
+    baseline_doc = {**evaluate(base_dets), "stage1_inferences": n, "stage2_inferences": 0}
+    stage1_error = evaluate(s1, level="general")["classification_error"]
+    modular_doc = {**evaluate(final, invoked=invoked),
+                   "stage1_inferences": n, "stage2_inferences": n2}
+    a = 1.0 - baseline_doc["classification_error"]
+    acc_s1 = 1.0 - stage1_error
+    acc_mod = 1.0 - modular_doc["classification_error"]
+    delta1 = acc_s1 - a
+    delta2 = (min(acc_mod / acc_s1, 1.0) if acc_s1 > 0 else 0.0) - a
+    rhs = (a + delta1) * (a + delta2)
+    tree, flat = n + n2, n * len(stage2)
+
+    def dets_json(dets):
+        return [det_json(d) for d in dets]
+
+    return {
+        "baseline": baseline_doc,
+        "modular": modular_doc,
+        "advantage": {"a": a, "delta1": delta1, "delta2": delta2,
+                      "lhs": a, "rhs": rhs, "advantage": a < rhs},
+        "tree_vs_flat": {"tree_inferences": tree, "flat_inferences": flat,
+                         "ratio": flat / tree if tree else 0.0},
+        "trace": {
+            "mode": mode, "tau": tau, "iou_threshold": iou_threshold,
+            "stage1_inferences": n, "stage2_inferences": n2,
+            "images": [
+                {"id": img.id, "baseline": dets_json(b), "stage1": dets_json(d1),
+                 "triggered": list(trig), "invoked": list(inv),
+                 "stage2": {g: dets_json(d2) for g, d2 in zip(inv, per_general)}}
+                for img, b, d1, trig, inv, per_general
+                in zip(images, base_dets, s1, triggered, invoked, s2)
+            ],
+        },
+    }

@@ -44,7 +44,7 @@ STAGE2_ERR = 0.023
 
 
 def _cascade_handles(taxonomy, seed):
-    s1 = DetectorHandle.simulated(
+    s1 = DetectorHandle(
         stage1_profile(
             taxonomy, STAGE1_ERR, STAGE1_MISS,
             loc_noise_sigma=1.5, negative_fp_rate=0.02,
@@ -52,7 +52,7 @@ def _cascade_handles(taxonomy, seed):
         seed * 31 + 1,
     )
     s2 = {
-        g: DetectorHandle.simulated(p, seed * 31 + 2 + i)
+        g: DetectorHandle(p, seed * 31 + 2 + i)
         for i, (g, p) in enumerate(
             stage2_profiles(taxonomy, STAGE2_ERR, loc_noise_sigma=1.0).items()
         )
@@ -74,7 +74,7 @@ def test_criterion_1_calibrated_composite_error():
     dataset = synth_dataset(taxonomy, per_fine=500, negatives=500, seq_len=5, seed=20240601)
     assert sum(1 for img in dataset.images if img.objects) == 5000
 
-    baseline = DetectorHandle.simulated(
+    baseline = DetectorHandle(
         flat_profile(taxonomy, BASELINE_ERR, loc_noise_sigma=1.0), 777
     )
     baseline_dets = [detect(baseline, img) for img in dataset.images]
@@ -93,8 +93,8 @@ def test_criterion_1_calibrated_composite_error():
         s1, s2 = _cascade_handles(taxonomy, seed)
         v1 = route_v1(dataset, s1, s2, RoutingConfig(0.5, "v1"))
         v2 = route_v2(dataset, s1, s2, RoutingConfig(0.5, "v2"))
-        errs_v1.append(_composite_error(dataset, [t.detections for t in v1.images]))
-        errs_v2.append(_composite_error(dataset, [t.detections for t in v2.images]))
+        errs_v1.append(_composite_error(dataset, v1.detections))
+        errs_v2.append(_composite_error(dataset, v2.detections))
         assert errs_v2[-1] <= errs_v1[-1], f"v2 worse than v1 at seed {seed}"
         for out in (v1, v2):
             ratio = compare_tree_vs_flat(out, 5)["ratio"]
@@ -200,16 +200,16 @@ def test_criterion_6_tree_vs_flat_count():
     """Selective routing cuts inferences ~2.5x on the 5x2 taxonomy."""
     taxonomy = taxonomy_5x2()
     dataset = synth_dataset(taxonomy, per_fine=100, negatives=60, seed=5)
-    s1 = DetectorHandle.simulated(
+    s1 = DetectorHandle(
         stage1_profile(taxonomy, error_rate=0.0, miss_rate=0.0, negative_fp_rate=0.02), 3
     )
     s2 = {
-        g: DetectorHandle.simulated(p, 4)
+        g: DetectorHandle(p, 4)
         for g, p in stage2_profiles(taxonomy, STAGE2_ERR).items()
     }
     out = route_v1(dataset, s1, s2, RoutingConfig(0.5, "v1"))
 
-    invoked = [t.invoked for t in out.images]
+    invoked = out.invoked
     for img, generals in zip(dataset.images, invoked, strict=True):
         if img.objects:
             assert len(generals) == 1  # every positive routes to exactly one network
@@ -222,7 +222,7 @@ def test_criterion_6_tree_vs_flat_count():
     assert result["ratio"] >= 1.0
     # ratio >= 1 under noisier routing too
     for seed in range(3):
-        noisy1 = DetectorHandle.simulated(
+        noisy1 = DetectorHandle(
             stage1_profile(taxonomy, 0.2, 0.1, negative_fp_rate=0.3), seed
         )
         noisy = route_v1(dataset, noisy1, s2, RoutingConfig(0.3, "v1"))
@@ -239,15 +239,14 @@ def test_criterion_7_metric_golden_values():
     taxonomy = taxonomy_5x2()
     dataset = synth_dataset(taxonomy, per_fine=10, negatives=5, seed=8)
     law = ConfidenceLaw(spread=0.0)
-    s1 = DetectorHandle.simulated(stage1_profile(taxonomy, 0.0, confidence_law=law), 1)
+    s1 = DetectorHandle(stage1_profile(taxonomy, 0.0, confidence_law=law), 1)
     s2 = {
-        g: DetectorHandle.simulated(p, 2)
+        g: DetectorHandle(p, 2)
         for g, p in stage2_profiles(taxonomy, 0.0, confidence_law=law).items()
     }
     out = route_v1(dataset, s1, s2, RoutingConfig(0.5, "v1"))
     report = evaluate_run(
-        dataset.images, [t.detections for t in out.images], taxonomy,
-        invoked=[t.invoked for t in out.images],
+        dataset.images, out.detections, taxonomy, invoked=out.invoked,
     )
     assert report.map == 1.0
     assert report.classification_error == 0.0

@@ -23,6 +23,7 @@ from modcascade import (
     validate_taxonomy,
 )
 from modcascade import core
+from modcascade.cli import main
 from modcascade.core import (
     AnnotatedImage,
     BoundingBox,
@@ -30,6 +31,8 @@ from modcascade.core import (
     dataset_to_json,
     read_json,
 )
+
+from test_cli import run_config, write_config
 
 
 @pytest.fixture
@@ -160,8 +163,26 @@ class TestLoadDataset:
         doc["sequences"] = [["img001"], ["img001"]]
         path = tmp_path / "data.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match="more than one sequence"):
+        with pytest.raises(ValidationError, match="more than once in the sequences"):
             load_dataset(path)
+
+    def test_id_repeated_in_one_sequence(self, taxonomy, tmp_path, capsys):
+        # the same message as across sequences, not "in more than one sequence"
+        with pytest.raises(
+            ValidationError, match=r"^image id 'x' appears more than once in the sequences$"
+        ):
+            make_dataset(taxonomy, [AnnotatedImage("x", 10.0, 10.0)], [["x", "x"]])
+        doc = annotation_doc(taxonomy)
+        doc["sequences"] = [["img001", "img002", "img001"]]
+        (tmp_path / "data.json").write_text(json.dumps(doc))
+        config = run_config(taxonomy, tmp_path / "data.json", mode="v2")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, "run.json", config)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: image id 'img001' appears more than once in the sequences\n"
+        )
+        assert not list(out.glob("*"))
 
     def test_round_trip(self, taxonomy, tmp_path):
         doc = annotation_doc(taxonomy)

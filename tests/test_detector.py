@@ -159,9 +159,9 @@ class TestProfileValidation:
         with pytest.raises(ValidationError):
             DetectorHandle(None, 3)
         with pytest.raises(ValidationError):
-            DetectorHandle.simulated(prof, 1.5)
+            DetectorHandle(prof, 1.5)
         with pytest.raises(ValidationError):
-            DetectorHandle.simulated(prof, True)
+            DetectorHandle(prof, True)
 
     def test_json_round_trip(self):
         p = DetectorProfile(
@@ -179,7 +179,7 @@ class TestProfileValidation:
 class TestSimulatedDetect:
     def test_identity_noiseless(self):
         prof = identity_profile(["pekinese", "spaniel"])
-        handle = DetectorHandle.simulated(prof, seed=1)
+        handle = DetectorHandle(prof, seed=1)
         img = image_with("spaniel")
         dets = detect(handle, img)
         assert len(dets) == 1
@@ -189,12 +189,12 @@ class TestSimulatedDetect:
 
     def test_all_miss_row(self):
         prof = DetectorProfile(("pekinese", "spaniel"), {"pekinese": {}})
-        handle = DetectorHandle.simulated(prof, seed=1)
+        handle = DetectorHandle(prof, seed=1)
         assert detect(handle, image_with("pekinese")) == []
 
     def test_unknown_gt_label_emits_nothing(self):
         prof = identity_profile(["pekinese"])
-        handle = DetectorHandle.simulated(prof, seed=1)
+        handle = DetectorHandle(prof, seed=1)
         assert detect(handle, image_with("mars")) == []
 
     def test_confusion_frequency_converges(self):
@@ -202,7 +202,7 @@ class TestSimulatedDetect:
             ("pekinese", "spaniel"),
             {"pekinese": {"pekinese": 0.88, "spaniel": 0.12}},
         )
-        handle = DetectorHandle.simulated(prof, seed=42)
+        handle = DetectorHandle(prof, seed=42)
         wrong = total = 0
         for k in range(10_000):
             dets = detect(handle, image_with("pekinese", image_id=f"img{k:05d}"))
@@ -213,7 +213,7 @@ class TestSimulatedDetect:
 
     def test_miss_frequency_converges(self):
         prof = DetectorProfile(("a",), {"a": {"a": 0.9}})
-        handle = DetectorHandle.simulated(prof, seed=9)
+        handle = DetectorHandle(prof, seed=9)
         miss = 0
         n = 8000
         for k in range(n):
@@ -229,7 +229,7 @@ class TestSimulatedDetect:
             loc_noise_sigma=3.0,
             confidence_law=ConfidenceLaw(),
         )
-        handle = DetectorHandle.simulated(prof, seed=7)
+        handle = DetectorHandle(prof, seed=7)
         imgs = [image_with("pekinese", image_id=f"i{k}") for k in range(50)]
         first = [detect(handle, img) for img in imgs]
         second = [detect(handle, img) for img in reversed(imgs)][::-1]
@@ -241,7 +241,7 @@ class TestSimulatedDetect:
     def test_seed_changes_stream(self):
         prof = DetectorProfile(("a",), {"a": {"a": 0.5}})
         img = image_with_label_a(0)
-        a = [detect(DetectorHandle.simulated(prof, seed=s), img) for s in range(64)]
+        a = [detect(DetectorHandle(prof, seed=s), img) for s in range(64)]
         assert len({len(x) for x in a}) == 2  # both outcomes appear across seeds
 
     def test_boxes_stay_in_bounds_confidence_in_range(self):
@@ -251,7 +251,7 @@ class TestSimulatedDetect:
             loc_noise_sigma=60.0,
             confidence_law=ConfidenceLaw(0.9, 0.6, 0.2),
         )
-        handle = DetectorHandle.simulated(prof, seed=3)
+        handle = DetectorHandle(prof, seed=3)
         edge_box = BoundingBox(700, 700, 99, 99)
         for k in range(500):
             img = AnnotatedImage(
@@ -273,7 +273,7 @@ class TestSimulatedDetect:
             {"a": {"a": 1.0}},
             negative_fp_rate=0.25,
         )
-        handle = DetectorHandle.simulated(prof, seed=11)
+        handle = DetectorHandle(prof, seed=11)
         n = 8000
         hits = 0
         for k in range(n):
@@ -293,7 +293,7 @@ class TestSimulatedDetect:
             confidence_law=ConfidenceLaw(mean_correct=0.9, mean_wrong=0.6, spread=0.0),
             correct_for={"pekinese": "dog"},
         )
-        (det,) = detect(DetectorHandle.simulated(prof, 1), image_with("pekinese"))
+        (det,) = detect(DetectorHandle(prof, 1), image_with("pekinese"))
         assert det.confidence == 0.9
         # without the map the emission counts as wrong
         prof2 = DetectorProfile(
@@ -301,7 +301,7 @@ class TestSimulatedDetect:
             {"pekinese": {"dog": 1.0}},
             confidence_law=ConfidenceLaw(mean_correct=0.9, mean_wrong=0.6, spread=0.0),
         )
-        (det2,) = detect(DetectorHandle.simulated(prof2, 1), image_with("pekinese"))
+        (det2,) = detect(DetectorHandle(prof2, 1), image_with("pekinese"))
         assert det2.confidence == 0.6
 
 
@@ -330,7 +330,7 @@ class TestVectorisedSeeding:
     )
     def test_stream_states_equal_object_rng(self, seed, counts, fp_rate):
         prof = DetectorProfile(("a",), {"a": {"a": 0.9}}, negative_fp_rate=fp_rate)
-        handle = DetectorHandle.simulated(prof, seed)
+        handle = DetectorHandle(prof, seed)
         images = [
             AnnotatedImage(
                 f"im{k}", 800, 800,
@@ -349,7 +349,7 @@ class TestVectorisedSeeding:
 
     def test_empty_batch(self):
         assert _pcg64_states(b"") == []
-        handle = DetectorHandle.simulated(identity_profile(["a"]), seed=1)
+        handle = DetectorHandle(identity_profile(["a"]), seed=1)
         assert prepare(handle, []) == []
         assert detect_all(handle, []) == []
 
@@ -361,7 +361,7 @@ class TestVectorisedSeeding:
             fp_label_dist={"pekinese": 0.3, "spaniel": 0.7},
             loc_noise_sigma=4.0,
         )
-        handle = DetectorHandle.simulated(prof, seed=11)
+        handle = DetectorHandle(prof, seed=11)
         images = []
         for k in range(60):
             if k % 4 == 0:  # negative: one "negfp" stream
@@ -539,7 +539,7 @@ class TestBatchedDraws:
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
     def test_crowded_batch_takes_both_paths(self, sigma):
         taxonomy = taxonomy_5x2()
-        handle = DetectorHandle.simulated(
+        handle = DetectorHandle(
             flat_profile(taxonomy, error_rate=0.12, loc_noise_sigma=sigma), seed=5
         )
         images = _crowded_images(150)
@@ -556,7 +556,7 @@ class TestBatchedDraws:
     @given(profile=batch_profiles(), images=batch_images(), seed=st.integers(0, 2**64 - 1))
     def test_prepared_equals_scalar(self, profile, images, seed):
         # reprs tell -0.0 from 0.0, which == does not
-        handle = DetectorHandle.simulated(profile, seed)
+        handle = DetectorHandle(profile, seed)
         assert repr(detect_all(handle, images)) == repr(
             [tuple(detect(handle, img)) for img in images]
         )
@@ -566,7 +566,7 @@ class TestBatchedDraws:
         Marsaglia-Tsang's ``c`` is 0 on both paths, and they still agree."""
         law = ConfidenceLaw(mean_correct=0.5, mean_wrong=0.6, spread=3.73e-155)
         profile = flat_profile(taxonomy_5x2(), error_rate=0.3, confidence_law=law)
-        handle = DetectorHandle.simulated(profile, seed=11)
+        handle = DetectorHandle(profile, seed=11)
         images = _crowded_images(40)
         prepared = prepare(handle, images)
         assert any(type(o) is not tuple for found in prepared for o in found)
@@ -575,7 +575,7 @@ class TestBatchedDraws:
     def test_int_extent_left_to_scalar_path(self):
         # min() puts an int width into a box as it is; the batch would give a float
         prof = DetectorProfile(("a",), {"a": {"a": 1.0}}, loc_noise_sigma=500.0)
-        handle = DetectorHandle.simulated(prof, seed=2)
+        handle = DetectorHandle(prof, seed=2)
         img = AnnotatedImage("wide", 40, 30, (GroundTruthObject(BoundingBox(0, 0, 39, 29), "a"),))
         (found,) = prepare(handle, [img])
         assert found == _stream_states(handle, img)  # seeded, not drawn

@@ -575,7 +575,7 @@ class TestEvaluateRun:
             negative_fp_rate=0.5,
             loc_noise_sigma=20.0,
         )
-        dets = [detect(DetectorHandle.simulated(profile, 4), img) for img in ds.images]
+        dets = [detect(DetectorHandle(profile, 4), img) for img in ds.images]
         # every third image invokes no general: a positive one is an FN image
         invoked = [() if k % 3 == 1 else taxonomy.generals for k in range(len(ds.images))]
         cascade = evaluate_run(ds.images, dets, taxonomy, invoked=invoked)
@@ -603,7 +603,7 @@ class TestEvaluateRun:
                     confusion={f: {f: 1.0} for f in taxonomy.fine_labels},
                     loc_noise_sigma=sigma,
                 )
-                handle = DetectorHandle.simulated(profile, seed)
+                handle = DetectorHandle(profile, seed)
                 dets = [detect(handle, img) for img in ds.images]
                 per_seed.append(evaluate_run(ds.images, dets, taxonomy).map)
             maps.append(sum(per_seed) / len(per_seed))

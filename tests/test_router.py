@@ -23,13 +23,13 @@ from conftest import synth_dataset, taxonomy_5x2
 
 
 def perfect_handles(taxonomy, seed=0, tau_conf_spread=0.0):
-    s1 = DetectorHandle.simulated(
+    s1 = DetectorHandle(
         stage1_profile(taxonomy, error_rate=0.0, miss_rate=0.0,
                        confidence_law=ConfidenceLaw(spread=tau_conf_spread)),
         seed,
     )
     s2 = {
-        g: DetectorHandle.simulated(p, seed + 1000 + i)
+        g: DetectorHandle(p, seed + 1000 + i)
         for i, (g, p) in enumerate(
             stage2_profiles(taxonomy, error_rate=0.0,
                             confidence_law=ConfidenceLaw(spread=tau_conf_spread)).items()
@@ -39,28 +39,32 @@ def perfect_handles(taxonomy, seed=0, tau_conf_spread=0.0):
 
 
 def final_detections(trace):
-    """Each image's final detections, after checking that its stage-2
-    results are aligned with its invoked generals and that the final
+    """Each image's final detections, after checking that the four
+    columns have one entry per image, that each image's stage-2 results
+    are aligned with its sorted invoked generals and that the final
     detections are their concatenation in that order."""
-    for t in trace.images:
-        assert len(t.stage2) == len(t.invoked)
-        assert t.invoked == tuple(sorted(t.invoked))
-        assert t.detections == tuple(d for dets in t.stage2 for d in dets)
-    return [t.detections for t in trace.images]
+    n = len(trace.stage1)
+    assert (len(trace.triggered), len(trace.invoked), len(trace.stage2)) == (n, n, n)
+    for invoked, stage2 in zip(trace.invoked, trace.stage2):
+        assert len(stage2) == len(invoked)
+        assert invoked == tuple(sorted(invoked))
+    detections = list(trace.detections)
+    assert detections == [tuple(d for dets in stage2 for d in dets) for stage2 in trace.stage2]
+    return detections
 
 
 def assert_stage2_scoped(trace, taxonomy):
     """Each stage-2 result holds only labels of the general it is aligned with."""
-    for t in trace.images:
-        for g, dets in zip(t.invoked, t.stage2, strict=True):
+    for invoked, stage2 in zip(trace.invoked, trace.stage2, strict=True):
+        for g, dets in zip(invoked, stage2, strict=True):
             assert all(d.label in taxonomy.fine_of[g] for d in dets)
 
 
 # a stage-1 detector blind to one general, and a "dog" stage-2 detector
 # that also emits a fine label of "boat"
 _NO_BIKE = ClassTaxonomy({g: f for g, f in taxonomy_5x2().fine_of.items() if g != "bike"})
-_STAGE1_WITHOUT_BIKE = DetectorHandle.simulated(stage1_profile(_NO_BIKE, 0.0), 0)
-_DOG_WITH_KAYAK = DetectorHandle.simulated(
+_STAGE1_WITHOUT_BIKE = DetectorHandle(stage1_profile(_NO_BIKE, 0.0), 0)
+_DOG_WITH_KAYAK = DetectorHandle(
     DetectorProfile(("pekinese", "spaniel", "kayak"), {"pekinese": {"pekinese": 1.0}}), 0
 )
 
@@ -95,7 +99,7 @@ class TestRouteV1:
         assert dets[0].box == img.objects[0].box
         assert out.stage1_inferences == 1
         assert out.stage2_inferences == 1
-        assert out.images[0].triggered == ("dog",)
+        assert out.triggered == (("dog",),)
 
     def test_tau_one_blocks_all(self, taxonomy):
         ds = synth_dataset(taxonomy, per_fine=3, negatives=2)
@@ -146,9 +150,10 @@ class TestRouteV1:
         out = route_v1(ds, s1, s2, RoutingConfig(tau=0.0, mode="v1"))
         final_detections(out)
         assert_stage2_scoped(out, taxonomy)
-        for t, img in zip(out.images, ds.images):
-            want = tuple(sorted({taxonomy.general_of(o.fine_label) for o in img.objects}))
-            assert t.invoked == want
+        assert out.invoked == tuple(
+            tuple(sorted({taxonomy.general_of(o.fine_label) for o in img.objects}))
+            for img in ds.images
+        )
 
     def test_tau_monotonicity(self, taxonomy):
         ds = synth_dataset(taxonomy, per_fine=6, negatives=3)
@@ -156,12 +161,12 @@ class TestRouteV1:
             taxonomy, error_rate=0.15, miss_rate=0.1,
             confidence_law=ConfidenceLaw(0.9, 0.6, 0.15),
         )
-        s1 = DetectorHandle.simulated(prof1, 3)
-        s2 = {g: DetectorHandle.simulated(p, 4) for g, p in stage2_profiles(taxonomy, 0.1).items()}
+        s1 = DetectorHandle(prof1, 3)
+        s2 = {g: DetectorHandle(p, 4) for g, p in stage2_profiles(taxonomy, 0.1).items()}
         prev = None
         for tau in (0.95, 0.8, 0.6, 0.4, 0.0):  # decreasing tau -> growing sets
             out = route_v1(ds, s1, s2, RoutingConfig(tau=tau, mode="v1"))
-            invoked = {img.id: set(t.invoked) for img, t in zip(ds.images, out.images)}
+            invoked = {img.id: set(inv) for img, inv in zip(ds.images, out.invoked, strict=True)}
             if prev is not None:
                 for image_id in invoked:
                     assert prev[image_id] <= invoked[image_id]
@@ -170,25 +175,25 @@ class TestRouteV1:
     def test_label_scoping(self, taxonomy):
         ds = synth_dataset(taxonomy, per_fine=10, negatives=5)
         prof1 = stage1_profile(taxonomy, error_rate=0.2, miss_rate=0.1)
-        s1 = DetectorHandle.simulated(prof1, 21)
-        s2 = {g: DetectorHandle.simulated(p, 22) for g, p in stage2_profiles(taxonomy, 0.2).items()}
+        s1 = DetectorHandle(prof1, 21)
+        s2 = {g: DetectorHandle(p, 22) for g, p in stage2_profiles(taxonomy, 0.2).items()}
         out = route_v1(ds, s1, s2, RoutingConfig(tau=0.5, mode="v1"))
         assert_stage2_scoped(out, taxonomy)
-        for t, dets in zip(out.images, final_detections(out), strict=True):
-            scope = {f for g in t.invoked for f in taxonomy.fine_of[g]}
+        for invoked, dets in zip(out.invoked, final_detections(out), strict=True):
+            scope = {f for g in invoked for f in taxonomy.fine_of[g]}
             for d in dets:
                 assert d.label in scope
 
     def test_selectivity_bound(self, taxonomy):
         ds = synth_dataset(taxonomy, per_fine=10, negatives=10)
         prof1 = stage1_profile(taxonomy, error_rate=0.3, miss_rate=0.0, negative_fp_rate=0.5)
-        s1 = DetectorHandle.simulated(prof1, 8)
-        s2 = {g: DetectorHandle.simulated(p, 9) for g, p in stage2_profiles(taxonomy, 0.1).items()}
+        s1 = DetectorHandle(prof1, 8)
+        s2 = {g: DetectorHandle(p, 9) for g, p in stage2_profiles(taxonomy, 0.1).items()}
         out = route_v1(ds, s1, s2, RoutingConfig(tau=0.0, mode="v1"))
         final_detections(out)
         n_generals = len(taxonomy.generals)
-        for t in out.images:
-            assert len(t.invoked) <= n_generals
+        for invoked in out.invoked:
+            assert len(invoked) <= n_generals
         tree = out.stage1_inferences + out.stage2_inferences
         assert tree <= out.stage1_inferences * (1 + n_generals)
 
@@ -206,9 +211,9 @@ class TestCompositionOracle:
         # of the matched set, so err_v1 = e1 + (1 - e1) * e2
         e1, m1, e2 = 0.0225, 0.02, 0.023
         ds = synth_dataset(taxonomy, per_fine=200, negatives=100, seed=2)
-        s1 = DetectorHandle.simulated(stage1_profile(taxonomy, e1, m1, loc_noise_sigma=1.5), 31)
+        s1 = DetectorHandle(stage1_profile(taxonomy, e1, m1, loc_noise_sigma=1.5), 31)
         s2 = {
-            g: DetectorHandle.simulated(p, 32)
+            g: DetectorHandle(p, 32)
             for g, p in stage2_profiles(taxonomy, e2, loc_noise_sigma=1.0).items()
         }
         out = route_v1(ds, s1, s2, RoutingConfig(tau=0.5, mode="v1"))
@@ -234,9 +239,9 @@ class TestRouteV2:
             confusion={"pekinese": {}, "spaniel": {"dog": 1.0}},
             correct_for={"spaniel": "dog"},
         )
-        s1 = DetectorHandle.simulated(s1_prof, 1)
+        s1 = DetectorHandle(s1_prof, 1)
         s2 = {
-            "dog": DetectorHandle.simulated(
+            "dog": DetectorHandle(
                 DetectorProfile(
                     ("pekinese", "spaniel"),
                     {"pekinese": {"pekinese": 1.0}, "spaniel": {"spaniel": 1.0}},
@@ -262,12 +267,12 @@ class TestRouteV2:
     def test_no_sequences_routes_as_v1(self, taxonomy):
         ds = synth_dataset(taxonomy, per_fine=6, negatives=6, seed=5)
         ds = make_dataset(taxonomy, ds.images, sequences=())
-        s1 = DetectorHandle.simulated(
+        s1 = DetectorHandle(
             stage1_profile(taxonomy, 0.1, miss_rate=0.2, loc_noise_sigma=1.5,
                            negative_fp_rate=0.3),
             71,
         )
-        s2 = {g: DetectorHandle.simulated(p, 72) for g, p in stage2_profiles(taxonomy, 0.1).items()}
+        s2 = {g: DetectorHandle(p, 72) for g, p in stage2_profiles(taxonomy, 0.1).items()}
         v1 = route_v1(ds, s1, s2, RoutingConfig(0.5, "v1"))
         v2 = route_v2(ds, s1, s2, RoutingConfig(0.5, "v2"))
         assert v2 == v1
@@ -300,22 +305,21 @@ class TestRouteV2:
         assert_stage2_scoped(out, taxonomy)
         assert out.stage1_inferences == len(ds.images)
         # negatives are singletons and trigger nothing
-        for img, t in zip(ds.images, out.images):
+        for img, invoked in zip(ds.images, out.invoked, strict=True):
             if img.id.startswith("neg_"):
-                assert t.invoked == ()
+                assert invoked == ()
 
     def test_v2_activations_superset_of_v1(self, taxonomy):
         ds = synth_dataset(taxonomy, per_fine=30, negatives=10, seq_len=5, seed=4)
         prof1 = stage1_profile(taxonomy, error_rate=0.05, miss_rate=0.25)
-        s1 = DetectorHandle.simulated(prof1, 51)
-        s2 = {g: DetectorHandle.simulated(p, 52) for g, p in stage2_profiles(taxonomy, 0.05).items()}
+        s1 = DetectorHandle(prof1, 51)
+        s2 = {g: DetectorHandle(p, 52) for g, p in stage2_profiles(taxonomy, 0.05).items()}
         v1 = route_v1(ds, s1, s2, RoutingConfig(0.5, "v1"))
         v2 = route_v2(ds, s1, s2, RoutingConfig(0.5, "v2"))
         for out in (v1, v2):
             final_detections(out)
             assert_stage2_scoped(out, taxonomy)
-        v1_inv = [t.invoked for t in v1.images]
-        v2_inv = [t.invoked for t in v2.images]
+        v1_inv, v2_inv = v1.invoked, v2.invoked
         for inv1, inv2 in zip(v1_inv, v2_inv, strict=True):
             assert set(inv1) <= set(inv2)
         # therefore v2 cannot have more FN images
@@ -328,19 +332,19 @@ class TestRouteV2:
     @pytest.mark.parametrize("route", [route_v1, route_v2])
     def test_equal_sets_share_one_tuple(self, taxonomy, route):
         ds = synth_dataset(taxonomy, per_fine=30, negatives=10, seq_len=5, seed=4)
-        s1 = DetectorHandle.simulated(stage1_profile(taxonomy, error_rate=0.05, miss_rate=0.25), 51)
-        s2 = {g: DetectorHandle.simulated(p, 52) for g, p in stage2_profiles(taxonomy, 0.05).items()}
+        s1 = DetectorHandle(stage1_profile(taxonomy, error_rate=0.05, miss_rate=0.25), 51)
+        s2 = {g: DetectorHandle(p, 52) for g, p in stage2_profiles(taxonomy, 0.05).items()}
         mode = "v1" if route is route_v1 else "v2"
-        images = route(ds, s1, s2, RoutingConfig(0.5, mode)).images
-        sets = [t.triggered for t in images] + [t.invoked for t in images]
+        out = route(ds, s1, s2, RoutingConfig(0.5, mode))
+        sets = out.triggered + out.invoked
         assert len({id(s) for s in sets}) == len(set(sets)) > 1
 
     def test_v2_composite_error_improves(self, taxonomy):
         e1, m1, e2 = 0.0225, 0.02, 0.023
         ds = synth_dataset(taxonomy, per_fine=150, negatives=50, seq_len=5, seed=6)
-        s1 = DetectorHandle.simulated(stage1_profile(taxonomy, e1, m1, loc_noise_sigma=1.5), 61)
+        s1 = DetectorHandle(stage1_profile(taxonomy, e1, m1, loc_noise_sigma=1.5), 61)
         s2 = {
-            g: DetectorHandle.simulated(p, 62)
+            g: DetectorHandle(p, 62)
             for g, p in stage2_profiles(taxonomy, e2, loc_noise_sigma=1.0).items()
         }
         v1 = route_v1(ds, s1, s2, RoutingConfig(0.5, "v1"))
@@ -372,9 +376,9 @@ class TestTreeVsFlat:
         for seed in range(5):
             ds = synth_dataset(taxonomy, per_fine=20, negatives=10, seed=seed)
             prof1 = stage1_profile(taxonomy, 0.2, 0.1, negative_fp_rate=0.3)
-            s1 = DetectorHandle.simulated(prof1, seed)
+            s1 = DetectorHandle(prof1, seed)
             s2 = {
-                g: DetectorHandle.simulated(p, seed + 1)
+                g: DetectorHandle(p, seed + 1)
                 for g, p in stage2_profiles(taxonomy, 0.1).items()
             }
             out = route_v1(ds, s1, s2, RoutingConfig(0.4, "v1"))
