@@ -26,7 +26,7 @@ _EXPORTS = {
         "map_with_fn_accounting",
     ),
     "profiles": ("flat_profile", "stage1_profile", "stage2_profiles"),
-    "router": ("RoutingConfig", "RoutingTrace", "compare_tree_vs_flat", "route_v1", "route_v2"),
+    "router": ("RoutingTrace", "compare_tree_vs_flat", "route_v1", "route_v2"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

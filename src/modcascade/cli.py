@@ -128,9 +128,8 @@ def synth_dataset(synth: SynthConfig) -> Dataset:
 
 def check_outputs(inputs: Mapping[str, Path], outputs: Mapping[str, Path]) -> None:
     """The one rule of a command's files, checked before any work: each
-    output path, resolved, is neither an input (None for none) nor
-    another output."""
-    seen = {os.path.realpath(p): name for name, p in inputs.items() if p is not None}
+    output path, resolved, is neither an input nor another output."""
+    seen = {os.path.realpath(p): name for name, p in inputs.items()}
     for name, path in outputs.items():
         real = os.path.realpath(path)
         if real in seen:
@@ -171,7 +170,7 @@ class ErrormodelConfig:
     """A validated ``errormodel`` config, its model file already parsed."""
 
     model: FeatureClassModel
-    model_path: Path | None  # None for an inline model
+    model_path: Path
     budget: FeatureBudget | None
     pair: tuple[str, str]
     curves_filename: str
@@ -179,15 +178,10 @@ class ErrormodelConfig:
 
 
 def parse_errormodel_config(config: Mapping, base_dir: Path) -> ErrormodelConfig:
-    """Validate an errormodel config and parse its model document (inline,
-    or a file path relative to ``base_dir``); every fault is a ValidationError."""
-    model_path = None
-    if isinstance(config.get("model"), str):
-        model_path = base_dir / read_name(config, "model")
-        model_doc = read_json(model_path, "model file")
-    else:
-        model_doc = read_object(config, "model")
-    model, budget = model_file_to_parts(model_doc)
+    """Validate an errormodel config and parse its model file, a path
+    relative to ``base_dir``; every fault is a ValidationError."""
+    model_path = base_dir / read_name(config, "model")
+    model, budget = model_file_to_parts(read_json(model_path, "model file"))
     pair = config.get("pair")
     if not (isinstance(pair, list) and len(pair) == 2 and pair[0] != pair[1]):
         raise ValidationError("config needs 'pair': [class0, class1], two distinct class names")

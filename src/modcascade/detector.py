@@ -101,9 +101,7 @@ class DetectorProfile:
             the miss probability is the remainder 1 - sum(row). True
             labels absent from the map are invisible to this detector.
         negative_fp_rate: per negative image, probability of one
-            spurious detection.
-        fp_label_dist: label distribution of spurious detections
-            (default uniform over label_space).
+            spurious detection, its label uniform over label_space.
         loc_noise_sigma: stddev in pixels of additive Gaussian noise on
             each box coordinate, clamped to image bounds.
         confidence_law: confidence model conditioned on correctness.
@@ -115,7 +113,6 @@ class DetectorProfile:
     label_space: tuple[str, ...]
     confusion: Mapping[str, Mapping[str, float]]
     negative_fp_rate: float = 0.0
-    fp_label_dist: Mapping[str, float] | None = None
     loc_noise_sigma: float = 0.0
     confidence_law: ConfidenceLaw = field(default_factory=ConfidenceLaw)
     correct_for: Mapping[str, str] | None = None
@@ -127,7 +124,7 @@ class DetectorProfile:
         tables = {true: _sampling_table(row) for true, row in self.confusion.items()}
         object.__setattr__(self, "_row_tables", tables)
         uniform = dict.fromkeys(self.label_space, 1.0 / len(self.label_space))
-        object.__setattr__(self, "_fp_table", _sampling_table(self.fp_label_dist or uniform))
+        object.__setattr__(self, "_fp_table", _sampling_table(uniform))
 
     def validate(self) -> None:
         if not self.label_space:
@@ -153,13 +150,6 @@ class DetectorProfile:
             if total > 1.0 + _ROW_TOL:
                 raise ValidationError(f"confusion row {true!r} sums to {total} > 1")
         check_number(self.negative_fp_rate, "negative_fp_rate", at_least=0, at_most=1)
-        if self.fp_label_dist is not None:
-            for label, p in self.fp_label_dist.items():
-                check_number(p, f"fp_label_dist {label!r}", at_least=0)
-            if abs(sum(self.fp_label_dist.values()) - 1.0) > _ROW_TOL:
-                raise ValidationError("fp_label_dist must sum to 1")
-            if any(l not in space for l in self.fp_label_dist):
-                raise ValidationError("fp_label_dist emits outside the label space")
         check_number(self.loc_noise_sigma, "loc_noise_sigma", at_least=0)
         if self.correct_for is not None:
             if not isinstance(self.correct_for, Mapping):
@@ -191,8 +181,6 @@ class DetectorProfile:
             "loc_noise_sigma": self.loc_noise_sigma,
             "confidence_law": asdict(self.confidence_law),
         }
-        if self.fp_label_dist is not None:
-            out["fp_label_dist"] = dict(self.fp_label_dist)
         if self.correct_for is not None:
             out["correct_for"] = dict(self.correct_for)
         return out
@@ -213,7 +201,6 @@ class DetectorProfile:
                 label_space=tuple(label_space),
                 confusion={t: dict(r) for t, r in confusion.items()},
                 negative_fp_rate=obj.get("negative_fp_rate", 0.0),
-                fp_label_dist=obj.get("fp_label_dist"),
                 loc_noise_sigma=obj.get("loc_noise_sigma", 0.0),
                 confidence_law=ConfidenceLaw(
                     mean_correct=law.get("mean_correct", 0.9),

@@ -34,13 +34,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .core import Dataset, Detection, load_dataset, read_name, read_object
+from .core import Dataset, Detection, check_number, load_dataset, read_name, read_object
 from .detector import DetectorHandle, DetectorProfile, detect_all
 from .errormodel import modular_advantage
 from .errors import ValidationError
 from .evaluation import check_iou_threshold, evaluate_run
 from .reporting import LazyList
-from .router import RoutingConfig, RoutingTrace, compare_tree_vs_flat, route_v1, route_v2
+from .router import RoutingTrace, compare_tree_vs_flat, route_v1, route_v2
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,8 @@ class RunConfig:
     baseline: DetectorProfile
     stage1: DetectorProfile
     stage2: Mapping[str, DetectorProfile]
-    routing: RoutingConfig
+    tau: float
+    mode: str
     iou_threshold: float = 0.5
     report_filename: str = "report.json"
 
@@ -64,13 +65,22 @@ def _profile(doc: Mapping, key: str, path: str) -> DetectorProfile:
         raise ValidationError(f"profile {path}{key}: {exc}") from None
 
 
+def _routing(routing: Mapping) -> dict:
+    """``tau`` and ``mode``, each checked and kept as written."""
+    tau, mode = routing.get("tau", 0.5), routing.get("mode", "v1")
+    check_number(tau, "tau", at_least=0, at_most=1)
+    if mode not in ("v1", "v2"):
+        raise ValidationError(f"mode must be 'v1' or 'v2', got {mode!r}")
+    return {"tau": tau, "mode": mode}
+
+
 def parse_run_config(config: Mapping, base_dir: Path) -> RunConfig:
     """Validate a run config document; every fault is a ValidationError."""
     profiles = read_object(config, "profiles", {})
     stage2 = read_object(profiles, "stage2", {}, path="profiles.")
     routing = read_object(config, "routing", {})
     eval_doc = read_object(config, "eval", {})
-    # as written, like tau: the report's trace repeats both
+    # as written, like tau and mode: the report's trace repeats all three
     iou_threshold = eval_doc.get("iou_threshold", 0.5)
     check_iou_threshold(iou_threshold, "eval.iou_threshold")
     return RunConfig(
@@ -78,7 +88,7 @@ def parse_run_config(config: Mapping, base_dir: Path) -> RunConfig:
         baseline=_profile(profiles, "baseline", "profiles."),
         stage1=_profile(profiles, "stage1", "profiles."),
         stage2={g: _profile(stage2, g, "profiles.stage2.") for g in stage2},
-        routing=RoutingConfig(tau=routing.get("tau", 0.5), mode=routing.get("mode", "v1")),
+        **_routing(routing),
         iou_threshold=iou_threshold,
         report_filename=read_name(config, "report_filename", "report.json"),
     )
@@ -99,7 +109,6 @@ def run_experiment(config: RunConfig, seed: int) -> dict:
     dataset = load_dataset(config.dataset)
     if set(config.baseline.label_space) != set(dataset.taxonomy.fine_labels):
         raise ValidationError("baseline profile must emit exactly the fine labels")
-    routing = config.routing
     iou_threshold = config.iou_threshold
 
     baseline_handle = DetectorHandle(config.baseline, _role_seed(seed, "baseline"))
@@ -111,8 +120,8 @@ def run_experiment(config: RunConfig, seed: int) -> dict:
 
     # the router checks the cascade's label spaces and the v2 sequences
     # before any detector runs, so the baseline pass comes second
-    route = route_v1 if routing.mode == "v1" else route_v2
-    trace = route(dataset, stage1_handle, stage2_handles, routing)
+    route = route_v1 if config.mode == "v1" else route_v2
+    trace = route(dataset, stage1_handle, stage2_handles, config.tau)
     baseline_dets = detect_all(baseline_handle, dataset.images)
 
     report = _evaluate(dataset, baseline_dets, trace, iou_threshold)
@@ -132,8 +141,8 @@ def run_experiment(config: RunConfig, seed: int) -> dict:
         }
 
     report["trace"] = {
-        "mode": routing.mode,
-        "tau": routing.tau,
+        "mode": config.mode,
+        "tau": config.tau,
         "iou_threshold": iou_threshold,
         "stage1_inferences": trace.stage1_inferences,
         "stage2_inferences": trace.stage2_inferences,

@@ -14,8 +14,31 @@ into full DetectorProfile confusion tables for a given taxonomy:
 
 from __future__ import annotations
 
+from typing import Mapping, Sequence
+
 from .core import ClassTaxonomy
 from .detector import ConfidenceLaw, DetectorProfile
+
+
+def _row(right: str, wrong: Sequence[str], error_rate: float, miss_rate: float) -> dict:
+    """A confusion row: ``right`` gets (1 - miss) * (1 - error) and each
+    label of ``wrong`` an equal share of (1 - miss) * error."""
+    row = {right: (1.0 - miss_rate) * (1.0 - error_rate)}
+    for w in wrong:
+        row[w] = (1.0 - miss_rate) * error_rate / len(wrong)
+    return row
+
+
+def _profile(
+    label_space: Sequence[str], confusion: Mapping, loc_noise_sigma: float,
+    negative_fp_rate: float, confidence_law: ConfidenceLaw | None, correct_for=None,
+) -> DetectorProfile:
+    """The builders' shared tail: no confidence law means the default one."""
+    return DetectorProfile(
+        label_space=label_space, confusion=confusion, negative_fp_rate=negative_fp_rate,
+        loc_noise_sigma=loc_noise_sigma, confidence_law=confidence_law or ConfidenceLaw(),
+        correct_for=correct_for,
+    )
 
 
 def flat_profile(
@@ -34,21 +57,10 @@ def flat_profile(
     fines = taxonomy.fine_labels
     confusion = {}
     for f in fines:
-        g = taxonomy.general_of(f)
-        siblings = [s for s in taxonomy.fine_of[g] if s != f]
-        if not siblings:
-            siblings = [s for s in fines if s != f]
-        row = {f: (1.0 - miss_rate) * (1.0 - error_rate)}
-        for s in siblings:
-            row[s] = (1.0 - miss_rate) * error_rate / len(siblings)
-        confusion[f] = row
-    return DetectorProfile(
-        label_space=fines,
-        confusion=confusion,
-        negative_fp_rate=negative_fp_rate,
-        loc_noise_sigma=loc_noise_sigma,
-        confidence_law=confidence_law or ConfidenceLaw(),
-    )
+        siblings = [s for s in taxonomy.fine_of[taxonomy.general_of(f)] if s != f]
+        wrong = siblings or [s for s in fines if s != f]
+        confusion[f] = _row(f, wrong, error_rate, miss_rate)
+    return _profile(fines, confusion, loc_noise_sigma, negative_fp_rate, confidence_law)
 
 
 def stage1_profile(
@@ -65,23 +77,13 @@ def stage1_profile(
     wrong general (spread uniformly); ``miss_rate`` is independent of it.
     """
     generals = taxonomy.generals
-    confusion = {}
-    correct_for = {}
-    for f in taxonomy.fine_labels:
-        g = taxonomy.general_of(f)
-        others = [o for o in generals if o != g]
-        row = {g: (1.0 - miss_rate) * (1.0 - error_rate)}
-        for o in others:
-            row[o] = (1.0 - miss_rate) * error_rate / len(others)
-        confusion[f] = row
-        correct_for[f] = g
-    return DetectorProfile(
-        label_space=generals,
-        confusion=confusion,
-        negative_fp_rate=negative_fp_rate,
-        loc_noise_sigma=loc_noise_sigma,
-        confidence_law=confidence_law or ConfidenceLaw(),
-        correct_for=correct_for,
+    correct_for = {f: taxonomy.general_of(f) for f in taxonomy.fine_labels}
+    confusion = {
+        f: _row(g, [o for o in generals if o != g], error_rate, miss_rate)
+        for f, g in correct_for.items()
+    }
+    return _profile(
+        generals, confusion, loc_noise_sigma, negative_fp_rate, confidence_law, correct_for
     )
 
 
@@ -96,8 +98,9 @@ def stage2_profiles(
     """One fine-grained detector per general class.
 
     Within its own general, wrong-label mass spreads over sibling fine
-    classes. Objects of other generals emit one of this detector's
-    labels uniformly (never correct, at the wrong-label confidence).
+    classes; a general's only fine class is never wrong. Objects of
+    other generals emit one of this detector's labels uniformly (never
+    correct, at the wrong-label confidence).
     """
     out = {}
     for g in taxonomy.generals:
@@ -105,21 +108,9 @@ def stage2_profiles(
         confusion: dict[str, dict[str, float]] = {}
         for f in members:
             siblings = [s for s in members if s != f]
-            if siblings:
-                row = {f: (1.0 - miss_rate) * (1.0 - error_rate)}
-                for s in siblings:
-                    row[s] = (1.0 - miss_rate) * error_rate / len(siblings)
-            else:
-                row = {f: 1.0 - miss_rate}
-            confusion[f] = row
+            confusion[f] = _row(f, siblings, error_rate if siblings else 0.0, miss_rate)
         for f in taxonomy.fine_labels:
             if taxonomy.general_of(f) != g:
                 confusion[f] = {m: 1.0 / len(members) for m in members}
-        out[g] = DetectorProfile(
-            label_space=members,
-            confusion=confusion,
-            negative_fp_rate=negative_fp_rate,
-            loc_noise_sigma=loc_noise_sigma,
-            confidence_law=confidence_law or ConfidenceLaw(),
-        )
+        out[g] = _profile(members, confusion, loc_noise_sigma, negative_fp_rate, confidence_law)
     return out

@@ -12,7 +12,8 @@ general's stage-2 detector over exactly the images routed to it, each
 pass one ``detector.detect_all``. Both return a ``RoutingTrace``: four
 columns in dataset order, where an image's entries are found by its
 position, holding each stage-2 result once. Before any detector runs,
-both check the detectors' label spaces against ``dataset.taxonomy``.
+both check that ``tau`` is in [0, 1] and the detectors' label spaces
+against ``dataset.taxonomy``.
 """
 
 from __future__ import annotations
@@ -24,23 +25,6 @@ from typing import Iterator, Mapping, Sequence
 from .core import AnnotatedImage, ClassTaxonomy, Dataset, Detection, check_int, check_number
 from .detector import DetectorHandle, detect_all
 from .errors import ValidationError
-
-
-@dataclass(frozen=True)
-class RoutingConfig:
-    """Cascade dispatch parameters.
-
-    tau: stage-1 confidence threshold that triggers routing.
-    mode: "v1" (per image) or "v2" (per sequence).
-    """
-
-    tau: float = 0.5
-    mode: str = "v1"
-
-    def __post_init__(self) -> None:
-        check_number(self.tau, "tau", at_least=0, at_most=1)
-        if self.mode not in ("v1", "v2"):
-            raise ValidationError(f"mode must be 'v1' or 'v2', got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -103,7 +87,7 @@ def route_v1(
     dataset: Dataset,
     stage1: DetectorHandle,
     stage2: Mapping[str, DetectorHandle],
-    config: RoutingConfig,
+    tau: float = 0.5,
 ) -> RoutingTrace:
     """Per-image cascade routing.
 
@@ -113,16 +97,14 @@ def route_v1(
     are the union over invoked detectors (no cross-detector
     suppression). Deterministic given seeds.
     """
-    if config.mode != "v1":
-        raise ValidationError(f"route_v1 called with mode {config.mode!r}")
-    return _route(dataset, stage1, stage2, config.tau, ())
+    return _route(dataset, stage1, stage2, tau, ())
 
 
 def route_v2(
     dataset: Dataset,
     stage1: DetectorHandle,
     stage2: Mapping[str, DetectorHandle],
-    config: RoutingConfig,
+    tau: float = 0.5,
 ) -> RoutingTrace:
     """Per-sequence cascade routing.
 
@@ -133,11 +115,9 @@ def route_v2(
     Triggering is evaluated over the whole sequence before any stage-2
     run (two passes, not streaming).
     """
-    if config.mode != "v2":
-        raise ValidationError(f"route_v2 called with mode {config.mode!r}")
     if dataset.sequences is None:
         raise ValidationError("routing mode 'v2' needs a dataset with 'sequences'")
-    return _route(dataset, stage1, stage2, config.tau, dataset.sequences)
+    return _route(dataset, stage1, stage2, tau, dataset.sequences)
 
 
 def _check_contract(
@@ -169,6 +149,7 @@ def _route(
     """Stage 1 over every image, then each image's invoked stage-2
     detectors: the union of the triggered sets over the image's sequence,
     or its own triggered set if it is in none of ``sequences``."""
+    check_number(tau, "tau", at_least=0, at_most=1)
     _check_contract(dataset.taxonomy, stage1, stage2)
     images = dataset.images
     s1 = detect_all(stage1, images)

@@ -13,7 +13,6 @@ import pytest
 
 from modcascade import (
     DetectorHandle,
-    RoutingConfig,
     average_precision,
     bayes_error,
     deformation_check,
@@ -91,8 +90,8 @@ def test_criterion_1_calibrated_composite_error():
     errs_v1, errs_v2 = [], []
     for seed in range(10):
         s1, s2 = _cascade_handles(taxonomy, seed)
-        v1 = route_v1(dataset, s1, s2, RoutingConfig(0.5, "v1"))
-        v2 = route_v2(dataset, s1, s2, RoutingConfig(0.5, "v2"))
+        v1 = route_v1(dataset, s1, s2, tau=0.5)
+        v2 = route_v2(dataset, s1, s2, tau=0.5)
         errs_v1.append(_composite_error(dataset, v1.detections))
         errs_v2.append(_composite_error(dataset, v2.detections))
         assert errs_v2[-1] <= errs_v1[-1], f"v2 worse than v1 at seed {seed}"
@@ -207,7 +206,7 @@ def test_criterion_6_tree_vs_flat_count():
         g: DetectorHandle(p, 4)
         for g, p in stage2_profiles(taxonomy, STAGE2_ERR).items()
     }
-    out = route_v1(dataset, s1, s2, RoutingConfig(0.5, "v1"))
+    out = route_v1(dataset, s1, s2, tau=0.5)
 
     invoked = out.invoked
     for img, generals in zip(dataset.images, invoked, strict=True):
@@ -225,7 +224,7 @@ def test_criterion_6_tree_vs_flat_count():
         noisy1 = DetectorHandle(
             stage1_profile(taxonomy, 0.2, 0.1, negative_fp_rate=0.3), seed
         )
-        noisy = route_v1(dataset, noisy1, s2, RoutingConfig(0.3, "v1"))
+        noisy = route_v1(dataset, noisy1, s2, tau=0.3)
         assert compare_tree_vs_flat(noisy, 5)["ratio"] >= 1.0
     print(f"\nACCEPTANCE 6 PASS: ratio {result['ratio']:.3f} in [2.4, 2.6]; >=1 on all runs")
 
@@ -244,7 +243,7 @@ def test_criterion_7_metric_golden_values():
         g: DetectorHandle(p, 2)
         for g, p in stage2_profiles(taxonomy, 0.0, confidence_law=law).items()
     }
-    out = route_v1(dataset, s1, s2, RoutingConfig(0.5, "v1"))
+    out = route_v1(dataset, s1, s2, tau=0.5)
     report = evaluate_run(
         dataset.images, out.detections, taxonomy, invoked=out.invoked,
     )

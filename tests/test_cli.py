@@ -304,14 +304,15 @@ def _set(value, *path):
     return mutate
 
 
-def _inline_model(mutate_model):
-    """Replace the config's model file by an inline copy of MODEL_DOC
-    changed by ``mutate_model``."""
+def _model_file(mutate_model):
+    """Write MODEL_DOC changed by ``mutate_model`` to ``model.json`` in the
+    working directory, which the test sets to the config's; the config
+    keeps naming that file."""
 
     def mutate(cfg):
         model = copy.deepcopy(MODEL_DOC)
         mutate_model(model)
-        cfg["model"] = model
+        Path("model.json").write_text(json.dumps(model))
 
     return mutate
 
@@ -337,11 +338,6 @@ BAD_RUN_CONFIGS = {
     "probability-string": _set("0.5", "profiles", "stage1", "confusion", "pekinese", "dog"),
     "profile-confusion-row-pairs": _set(
         [["dog", 0.9], ["boat", 0.1]], "profiles", "stage1", "confusion", "pekinese"
-    ),
-    "fp-dist-negative": _set({"dog": -1.0, "boat": 2.0}, "profiles", "stage1", "fp_label_dist"),
-    "fp-dist-sum-below-one": _set({"dog": 0.5, "boat": 0.4}, "profiles", "stage1", "fp_label_dist"),
-    "fp-dist-outside-label-space": _set(
-        {"dog": 0.5, "pekinese": 0.5}, "profiles", "stage1", "fp_label_dist"
     ),
     "profile-no-label-space": lambda cfg: cfg["profiles"]["baseline"].pop("label_space"),
     "profile-label-space-empty": _set([], "profiles", "baseline", "label_space"),
@@ -412,33 +408,33 @@ BAD_ERRORMODEL_CONFIGS = {
     "errormodel-summary-filename-nul": _set("a\x00b", "summary_filename"),
     "errormodel-model-surrogate": _set("\ud800", "model"),
     "errormodel-model-nul": _set("a\x00b", "model"),
-    "errormodel-conditionals-list": _inline_model(_set([], "conditionals")),
-    "errormodel-no-classes": _inline_model(
+    "errormodel-conditionals-list": _model_file(_set([], "conditionals")),
+    "errormodel-no-classes": _model_file(
         lambda model: model.update(priors={}, conditionals={}, weights={})
     ),
-    "errormodel-conditional-string": _inline_model(_set(["x", 1.0, 0.0, 0.0], "conditionals", "c0")),
-    "errormodel-conditional-bool": _inline_model(_set([True, False, False, False], "conditionals", "c0")),
-    "errormodel-conditional-nan": _inline_model(_set([math.nan, 1.0, 0.0, 0.0], "conditionals", "c0")),
-    "errormodel-weight-nan": _inline_model(_set([1.0, math.nan, 1.0, 1.0], "weights", "c1")),
-    "errormodel-weight-bool-mixed": _inline_model(_set([True, 0.8, 1.0, 1.0], "weights", "c0")),
-    "errormodel-conditional-huge-int": _inline_model(
+    "errormodel-conditional-string": _model_file(_set(["x", 1.0, 0.0, 0.0], "conditionals", "c0")),
+    "errormodel-conditional-bool": _model_file(_set([True, False, False, False], "conditionals", "c0")),
+    "errormodel-conditional-nan": _model_file(_set([math.nan, 1.0, 0.0, 0.0], "conditionals", "c0")),
+    "errormodel-weight-nan": _model_file(_set([1.0, math.nan, 1.0, 1.0], "weights", "c1")),
+    "errormodel-weight-bool-mixed": _model_file(_set([True, 0.8, 1.0, 1.0], "weights", "c0")),
+    "errormodel-conditional-huge-int": _model_file(
         _set([0.6, 0.4, 0.0, 10**400], "conditionals", "c0")
     ),
-    "errormodel-priors-pairs": _inline_model(_set([["c0", 0.5], ["c1", 0.5]], "priors")),
-    "errormodel-prior-nan": _inline_model(_set(math.nan, "priors", "c0")),
-    "errormodel-budget-list": _inline_model(_set([80, 20, 5, 10], "budget")),
-    "errormodel-budget-string": _inline_model(_set("x", "budget", "L")),
-    "errormodel-budget-nan": _inline_model(_set(math.nan, "budget", "U")),
-    "errormodel-budget-no-n": _inline_model(lambda model: model["budget"].pop("n")),
-    "errormodel-budget-n-float": _inline_model(_set(2.5, "budget", "n")),
+    "errormodel-priors-pairs": _model_file(_set([["c0", 0.5], ["c1", 0.5]], "priors")),
+    "errormodel-prior-nan": _model_file(_set(math.nan, "priors", "c0")),
+    "errormodel-budget-list": _model_file(_set([80, 20, 5, 10], "budget")),
+    "errormodel-budget-string": _model_file(_set("x", "budget", "L")),
+    "errormodel-budget-nan": _model_file(_set(math.nan, "budget", "U")),
+    "errormodel-budget-no-n": _model_file(lambda model: model["budget"].pop("n")),
+    "errormodel-budget-n-float": _model_file(_set(2.5, "budget", "n")),
     # finite counts whose features per class (L + T) / n + U overflow a double
-    "errormodel-budget-features-overflow": _inline_model(
+    "errormodel-budget-features-overflow": _model_file(
         lambda model: model["budget"].update(L=1e308, T=1e308)
     ),
-    "errormodel-budget-n-beyond-double": _inline_model(
+    "errormodel-budget-n-beyond-double": _model_file(
         lambda model: model["budget"].update(L=80.0, n=10**400)
     ),
-    "errormodel-capacity-string": _inline_model(_set("big", "capacity", "supK")),
+    "errormodel-capacity-string": _model_file(_set("big", "capacity", "supK")),
     "errormodel-output-names-equal": _set("curves.csv", "summary_filename"),
     "errormodel-output-names-same-path": _set("./summary.json", "curves_filename"),
     "errormodel-output-names-resolve-equal": lambda cfg: cfg.update(
@@ -455,9 +451,12 @@ BAD_CONFIGS = {
 
 
 @pytest.mark.parametrize("command, mutate", list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS))
-def test_bad_run_config_is_one_line_error(tmp_path, taxonomy, capsys, command, mutate):
+def test_bad_run_config_is_one_line_error(
+    tmp_path, taxonomy, capsys, monkeypatch, command, mutate
+):
     """Every malformed config of every command: exit 2, one stderr line,
     no output file, and every input file as it was."""
+    monkeypatch.chdir(tmp_path)
     if command == "run":
         cfg_dict = run_config(taxonomy, _small_dataset(tmp_path, taxonomy))
     elif command == "synth":

@@ -67,14 +67,13 @@ class TestProfileValidation:
         [
             {"confusion": {"a": {"a": math.nan}}},
             {"confusion": {"a": {"a": math.inf}}},
-            {"fp_label_dist": {"a": math.nan, "b": 1.0}},
             {"loc_noise_sigma": math.nan},
             {"loc_noise_sigma": math.inf},
             {"confidence_law": ConfidenceLaw(spread=math.nan)},
             {"confidence_law": ConfidenceLaw(spread=math.inf)},
         ],
-        ids=["confusion-nan", "confusion-inf", "fp-dist-nan", "sigma-nan", "sigma-inf",
-             "spread-nan", "spread-inf"],
+        ids=["confusion-nan", "confusion-inf", "sigma-nan", "sigma-inf", "spread-nan",
+             "spread-inf"],
     )
     def test_non_finite_rejected(self, kwargs):
         fields = {"label_space": ("a", "b"), "confusion": {"a": {"a": 0.5}}, **kwargs}
@@ -106,24 +105,16 @@ class TestProfileValidation:
         with pytest.raises(ValidationError, match="Beta shape of confidence mean_correct at spread 0.08"):
             ConfidenceLaw().validate()
 
-    def test_negative_fp_label_dist_rejected(self):
-        # sums to 1, but the -1 would hand every spurious detection to "b"
-        with pytest.raises(ValidationError, match="fp_label_dist"):
-            DetectorProfile(
-                ("a", "b"), {"a": {"a": 1.0}}, fp_label_dist={"a": -1.0, "b": 2.0}
-            )
-
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"confusion": {"a": {"a": "0.5"}}},
             {"loc_noise_sigma": "x"},
             {"negative_fp_rate": "0.1"},
-            {"fp_label_dist": {"a": "0.5", "b": 0.5}},
             {"confidence_law": ConfidenceLaw(mean_correct="0.9")},
             {"loc_noise_sigma": True},
         ],
-        ids=["confusion-str", "sigma-str", "fp-rate-str", "fp-dist-str", "mean-str", "sigma-bool"],
+        ids=["confusion-str", "sigma-str", "fp-rate-str", "mean-str", "sigma-bool"],
     )
     def test_non_number_rejected(self, kwargs):
         fields = {"label_space": ("a", "b"), "confusion": {"a": {"a": 0.5}}, **kwargs}
@@ -168,7 +159,6 @@ class TestProfileValidation:
             ("a", "b"),
             {"a": {"a": 0.8, "b": 0.1}, "b": {"b": 0.9}},
             negative_fp_rate=0.05,
-            fp_label_dist={"a": 0.25, "b": 0.75},
             loc_noise_sigma=2.0,
             confidence_law=ConfidenceLaw(0.95, 0.5, 0.1),
             correct_for={"a": "a"},
@@ -358,7 +348,6 @@ class TestVectorisedSeeding:
             ("pekinese", "spaniel"),
             {"pekinese": {"pekinese": 0.6, "spaniel": 0.2}, "spaniel": {"spaniel": 0.5}},
             negative_fp_rate=0.5,
-            fp_label_dist={"pekinese": 0.3, "spaniel": 0.7},
             loc_noise_sigma=4.0,
         )
         handle = DetectorHandle(prof, seed=11)

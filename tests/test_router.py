@@ -1,5 +1,7 @@
 """Cascade routing: dispatch semantics, counters, v1/v2 relationships."""
 
+import math
+
 import pytest
 
 from modcascade import (
@@ -7,7 +9,6 @@ from modcascade import (
     ConfidenceLaw,
     DetectorHandle,
     DetectorProfile,
-    RoutingConfig,
     ValidationError,
     compare_tree_vs_flat,
     detector,
@@ -68,21 +69,37 @@ _DOG_WITH_KAYAK = DetectorHandle(
     DetectorProfile(("pekinese", "spaniel", "kayak"), {"pekinese": {"pekinese": 1.0}}), 0
 )
 
-# (stage 1, stage 2) -> the same handles with one rule of the cascade's
-# contract broken; and the error's wording
-BROKEN_CONTRACTS = {
+# a router call with one rule of the cascade's contract broken, or a tau
+# outside [0, 1]: (the router, (stage 1, stage 2) -> the handles it is
+# given, its tau, the error's wording)
+BAD_CALLS = {
     "stage2-extra-general": (
+        route_v1,
         lambda s1, s2: (s1, {**s2, "cat": s2["dog"]}),
+        0.5,
         r"stage-2 profiles must cover exactly the general classes; these differ: \['cat'\]",
     ),
     "stage2-label-space-holds-another-generals-fine": (
+        route_v1,
         lambda s1, s2: (s1, {**s2, "dog": _DOG_WITH_KAYAK}),
+        0.5,
         "stage-2 profile for 'dog' must emit exactly",
     ),
     "stage1-label-space-misses-a-general": (
+        route_v1,
         lambda s1, s2: (_STAGE1_WITHOUT_BIKE, s2),
+        0.5,
         "stage-1 profile must emit exactly the general labels",
     ),
+    **{
+        f"tau-{name}-{route.__name__}": (
+            route, lambda s1, s2: (s1, s2), tau, r"tau .+ is not a finite number >= 0 and <= 1"
+        )
+        for name, tau in {
+            "negative": -0.1, "above-one": 1.5, "nan": math.nan, "string": "0.5", "bool": True
+        }.items()
+        for route in (route_v1, route_v2)
+    },
 }
 
 
@@ -93,7 +110,7 @@ class TestRouteV1:
         )
         ds = make_dataset(taxonomy, [img])
         s1, s2 = perfect_handles(taxonomy)
-        out = route_v1(ds, s1, s2, RoutingConfig(tau=0.5, mode="v1"))
+        out = route_v1(ds, s1, s2, tau=0.5)
         (dets,) = final_detections(out)
         assert [d.label for d in dets] == ["pekinese"]
         assert dets[0].box == img.objects[0].box
@@ -104,7 +121,7 @@ class TestRouteV1:
     def test_tau_one_blocks_all(self, taxonomy):
         ds = synth_dataset(taxonomy, per_fine=3, negatives=2)
         s1, s2 = perfect_handles(taxonomy)  # confidences are exactly 0.9
-        out = route_v1(ds, s1, s2, RoutingConfig(tau=1.0, mode="v1"))
+        out = route_v1(ds, s1, s2, tau=1.0)
         assert out.stage2_inferences == 0
         assert tuple(final_detections(out)) == ((),) * len(ds.images)
         assert out.stage1_inferences == len(ds.images)
@@ -114,21 +131,16 @@ class TestRouteV1:
         s1, s2 = perfect_handles(taxonomy)
         del s2["dog"]
         with pytest.raises(ValidationError, match="dog"):
-            route_v1(ds, s1, s2, RoutingConfig())
-
-    def test_wrong_mode_rejected(self, taxonomy):
-        ds = synth_dataset(taxonomy, per_fine=1)
-        s1, s2 = perfect_handles(taxonomy)
-        with pytest.raises(ValidationError):
-            route_v1(ds, s1, s2, RoutingConfig(mode="v2"))
+            route_v1(ds, s1, s2)
 
     @pytest.mark.parametrize(
-        "break_contract, message", list(BROKEN_CONTRACTS.values()), ids=list(BROKEN_CONTRACTS)
+        "route, break_contract, tau, message", list(BAD_CALLS.values()), ids=list(BAD_CALLS)
     )
     def test_broken_contract_fails_before_any_detection(
-        self, taxonomy, monkeypatch, break_contract, message
+        self, taxonomy, monkeypatch, route, break_contract, tau, message
     ):
-        ds = synth_dataset(taxonomy, per_fine=1)
+        """Either router checks its call before any detector runs."""
+        ds = synth_dataset(taxonomy, per_fine=1, seq_len=1)
         s1, s2 = break_contract(*perfect_handles(taxonomy))
         calls = []
         detect = detector.detect
@@ -139,7 +151,7 @@ class TestRouteV1:
 
         monkeypatch.setattr(detector, "detect", counting_detect)
         with pytest.raises(ValidationError, match=message):
-            route_v1(ds, s1, s2, RoutingConfig())
+            route(ds, s1, s2, tau)
         assert calls == []
 
     def test_perfect_stage1_equivalence(self, taxonomy):
@@ -147,7 +159,7 @@ class TestRouteV1:
         # reaches exactly the networks of its ground-truth generals
         ds = synth_dataset(taxonomy, per_fine=10, negatives=5)
         s1, s2 = perfect_handles(taxonomy)
-        out = route_v1(ds, s1, s2, RoutingConfig(tau=0.0, mode="v1"))
+        out = route_v1(ds, s1, s2, tau=0.0)
         final_detections(out)
         assert_stage2_scoped(out, taxonomy)
         assert out.invoked == tuple(
@@ -165,7 +177,7 @@ class TestRouteV1:
         s2 = {g: DetectorHandle(p, 4) for g, p in stage2_profiles(taxonomy, 0.1).items()}
         prev = None
         for tau in (0.95, 0.8, 0.6, 0.4, 0.0):  # decreasing tau -> growing sets
-            out = route_v1(ds, s1, s2, RoutingConfig(tau=tau, mode="v1"))
+            out = route_v1(ds, s1, s2, tau=tau)
             invoked = {img.id: set(inv) for img, inv in zip(ds.images, out.invoked, strict=True)}
             if prev is not None:
                 for image_id in invoked:
@@ -177,7 +189,7 @@ class TestRouteV1:
         prof1 = stage1_profile(taxonomy, error_rate=0.2, miss_rate=0.1)
         s1 = DetectorHandle(prof1, 21)
         s2 = {g: DetectorHandle(p, 22) for g, p in stage2_profiles(taxonomy, 0.2).items()}
-        out = route_v1(ds, s1, s2, RoutingConfig(tau=0.5, mode="v1"))
+        out = route_v1(ds, s1, s2, tau=0.5)
         assert_stage2_scoped(out, taxonomy)
         for invoked, dets in zip(out.invoked, final_detections(out), strict=True):
             scope = {f for g in invoked for f in taxonomy.fine_of[g]}
@@ -189,7 +201,7 @@ class TestRouteV1:
         prof1 = stage1_profile(taxonomy, error_rate=0.3, miss_rate=0.0, negative_fp_rate=0.5)
         s1 = DetectorHandle(prof1, 8)
         s2 = {g: DetectorHandle(p, 9) for g, p in stage2_profiles(taxonomy, 0.1).items()}
-        out = route_v1(ds, s1, s2, RoutingConfig(tau=0.0, mode="v1"))
+        out = route_v1(ds, s1, s2, tau=0.0)
         final_detections(out)
         n_generals = len(taxonomy.generals)
         for invoked in out.invoked:
@@ -216,7 +228,7 @@ class TestCompositionOracle:
             g: DetectorHandle(p, 32)
             for g, p in stage2_profiles(taxonomy, e2, loc_noise_sigma=1.0).items()
         }
-        out = route_v1(ds, s1, s2, RoutingConfig(tau=0.5, mode="v1"))
+        out = route_v1(ds, s1, s2, tau=0.5)
         err, matched = composite_error(ds, out)
         expected = e1 + (1 - e1) * e2
         assert expected == pytest.approx(0.045, abs=0.0005)
@@ -253,12 +265,12 @@ class TestRouteV2:
 
     def test_v2_recovers_stage1_misses(self):
         taxonomy, ds, s1, s2 = self._recovery_setup()
-        v1 = route_v1(ds, s1, s2, RoutingConfig(0.5, "v1"))
+        v1 = route_v1(ds, s1, s2, tau=0.5)
         f1, f2, f3 = final_detections(v1)
         assert f1 == () and f3 == ()
         assert [d.label for d in f2] == ["spaniel"]
 
-        v2 = route_v2(ds, s1, s2, RoutingConfig(0.5, "v2"))
+        v2 = route_v2(ds, s1, s2, tau=0.5)
         f1, _, f3 = final_detections(v2)
         assert [d.label for d in f1] == ["pekinese"]
         assert [d.label for d in f3] == ["pekinese"]
@@ -273,34 +285,28 @@ class TestRouteV2:
             71,
         )
         s2 = {g: DetectorHandle(p, 72) for g, p in stage2_profiles(taxonomy, 0.1).items()}
-        v1 = route_v1(ds, s1, s2, RoutingConfig(0.5, "v1"))
-        v2 = route_v2(ds, s1, s2, RoutingConfig(0.5, "v2"))
+        v1 = route_v1(ds, s1, s2, tau=0.5)
+        v2 = route_v2(ds, s1, s2, tau=0.5)
         assert v2 == v1
         final_detections(v1)
         assert 0 < v1.stage2_inferences < len(ds.images)
 
     def test_no_trigger_no_stage2(self):
         taxonomy, ds, s1, s2 = self._recovery_setup()
-        out = route_v2(ds, s1, s2, RoutingConfig(tau=0.99999, mode="v2"))
+        out = route_v2(ds, s1, s2, tau=0.99999)
         # confidences are 0.9 < tau, so nothing triggers
         assert out.stage2_inferences == 0
-
-    def test_wrong_mode_rejected(self, taxonomy):
-        ds = synth_dataset(taxonomy, per_fine=1, seq_len=1)
-        s1, s2 = perfect_handles(taxonomy)
-        with pytest.raises(ValidationError, match="route_v2 called with mode 'v1'"):
-            route_v2(ds, s1, s2, RoutingConfig(mode="v1"))
 
     def test_requires_sequences(self, taxonomy):
         ds = synth_dataset(taxonomy, per_fine=2)
         s1, s2 = perfect_handles(taxonomy)
         with pytest.raises(ValidationError, match="sequences"):
-            route_v2(ds, s1, s2, RoutingConfig(mode="v2"))
+            route_v2(ds, s1, s2)
 
     def test_unsequenced_images_become_singletons(self, taxonomy):
         ds = synth_dataset(taxonomy, per_fine=4, negatives=3, seq_len=2)
         s1, s2 = perfect_handles(taxonomy)
-        out = route_v2(ds, s1, s2, RoutingConfig(mode="v2"))
+        out = route_v2(ds, s1, s2)
         final_detections(out)
         assert_stage2_scoped(out, taxonomy)
         assert out.stage1_inferences == len(ds.images)
@@ -314,8 +320,8 @@ class TestRouteV2:
         prof1 = stage1_profile(taxonomy, error_rate=0.05, miss_rate=0.25)
         s1 = DetectorHandle(prof1, 51)
         s2 = {g: DetectorHandle(p, 52) for g, p in stage2_profiles(taxonomy, 0.05).items()}
-        v1 = route_v1(ds, s1, s2, RoutingConfig(0.5, "v1"))
-        v2 = route_v2(ds, s1, s2, RoutingConfig(0.5, "v2"))
+        v1 = route_v1(ds, s1, s2, tau=0.5)
+        v2 = route_v2(ds, s1, s2, tau=0.5)
         for out in (v1, v2):
             final_detections(out)
             assert_stage2_scoped(out, taxonomy)
@@ -334,8 +340,7 @@ class TestRouteV2:
         ds = synth_dataset(taxonomy, per_fine=30, negatives=10, seq_len=5, seed=4)
         s1 = DetectorHandle(stage1_profile(taxonomy, error_rate=0.05, miss_rate=0.25), 51)
         s2 = {g: DetectorHandle(p, 52) for g, p in stage2_profiles(taxonomy, 0.05).items()}
-        mode = "v1" if route is route_v1 else "v2"
-        out = route(ds, s1, s2, RoutingConfig(0.5, mode))
+        out = route(ds, s1, s2, tau=0.5)
         sets = out.triggered + out.invoked
         assert len({id(s) for s in sets}) == len(set(sets)) > 1
 
@@ -347,8 +352,8 @@ class TestRouteV2:
             g: DetectorHandle(p, 62)
             for g, p in stage2_profiles(taxonomy, e2, loc_noise_sigma=1.0).items()
         }
-        v1 = route_v1(ds, s1, s2, RoutingConfig(0.5, "v1"))
-        v2 = route_v2(ds, s1, s2, RoutingConfig(0.5, "v2"))
+        v1 = route_v1(ds, s1, s2, tau=0.5)
+        v2 = route_v2(ds, s1, s2, tau=0.5)
         err1, _ = composite_error(ds, v1)
         err2, _ = composite_error(ds, v2)
         assert err2 <= err1
@@ -359,14 +364,14 @@ class TestTreeVsFlat:
     def test_each_image_one_network(self, taxonomy):
         ds = synth_dataset(taxonomy, per_fine=10)  # 100 positives, no negatives
         s1, s2 = perfect_handles(taxonomy)
-        out = route_v1(ds, s1, s2, RoutingConfig(0.5, "v1"))
+        out = route_v1(ds, s1, s2, tau=0.5)
         result = compare_tree_vs_flat(out, n_fine_networks=5)
         assert result == {"tree_inferences": 200, "flat_inferences": 500, "ratio": 2.5}
 
     def test_none_routed(self, taxonomy):
         ds = synth_dataset(taxonomy, per_fine=10)
         s1, s2 = perfect_handles(taxonomy)
-        out = route_v1(ds, s1, s2, RoutingConfig(tau=1.0, mode="v1"))
+        out = route_v1(ds, s1, s2, tau=1.0)
         result = compare_tree_vs_flat(out, n_fine_networks=5)
         assert result["tree_inferences"] == 100
         assert result["flat_inferences"] == 500
@@ -381,13 +386,13 @@ class TestTreeVsFlat:
                 g: DetectorHandle(p, seed + 1)
                 for g, p in stage2_profiles(taxonomy, 0.1).items()
             }
-            out = route_v1(ds, s1, s2, RoutingConfig(0.4, "v1"))
+            out = route_v1(ds, s1, s2, tau=0.4)
             result = compare_tree_vs_flat(out, n_fine_networks=5)
             assert result["ratio"] >= 1.0
 
     def test_requires_positive_network_count(self, taxonomy):
         ds = synth_dataset(taxonomy, per_fine=1)
         s1, s2 = perfect_handles(taxonomy)
-        out = route_v1(ds, s1, s2, RoutingConfig(0.5, "v1"))
+        out = route_v1(ds, s1, s2, tau=0.5)
         with pytest.raises(ValidationError):
             compare_tree_vs_flat(out, n_fine_networks=0)
