@@ -239,7 +239,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name != "errormodel":  # the error model draws nothing
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
     return parser
 
@@ -253,16 +254,15 @@ def main(argv=None) -> int:
     try:
         config_path = Path(args.config)
         config = read_json(config_path, "config")
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             config["seed"] = args.seed
-        seed = read_int(config, "seed", 0)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "synth":
             path = cmd_synth(config, out_dir, config_path)
             print(path)
         elif args.command == "run":
-            path = cmd_run(config, seed, out_dir, config_path)
+            path = cmd_run(config, read_int(config, "seed", 0), out_dir, config_path)
             print(path)
         else:
             curves, summary = cmd_errormodel(config, out_dir, config_path)

@@ -63,9 +63,6 @@ class ClassTaxonomy:
         except KeyError:
             raise UnknownLabelError(f"unknown fine label {fine!r}") from None
 
-    def is_general(self, label: str) -> bool:
-        return label in self.fine_of
-
     def is_fine(self, label: str) -> bool:
         return label in self._general_by_fine
 
@@ -76,7 +73,7 @@ class ClassTaxonomy:
         UnknownLabelError, as does a label foreign to the taxonomy.
         """
         if level == "general":
-            if self.is_general(label):
+            if label in self.fine_of:
                 return label
             return self.general_of(label)
         if level == "fine":

@@ -6,6 +6,7 @@ Each ground-truth object gets its own RNG stream keyed by (seed, image
 id, object index), so detection is a pure function of (profile, seed,
 image): bit-identical results regardless of call order or thread.
 
+Both draw paths read one draw table, compiled with the profile.
 ``detect`` draws a stream with numpy's ``Generator``, one object at a
 time: the scalar path, and the reference. ``prepare`` makes the same
 draws for a whole detector pass at once. It seeds every stream, steps
@@ -26,13 +27,14 @@ import hashlib
 import math
 import threading
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from ._ziggurat import KI_DOUBLE, WI_DOUBLE
 from .core import AnnotatedImage, BoundingBox, Detection, check_int, check_number
-from .errors import UnknownLabelError, ValidationError
+from .errors import ValidationError
 
 _ROW_TOL = 1e-9
 _MIN_EXTENT = 1e-3
@@ -77,19 +79,6 @@ class ConfidenceLaw:
         conc = max(mean * (1.0 - mean) / (self.spread * self.spread) - 1.0, 1e-3)
         return mean * conc, (1.0 - mean) * conc
 
-    def sample(self, rng: np.random.Generator, correct: bool) -> float:
-        shapes = self.beta_shapes(correct)
-        if shapes is None:
-            return self.mean_correct if correct else self.mean_wrong
-        return float(rng.beta(*shapes))
-
-
-def _sampling_table(dist: Mapping[str, float]) -> tuple[tuple[str, ...], list[float]]:
-    """The labels of ``dist`` and their cumulative probabilities, as a
-    plain-float list searched with bisect."""
-    labels = tuple(dist)
-    return labels, np.cumsum(np.array([dist[l] for l in labels], dtype=np.float64)).tolist()
-
 
 @dataclass(frozen=True)
 class DetectorProfile:
@@ -120,11 +109,7 @@ class DetectorProfile:
     def __post_init__(self) -> None:
         object.__setattr__(self, "label_space", tuple(self.label_space))
         self.validate()
-        # sampling tables, precomputed once
-        tables = {true: _sampling_table(row) for true, row in self.confusion.items()}
-        object.__setattr__(self, "_row_tables", tables)
-        uniform = dict.fromkeys(self.label_space, 1.0 / len(self.label_space))
-        object.__setattr__(self, "_fp_table", _sampling_table(uniform))
+        object.__setattr__(self, "_table", _DrawTable(self))
 
     def validate(self) -> None:
         if not self.label_space:
@@ -161,17 +146,6 @@ class DetectorProfile:
                         f"correct_for maps {true!r} to {label!r} outside the label space"
                     )
         self.confidence_law.validate()
-
-    def miss_rate(self, true_label: str) -> float:
-        row = self.confusion.get(true_label)
-        if row is None:
-            raise UnknownLabelError(f"no confusion row for {true_label!r}")
-        return max(1.0 - sum(row.values()), 0.0)
-
-    def correct_target(self, true_label: str) -> str:
-        if self.correct_for is not None:
-            return self.correct_for.get(true_label, true_label)
-        return true_label
 
     def to_json(self) -> dict:
         out: dict = {
@@ -385,6 +359,7 @@ _NEGFP, _NO_ROW = -1, -2
 # slot kinds: a miss; a detection with a fixed confidence, with a Beta
 # confidence drawn in the batch, or with one left to the scalar path
 _MISS, _FIXED, _BETA, _SCALAR = 0, 1, 2, 3
+_NO_GAMMA = (1.0, 0.0, 1.0, 0.0)  # gamma parameters of a slot with no Beta in the batch
 
 
 def _uniform(r: np.ndarray) -> np.ndarray:
@@ -423,51 +398,54 @@ def _std_gamma(b: np.ndarray, c: np.ndarray, r_normal: np.ndarray, r_uniform: np
     return b * v, ok
 
 
-class _Slots:
-    """A profile's draw tables for the batch.
+class _DrawTable:
+    """A profile's confusion rows as slots, read by both draw paths.
 
     Slot 0 stands for every stream without a row. Each confusion row
     then owns one slot per emitted label plus one for the miss, in row
-    order, so a stream's slot is its row's offset plus ``bisect_right``
-    of its uniform in the row's cumulative sums.
+    order, so a stream's slot is its row's first slot plus
+    ``bisect_right`` of its label uniform in the row's cumulative sums.
+    The last row, ``fp_row``, spreads a negative image's spurious label
+    uniformly over the label space, each label counted wrong; it is not
+    in ``row_of``, so no true label reaches it.
     """
 
     def __init__(self, profile: DetectorProfile):
-        law = profile.confidence_law
-        self.row_of: dict[str, int] = {}
-        self.rows: list[tuple[int, np.ndarray]] = []  # (first slot, cumulative sums)
-        labels, kinds, fixed, gamma = [None], [_MISS], [None], [(1.0, 0.0, 1.0, 0.0)]
-        for r, (true, (row_labels, cum)) in enumerate(profile._row_tables.items()):
-            self.row_of[true] = r
-            self.rows.append((len(labels), np.array(cum, dtype=np.float64)))
-            target = profile.correct_target(true)
-            for label in (*row_labels, None):
-                labels.append(label)
-                kind, conf, params = _MISS, None, (1.0, 0.0, 1.0, 0.0)
-                if label is not None:
-                    correct = label == target
-                    shapes = law.beta_shapes(correct)
-                    if shapes is None:
-                        kind, conf = _FIXED, law.mean_correct if correct else law.mean_wrong
-                    elif shapes[0] > 1.0 and shapes[1] > 1.0:
-                        kind = _BETA
-                        ba, bb = shapes[0] - 1.0 / 3.0, shapes[1] - 1.0 / 3.0
-                        params = (ba, 1.0 / math.sqrt(9 * ba), bb, 1.0 / math.sqrt(9 * bb))
-                    else:
-                        kind = _SCALAR  # Johnk's algorithm or a gamma of shape <= 1
-                kinds.append(kind)
-                fixed.append(conf)
-                gamma.append(params)
-        self.labels = labels
-        self.fixed = fixed
+        law, targets, space = profile.confidence_law, profile.correct_for or {}, profile.label_space
+        self.row_of: dict[str, int] = {true: r for r, true in enumerate(profile.confusion)}
+        self.fp_row = len(self.row_of)
+        rows = [(dist, [label == targets.get(true, true) for label in dist])
+                for true, dist in profile.confusion.items()]
+        rows.append((dict.fromkeys(space, 1.0 / len(space)), [False] * len(space)))
+        miss = (None, None, None, _MISS, _NO_GAMMA)
+        slots = [miss]
+        # (first slot, cumulative sums as a list for bisect and as an array)
+        self.rows: list[tuple[int, list[float], np.ndarray]] = []
+        for dist, correct in rows:
+            cum = np.cumsum(np.array(list(dist.values()), dtype=np.float64))
+            self.rows.append((len(slots), cum.tolist(), cum))
+            slots.extend((label, *_slot_law(law, right)) for label, right in zip(dist, correct))
+            slots.append(miss)
+        self.labels, self.fixed, self.shapes, kinds, gamma = map(list, zip(*slots))
         self.kinds = np.array(kinds, dtype=np.int8)
         self.gamma = np.array(gamma, dtype=np.float64)
-        self.has_beta = _BETA in kinds
+        # only the confusion rows are drawn in the batch
+        self.has_beta = _BETA in kinds[: self.rows[self.fp_row][0]]
+
+
+def _slot_law(law: ConfidenceLaw, correct: bool) -> tuple:
+    """A label slot's fixed confidence, Beta shapes, kind and gamma parameters."""
+    shapes = law.beta_shapes(correct)
+    if shapes is None:
+        return law.mean_correct if correct else law.mean_wrong, None, _FIXED, _NO_GAMMA
+    if shapes[0] > 1.0 and shapes[1] > 1.0:
+        ba, bb = shapes[0] - 1.0 / 3.0, shapes[1] - 1.0 / 3.0
+        return None, shapes, _BETA, (ba, 1.0 / math.sqrt(9 * ba), bb, 1.0 / math.sqrt(9 * bb))
+    return None, shapes, _SCALAR, _NO_GAMMA  # Johnk's algorithm or a gamma of shape <= 1
 
 
 def _draw_batch(
-    profile: DetectorProfile, slots: _Slots, rows: list[int], entropy: bytes,
-    objects: list, dims: np.ndarray,
+    profile: DetectorProfile, rows: list[int], entropy: bytes, objects: list, dims: np.ndarray
 ) -> list:
     """One outcome per stream: a Detection, None, or the stream's
     ``(state, inc)`` when it leaves the replicated paths.
@@ -478,21 +456,21 @@ def _draw_batch(
     uniform for the label, four normals for the box when sigma is not
     0, then Beta's two gammas, one normal and one uniform each.
     """
-    sigma = profile.loc_noise_sigma
+    table, sigma = profile._table, profile.loc_noise_sigma
     rows = np.array(rows, dtype=np.intp)
     hi, lo, inc_hi, inc_lo = _seeded(entropy)
     state_hi, state_lo = hi, lo
     raw = []
-    for _ in range(1 + 4 * (sigma != 0.0) + 4 * slots.has_beta):
+    for _ in range(1 + 4 * (sigma != 0.0) + 4 * table.has_beta):
         hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
         raw.append(_xsl_rr(hi, lo))
 
     u = _uniform(raw[0])
     slot = np.zeros(len(rows), dtype=np.intp)
-    for r, (first, cum) in enumerate(slots.rows):
+    for r, (first, _, cum) in enumerate(table.rows[: table.fp_row]):
         mask = rows == r
         slot[mask] = first + np.searchsorted(cum, u[mask], side="right")
-    kind = slots.kinds[slot]
+    kind = table.kinds[slot]
     ok = (kind == _FIXED) | (kind == _BETA)
     if sigma != 0.0:
         noise = []
@@ -501,10 +479,10 @@ def _draw_batch(
             ok &= fast
             noise.append(0.0 + sigma * x)
     conf = np.zeros(len(rows))
-    if slots.has_beta:
+    if table.has_beta:
         first = 1 + 4 * (sigma != 0.0)
         beta = np.flatnonzero(kind == _BETA)
-        ba, ca, bb, cb = slots.gamma[slot[beta]].T
+        ba, ca, bb, cb = table.gamma[slot[beta]].T
         ga, ok_a = _std_gamma(ba, ca, raw[first][beta], raw[first + 1][beta])
         gb, ok_b = _std_gamma(bb, cb, raw[first + 2][beta], raw[first + 3][beta])
         ok[beta] &= ok_a & ok_b
@@ -515,7 +493,7 @@ def _draw_batch(
     det_slots = slot[det].tolist()
     confs = conf[det].tolist()
     for j in np.flatnonzero(kind[det] == _FIXED).tolist():
-        confs[j] = slots.fixed[det_slots[j]]
+        confs[j] = table.fixed[det_slots[j]]
     boxes = [objects[i].box for i in det_list]
     if sigma != 0.0 and boxes:
         bx = np.array([b.x for b in boxes], np.float64)
@@ -529,7 +507,7 @@ def _draw_batch(
         x = _min(_max(bx + nx, 0.0), width - w)
         y = _min(_max(by + ny, 0.0), height - h)
         boxes = list(map(BoundingBox, x.tolist(), y.tolist(), w.tolist(), h.tolist()))
-    labels = list(map(slots.labels.__getitem__, det_slots))
+    labels = list(map(table.labels.__getitem__, det_slots))
 
     out: list = [None] * len(rows)
     for i, d in zip(det_list, map(Detection, boxes, labels, confs)):
@@ -559,42 +537,37 @@ def prepare(handle: DetectorHandle, images: Sequence[AnnotatedImage]) -> list[tu
 
     Every stream of the batch is seeded, stepped and transformed on
     arrays, ``_CHUNK`` streams at a time, with the draws ``detect``
-    would make. The few streams whose draws leave the replicated fast
-    paths (a ziggurat wedge or tail, a gamma that needs a second trial,
-    a Beta shape <= 1, a negative image's spurious detection) keep their
-    seeded state and are drawn by the scalar path when detected. So does
-    every stream of an image whose width or height is not a float, since
-    ``min`` would put that value in a box as it is. ``detect`` gives the
-    same detections with an image's entry as without it, only faster.
+    would make from the profile's draw table. The few streams whose
+    draws leave the replicated fast paths (a ziggurat wedge or tail, a
+    gamma that needs a second trial, a Beta shape <= 1, a negative
+    image's spurious detection) keep their seeded state and are drawn by
+    the scalar path when detected. Both paths take an image's width and
+    height as floats, whatever their type. ``detect`` gives the same
+    detections with an image's entry as without it, only faster.
     """
-    profile, seed = handle.profile, handle.seed
-    slots = _Slots(profile)
+    profile = handle.profile
     out: list = []
-    batch: list[int] = []  # positions in ``out`` of the images not yet drawn
+    batch: list[AnnotatedImage] = []  # the images not yet drawn
     count = 0
     with np.errstate(over="ignore"):
         for img in images:
-            if type(img.width) is not float or type(img.height) is not float:
-                out.append(_stream_states(handle, img))
-                continue
-            batch.append(len(out))
-            out.append(None)
+            batch.append(img)
             count += len(_stream_tags(profile, img))
             if count >= _CHUNK:
-                _prepare_batch(profile, seed, slots, images, batch, out)
+                out += _prepare_batch(handle, batch)
                 batch, count = [], 0
         if batch:
-            _prepare_batch(profile, seed, slots, images, batch, out)
+            out += _prepare_batch(handle, batch)
     return out
 
 
-def _prepare_batch(profile, seed, slots: _Slots, images, batch, out: list) -> None:
-    """Draw the streams of the images at positions ``batch`` into ``out``."""
-    images = [images[k] for k in batch]
-    row_of = slots.row_of
+def _prepare_batch(handle: DetectorHandle, images: list[AnnotatedImage]) -> list[tuple]:
+    """The entries of ``images``, their streams drawn together."""
+    profile = handle.profile
+    row_of = profile._table.row_of
     rows, digests, objects, dims, counts = [], [], [], [], []
     for img in images:
-        keys = _stream_keys(profile, seed, img)
+        keys = _stream_keys(profile, handle.seed, img)
         digests.extend(keys)
         if img.objects:
             rows.extend([row_of.get(obj.fine_label, _NO_ROW) for obj in img.objects])
@@ -605,13 +578,11 @@ def _prepare_batch(profile, seed, slots: _Slots, images, batch, out: list) -> No
         dims.extend([(img.width, img.height)] * len(keys))
         counts.append(len(keys))
     outcomes = _draw_batch(
-        profile, slots, rows, b"".join(digests), objects,
+        profile, rows, b"".join(digests), objects,
         np.array(dims, dtype=np.float64).reshape(-1, 2),
     )
-    pos = 0
-    for k, n in zip(batch, counts):
-        out[k] = tuple(outcomes[pos : pos + n])
-        pos += n
+    it = iter(outcomes)
+    return [tuple(islice(it, n)) for n in counts]
 
 
 _thread = threading.local()
@@ -628,23 +599,6 @@ def _thread_generator() -> tuple[np.random.PCG64, np.random.Generator]:
         return _thread.generator
 
 
-def _set_stream(bitgen: np.random.PCG64, state: tuple[int, int]) -> None:
-    bitgen.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state[0], "inc": state[1]},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
-def _draw_from_table(rng: np.random.Generator, labels, cum: list[float]) -> str | None:
-    u = rng.random()
-    idx = bisect.bisect_right(cum, u)
-    if idx >= len(labels):
-        return None  # remainder mass = miss
-    return labels[idx]
-
-
 def _noisy_box(
     rng: np.random.Generator, box: BoundingBox, sigma: float, width: float, height: float
 ) -> BoundingBox:
@@ -659,42 +613,47 @@ def _noisy_box(
     return BoundingBox(x, y, w, h)
 
 
-def _detect_object(
+def _spurious_box(rng: np.random.Generator, width: float, height: float) -> BoundingBox:
+    w = rng.uniform(1.0, width)
+    h = rng.uniform(1.0, height)
+    x = rng.uniform(0.0, width - w)
+    y = rng.uniform(0.0, height - h)
+    return BoundingBox(x, y, w, h)
+
+
+def _draw(
     profile: DetectorProfile, image: AnnotatedImage, obj, state: tuple[int, int]
 ) -> Detection | None:
-    """The scalar path: one object's draws from its stream, made by
-    numpy's Generator; the reference the batch reproduces."""
-    table = profile._row_tables.get(obj.fine_label)
-    if table is None:
+    """The scalar path: one stream's draws from the profile's draw table,
+    made by numpy's Generator; the reference the batch reproduces.
+    ``obj`` is None for a negative image's stream, whose spurious
+    detection first draws against ``negative_fp_rate``."""
+    table = profile._table
+    row = table.fp_row if obj is None else table.row_of.get(obj.fine_label)
+    if row is None:
         return None  # unknown object class: this detector never fires
     bitgen, rng = _thread_generator()
-    _set_stream(bitgen, state)
-    label = _draw_from_table(rng, *table)
-    if label is None:
+    bitgen.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state[0], "inc": state[1]},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    if obj is None and rng.random() >= profile.negative_fp_rate:
         return None
-    box = _noisy_box(rng, obj.box, profile.loc_noise_sigma, image.width, image.height)
-    correct = label == profile.correct_target(obj.fine_label)
-    return Detection(box=box, label=label, confidence=profile.confidence_law.sample(rng, correct))
-
-
-def _negative_fp(
-    profile: DetectorProfile, image: AnnotatedImage, state: tuple[int, int]
-) -> Detection | None:
-    """A negative image's spurious detection, if its stream draws one."""
-    bitgen, rng = _thread_generator()
-    _set_stream(bitgen, state)
-    if rng.random() >= profile.negative_fp_rate:
-        return None
-    labels, cum = profile._fp_table
-    label = _draw_from_table(rng, labels, cum)
-    if label is None:
-        return None
-    w = rng.uniform(1.0, image.width)
-    h = rng.uniform(1.0, image.height)
-    x = rng.uniform(0.0, image.width - w)
-    y = rng.uniform(0.0, image.height - h)
-    conf = profile.confidence_law.sample(rng, correct=False)
-    return Detection(box=BoundingBox(x, y, w, h), label=label, confidence=conf)
+    first, cum, _ = table.rows[row]
+    idx = bisect.bisect_right(cum, rng.random())
+    if idx == len(cum):
+        return None  # remainder mass = miss
+    width, height = float(image.width), float(image.height)
+    if obj is None:
+        box = _spurious_box(rng, width, height)
+    else:
+        box = _noisy_box(rng, obj.box, profile.loc_noise_sigma, width, height)
+    slot = first + idx
+    shapes = table.shapes[slot]
+    conf = table.fixed[slot] if shapes is None else float(rng.beta(*shapes))
+    return Detection(box=box, label=table.labels[slot], confidence=conf)
 
 
 def detect(
@@ -710,14 +669,11 @@ def detect(
     here. Without it, every stream of the image is seeded and drawn here.
     """
     outcomes = _stream_states(handle, image) if prepared is None else prepared
-    profile = handle.profile
-    if not image.objects:
-        det = _negative_fp(profile, image, outcomes[0]) if outcomes else None
-        return [] if det is None else [det]
     dets: list[Detection] = []
-    for obj, out in zip(image.objects, outcomes):
+    # a negative image has one stream without an object, or none
+    for obj, out in zip(image.objects or (None,), outcomes):
         if type(out) is tuple:
-            out = _detect_object(profile, image, obj, out)
+            out = _draw(handle.profile, image, obj, out)
         if out is not None:
             dets.append(out)
     return dets

@@ -91,13 +91,6 @@ class FeatureClassModel:
         if label not in self.priors:
             raise UnknownLabelError(f"unknown class {label!r}")
 
-    def to_json(self) -> dict:
-        return {
-            "priors": dict(self.priors),
-            "conditionals": {c: [float(x) for x in v] for c, v in self.conditional.items()},
-            "weights": {c: [float(x) for x in v] for c, v in self.weights.items()},
-        }
-
     @classmethod
     def from_json(cls, obj: Mapping) -> "FeatureClassModel":
         """Build and validate a model; a malformed document is a ValidationError.

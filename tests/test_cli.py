@@ -588,17 +588,14 @@ def test_unreadable_json_is_one_line_error(tmp_path, taxonomy, capsys, command, 
     assert not list(out.glob("*"))
 
 
-@pytest.mark.parametrize("command, code", [("synth", 2), ("run", 0), ("errormodel", 0)])
+@pytest.mark.parametrize("command, code", [("synth", 2), ("run", 0)])
 def test_seed_flag_minus_one(tmp_path, taxonomy, capsys, command, code):
     """``--seed -1`` is a one-line error for synth, whose generator takes
-    seeds >= 0; run and errormodel take any integer seed."""
+    seeds >= 0; run takes any integer seed."""
     if command == "synth":
         config = synth_config(taxonomy, 2, 1)
-    elif command == "run":
-        config = run_config(taxonomy, _small_dataset(tmp_path, taxonomy))
     else:
-        (tmp_path / "model.json").write_text(json.dumps(MODEL_DOC))
-        config = {"model": "model.json", "pair": ["c0", "c1"]}
+        config = run_config(taxonomy, _small_dataset(tmp_path, taxonomy))
     cfg = write_config(tmp_path, "config.json", config)
     out = tmp_path / "out"
     capsys.readouterr()
@@ -725,11 +722,11 @@ MODEL_DOC = {
 
 
 class TestErrormodelCommand:
-    def _run(self, tmp_path, doc, pair=("c0", "c1")):
+    def _run(self, tmp_path, doc, pair=("c0", "c1"), extra=None):
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(doc))
         cfg = write_config(
-            tmp_path, "em.json", {"model": "model.json", "pair": list(pair)}
+            tmp_path, "em.json", {"model": "model.json", "pair": list(pair), **(extra or {})}
         )
         assert main(["errormodel", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         with open(tmp_path / "curves.csv") as fh:
@@ -758,6 +755,17 @@ class TestErrormodelCommand:
         narrow["budget"] = {"L": 80, "T": 20, "U": 5, "n": 2}
         _, summary2 = self._run(tmp_path, narrow)
         assert summary2["feature_count"] > summary10["feature_count"]
+
+    def test_seed_key_is_not_read(self, tmp_path):
+        """The error model draws nothing: a config's ``seed``, even one that
+        is not an integer, changes no output byte."""
+        outputs = []
+        for name, extra in (("plain", {}), ("seeded", {"seed": "x"})):
+            out = tmp_path / name
+            out.mkdir()
+            self._run(out, MODEL_DOC, extra=extra)
+            outputs.append([(out / f).read_bytes() for f in ("curves.csv", "summary.json")])
+        assert outputs[0] == outputs[1]
 
     def test_unknown_pair_is_config_error(self, tmp_path):
         model_path = tmp_path / "model.json"

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modcascade import (
@@ -16,7 +16,7 @@ from modcascade import (
     detect,
 )
 from modcascade._ziggurat import KI_DOUBLE, WI_DOUBLE
-from modcascade.core import AnnotatedImage, BoundingBox, GroundTruthObject
+from modcascade.core import AnnotatedImage, BoundingBox, Detection, GroundTruthObject
 from modcascade.detector import (
     _PCG_MULT,
     _lcg_step,
@@ -134,10 +134,6 @@ class TestProfileValidation:
     def test_malformed_json_is_validation_error(self, doc):
         with pytest.raises(ValidationError, match="malformed detector profile"):
             DetectorProfile.from_json(doc)
-
-    def test_miss_rate_is_remainder(self):
-        p = DetectorProfile(("a",), {"a": {"a": 0.7}})
-        assert p.miss_rate("a") == pytest.approx(0.3)
 
     def test_handle_needs_profile_and_seed(self):
         prof = identity_profile(["a"])
@@ -468,7 +464,7 @@ def batch_images(draw):
         max_size=10,
     )
     counts = draw(st.lists(objects, min_size=1, max_size=6))
-    # an int width or height leaves the image to the scalar path, wherever it is in the batch
+    # int and float widths and heights, mixed in one batch
     return [
         AnnotatedImage(
             f"im{k}", draw(st.sampled_from([800.0, 800])), draw(st.sampled_from([600.0, 600])),
@@ -543,6 +539,23 @@ class TestBatchedDraws:
 
     @settings(max_examples=150, deadline=None)
     @given(profile=batch_profiles(), images=batch_images(), seed=st.integers(0, 2**64 - 1))
+    # an integer-size image whose box is clamped to 40.0 x 30.0; its row's
+    # first cumulative sum is the stream's label uniform, on which
+    # bisect_right and bisect_left part
+    @example(
+        profile=DetectorProfile(
+            ("a", "b"), {"a": {"a": 0.034645174008699486, "b": 1.0 - 0.034645174008699486}},
+            loc_noise_sigma=500.0,
+        ),
+        images=[AnnotatedImage("im0", 40, 30, (GroundTruthObject(BoundingBox(0, 0, 39, 29), "a"),))],
+        seed=10,
+    )
+    # an integer-size negative image, its spurious box drawn from 40 x 30
+    @example(
+        profile=DetectorProfile(("a", "b"), {}, negative_fp_rate=1.0),
+        images=[AnnotatedImage("n0", 40, 30)],
+        seed=10,
+    )
     def test_prepared_equals_scalar(self, profile, images, seed):
         # reprs tell -0.0 from 0.0, which == does not
         handle = DetectorHandle(profile, seed)
@@ -562,10 +575,13 @@ class TestBatchedDraws:
         assert repr(detect_all(handle, images)) == repr([tuple(detect(handle, img)) for img in images])
 
     def test_int_extent_left_to_scalar_path(self):
-        # min() puts an int width into a box as it is; the batch would give a float
+        """An image of integer size is drawn in the batch too, and both
+        paths clamp its box to the float extent 40.0 x 30.0."""
         prof = DetectorProfile(("a",), {"a": {"a": 1.0}}, loc_noise_sigma=500.0)
         handle = DetectorHandle(prof, seed=2)
         img = AnnotatedImage("wide", 40, 30, (GroundTruthObject(BoundingBox(0, 0, 39, 29), "a"),))
         (found,) = prepare(handle, [img])
-        assert found == _stream_states(handle, img)  # seeded, not drawn
-        assert repr(detect(handle, img, found)) == repr(detect(handle, img))
+        assert type(found[0]) is Detection  # drawn, not seeded
+        dets = detect(handle, img, found)
+        assert repr(dets) == repr(detect(handle, img))
+        assert repr((dets[0].box.w, dets[0].box.h)) == "(40.0, 30.0)"

@@ -359,7 +359,7 @@ def test_model_file_round_trip():
     assert model.classes == ("c0", "c1")
     assert feature_count(budget) == 15.0
     assert budget.max_features == 120
-    assert model.to_json()["conditionals"]["c1"] == [0.0, 0.25, 0.75]
+    assert model.conditional["c1"].tolist() == [0.0, 0.25, 0.75]
     assert budget.to_json() == {"L": 80, "T": 20, "U": 5, "n": 10}
 
 
