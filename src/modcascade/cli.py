@@ -226,8 +226,16 @@ def cmd_errormodel(config: dict, out_dir: Path, config_path: Path) -> tuple[Path
 # ----------------------------------------------------------------- main
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line is one ``error:`` line and exit 2, like a bad config;
+    ``add_subparsers`` gives the subcommands this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="modcascade",
         description="Coarse-to-fine detection cascade experiments with simulated detectors.",
     )

@@ -26,6 +26,7 @@ MISS = "__MISS__"
 @dataclass(frozen=True)
 class ClassTaxonomy:
     """Two-level class tree: general classes, each owning fine-grained classes.
+    Its labels are numbered once, in its own order (``codes``).
 
     Attributes:
         fine_of: general label -> ordered tuple of fine labels (a partition).
@@ -35,7 +36,8 @@ class ClassTaxonomy:
 
     fine_of: Mapping[str, tuple[str, ...]]
     negative_label: str = "negative"
-    _general_by_fine: Mapping[str, str] = field(init=False, repr=False, compare=False)
+    _fine: tuple = field(init=False, repr=False, compare=False)  # codes("fine")
+    _general: tuple = field(init=False, repr=False, compare=False)  # codes("general")
 
     def __post_init__(self) -> None:
         fine_of = {g: tuple(fs) for g, fs in self.fine_of.items()}
@@ -43,44 +45,38 @@ class ClassTaxonomy:
         violations = validate_taxonomy(self)
         if violations:
             raise ValidationError("invalid taxonomy: " + "; ".join(violations))
-        by_fine = {}
-        for g, fines in fine_of.items():
-            for f in fines:
-                by_fine[f] = g
-        object.__setattr__(self, "_general_by_fine", by_fine)
+        fines = tuple(f for fs in fine_of.values() for f in fs)
+        general_code = {g: c for c, g in enumerate(fine_of)}
+        general_code.update((f, c) for c, fs in enumerate(fine_of.values()) for f in fs)
+        object.__setattr__(self, "_fine", (fines, {f: c for c, f in enumerate(fines)}))
+        object.__setattr__(self, "_general", (tuple(fine_of), general_code))
 
     @property
     def generals(self) -> tuple[str, ...]:
-        return tuple(self.fine_of)
+        return self._general[0]
 
     @property
     def fine_labels(self) -> tuple[str, ...]:
-        return tuple(f for fines in self.fine_of.values() for f in fines)
+        return self._fine[0]
+
+    def codes(self, level: str) -> tuple[tuple[str, ...], Mapping[str, int]]:
+        """The labels of ``level`` ("fine" or "general") in code order, and each
+        label valid at that level -> its code; at "general" a fine label has its
+        general's code. Another level is a ValidationError."""
+        if level == "fine":
+            return self._fine
+        if level == "general":
+            return self._general
+        raise ValidationError(f"unknown level {level!r}")
 
     def general_of(self, fine: str) -> str:
-        try:
-            return self._general_by_fine[fine]
-        except KeyError:
-            raise UnknownLabelError(f"unknown fine label {fine!r}") from None
+        if fine in self._fine[1]:
+            generals, code = self._general
+            return generals[code[fine]]
+        raise UnknownLabelError(f"unknown fine label {fine!r}")
 
     def is_fine(self, label: str) -> bool:
-        return label in self._general_by_fine
-
-    def label_at_level(self, label: str, level: str) -> str:
-        """Project a fine or general label to the requested level.
-
-        A general label cannot be refined to fine level; that raises
-        UnknownLabelError, as does a label foreign to the taxonomy.
-        """
-        if level == "general":
-            if label in self.fine_of:
-                return label
-            return self.general_of(label)
-        if level == "fine":
-            if self.is_fine(label):
-                return label
-            raise UnknownLabelError(f"label {label!r} is not a fine label")
-        raise ValidationError(f"unknown level {level!r}")
+        return label in self._fine[1]
 
     def to_json(self) -> dict:
         return {

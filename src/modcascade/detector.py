@@ -13,9 +13,9 @@ draws for a whole detector pass at once. It seeds every stream, steps
 its PCG64 state and replays numpy's C transforms (uniform, the ziggurat
 normal's fast path, Marsaglia-Tsang's gamma on its first trial) on
 integer and float arrays, bit for bit. A stream whose draws leave those
-paths keeps its seeded state for the scalar path. ``prepare`` returns
-each image's outcomes in image order, and ``detect_all`` hands them to
-``detect`` image by image; neither changes a result. The replicas
+paths is drawn by the scalar path, in the same batch. ``prepare``
+returns each image's final detections in image order, and ``detect_all``
+hands them to ``detect``, which returns them as they are. The replicas
 assume numpy's C rounds each operation on its own (no fused
 multiply-add); the tests compare them with the installed numpy.
 """
@@ -447,8 +447,8 @@ def _slot_law(law: ConfidenceLaw, correct: bool) -> tuple:
 def _draw_batch(
     profile: DetectorProfile, rows: list[int], entropy: bytes, objects: list, dims: np.ndarray
 ) -> list:
-    """One outcome per stream: a Detection, None, or the stream's
-    ``(state, inc)`` when it leaves the replicated paths.
+    """Each stream's Detection, or None. A stream whose draws leave the
+    replicated paths is drawn here by the scalar ``_draw``.
 
     ``rows`` holds each stream's row (or ``_NEGFP``/``_NO_ROW``),
     ``objects`` its ground-truth object, ``dims`` its image's width and
@@ -514,8 +514,8 @@ def _draw_batch(
         out[i] = d
     scalar = np.flatnonzero((rows == _NEGFP) | ((kind != _MISS) & ~ok))
     states = _as_ints(state_hi[scalar], state_lo[scalar], inc_hi[scalar], inc_lo[scalar])
-    for i, state in zip(scalar.tolist(), states):
-        out[i] = state
+    for i, (width, height), state in zip(scalar.tolist(), dims[scalar].tolist(), states):
+        out[i] = _draw(profile, width, height, objects[i], state)
     return out
 
 
@@ -531,19 +531,17 @@ def _min(a: np.ndarray, b) -> np.ndarray:
 
 
 def prepare(handle: DetectorHandle, images: Sequence[AnnotatedImage]) -> list[tuple]:
-    """Per image of ``images``, in order, the outcome of each of its streams:
-    a Detection, None for no detection, or the PCG64 ``(state, inc)`` of a
-    stream left to the scalar path.
+    """Per image of ``images``, in order, its detections: the same ones
+    ``detect(handle, image)`` gives.
 
     Every stream of the batch is seeded, stepped and transformed on
     arrays, ``_CHUNK`` streams at a time, with the draws ``detect``
     would make from the profile's draw table. The few streams whose
     draws leave the replicated fast paths (a ziggurat wedge or tail, a
     gamma that needs a second trial, a Beta shape <= 1, a negative
-    image's spurious detection) keep their seeded state and are drawn by
-    the scalar path when detected. Both paths take an image's width and
-    height as floats, whatever their type. ``detect`` gives the same
-    detections with an image's entry as without it, only faster.
+    image's spurious detection) are drawn within the batch by the scalar
+    path, from their seeded state. Both paths take an image's width and
+    height as floats, whatever their type.
     """
     profile = handle.profile
     out: list = []
@@ -562,7 +560,7 @@ def prepare(handle: DetectorHandle, images: Sequence[AnnotatedImage]) -> list[tu
 
 
 def _prepare_batch(handle: DetectorHandle, images: list[AnnotatedImage]) -> list[tuple]:
-    """The entries of ``images``, their streams drawn together."""
+    """The detections of each of ``images``, their streams drawn together."""
     profile = handle.profile
     row_of = profile._table.row_of
     rows, digests, objects, dims, counts = [], [], [], [], []
@@ -577,12 +575,9 @@ def _prepare_batch(handle: DetectorHandle, images: list[AnnotatedImage]) -> list
             objects.extend([None] * len(keys))
         dims.extend([(img.width, img.height)] * len(keys))
         counts.append(len(keys))
-    outcomes = _draw_batch(
-        profile, rows, b"".join(digests), objects,
-        np.array(dims, dtype=np.float64).reshape(-1, 2),
-    )
-    it = iter(outcomes)
-    return [tuple(islice(it, n)) for n in counts]
+    dims = np.array(dims, dtype=np.float64).reshape(-1, 2)
+    it = iter(_draw_batch(profile, rows, b"".join(digests), objects, dims))
+    return [tuple(filter(None, islice(it, n))) for n in counts]
 
 
 _thread = threading.local()
@@ -622,12 +617,12 @@ def _spurious_box(rng: np.random.Generator, width: float, height: float) -> Boun
 
 
 def _draw(
-    profile: DetectorProfile, image: AnnotatedImage, obj, state: tuple[int, int]
+    profile: DetectorProfile, width: float, height: float, obj, state: tuple[int, int]
 ) -> Detection | None:
-    """The scalar path: one stream's draws from the profile's draw table,
-    made by numpy's Generator; the reference the batch reproduces.
-    ``obj`` is None for a negative image's stream, whose spurious
-    detection first draws against ``negative_fp_rate``."""
+    """The scalar path: one stream's draws in a ``width`` x ``height`` image
+    from the profile's draw table, made by numpy's Generator; the reference
+    the batch reproduces. ``obj`` is None for a negative image's stream,
+    whose spurious detection first draws against ``negative_fp_rate``."""
     table = profile._table
     row = table.fp_row if obj is None else table.row_of.get(obj.fine_label)
     if row is None:
@@ -645,7 +640,6 @@ def _draw(
     idx = bisect.bisect_right(cum, rng.random())
     if idx == len(cum):
         return None  # remainder mass = miss
-    width, height = float(image.width), float(image.height)
     if obj is None:
         box = _spurious_box(rng, width, height)
     else:
@@ -664,19 +658,17 @@ def detect(
     A pure function of (profile, seed, image): each object draws from its
     own stream, so the result does not depend on call order, and calls
     from several threads are safe (each thread has its own generator).
-    ``prepared`` is the image's entry of ``prepare``: its detections are
-    taken as they are, and only the streams left to the scalar path draw
-    here. Without it, every stream of the image is seeded and drawn here.
+    ``prepared`` is the image's entry of ``prepare``, its detections,
+    which are returned as they are. Without it, every stream of the image
+    is seeded and drawn here by the scalar path.
     """
-    outcomes = _stream_states(handle, image) if prepared is None else prepared
-    dets: list[Detection] = []
+    if prepared is not None:
+        return list(prepared)
+    width, height = float(image.width), float(image.height)
     # a negative image has one stream without an object, or none
-    for obj, out in zip(image.objects or (None,), outcomes):
-        if type(out) is tuple:
-            out = _draw(handle.profile, image, obj, out)
-        if out is not None:
-            dets.append(out)
-    return dets
+    streams = zip(image.objects or (None,), _stream_states(handle, image))
+    dets = [_draw(handle.profile, width, height, obj, state) for obj, state in streams]
+    return [d for d in dets if d is not None]
 
 
 def detect_all(

@@ -18,11 +18,13 @@ envelope value are counted and added as one ``Fraction``.
 ``evaluate_run`` matches and scores a whole run on columns: one numpy
 row per detection and per ground truth, the matcher of ``_kernels``
 over every image at once, and the scores as array reductions over its
-matches. For a cascade run it also scores the FN-aware figures from
-those same matches: the FN images, the routed positive images, their
-stage-2 mAP and the FN-adjusted mAP. Its ``EvalReport`` holds exactly
-what the report prints. It is the one way to match and score: one
-image, or any subset of a run, is scored by calling it on those images.
+matches. Each label enters as its code at the scored level
+(``ClassTaxonomy.codes``). For a cascade run it also scores the
+FN-aware figures from those same matches: the FN images, the routed
+positive images, their stage-2 mAP and the FN-adjusted mAP. Its
+``EvalReport`` holds exactly what the report prints. It is the one way
+to match and score: one image, or any subset of a run, is scored by
+calling it on those images.
 
 Benchmark with ``python3 perfbench/run.py --workload W --seed 1
 --seconds 30 --trace 0|1``; ``python3 perfbench/selftest.py`` checks
@@ -39,7 +41,7 @@ import numpy as np
 
 from ._kernels import box_rows, iou, match_columns  # iou is re-exported
 from .core import MISS, AnnotatedImage, ClassTaxonomy, Detection, check_int, check_number
-from .errors import ValidationError
+from .errors import UnknownLabelError, ValidationError
 
 
 class NoGroundTruthError(ValidationError):
@@ -161,19 +163,16 @@ def fn_image_flags(
     )
 
 
-def _label_codes(taxonomy: ClassTaxonomy, level: str, dets, gts, claimed):
-    """The sorted labels of ``dets`` and ``gts`` at ``level``; as codes into
-    them, each detection's label, the label of the ground truth it
-    claimed (``claimed``: an index into ``gts``, or -1) and each ground
-    truth's label."""
-    det_labels, gt_labels = [d.label for d in dets], [o.fine_label for o in gts]
-    codes = {lbl: i for i, lbl in enumerate(dict.fromkeys(det_labels + gt_labels))}
-    projected = [taxonomy.label_at_level(lbl, level) for lbl in codes]
-    names = sorted(set(projected))
-    to_level = np.array([names.index(p) for p in projected], dtype=np.intp)
-    pred = to_level[np.fromiter(map(codes.__getitem__, det_labels), np.intp, len(dets))]
-    gt_true = to_level[np.fromiter(map(codes.__getitem__, gt_labels), np.intp, len(gts))]
-    return names, pred, np.append(gt_true, -1)[claimed], gt_true
+def _label_codes(code: Mapping[str, int], level: str, dets, gts, claimed):
+    """The ``code`` of each detection's label, of the label of the ground truth
+    it claimed (``claimed``: an index into ``gts``, or -1) and of each ground
+    truth's label; a label without a code at ``level`` is an UnknownLabelError."""
+    try:
+        pred = np.fromiter(map(code.__getitem__, [d.label for d in dets]), np.intp, len(dets))
+        gt_true = np.fromiter(map(code.__getitem__, [o.fine_label for o in gts]), np.intp, len(gts))
+    except KeyError as exc:
+        raise UnknownLabelError(f"label {exc.args[0]!r} is not a {level} label") from None
+    return pred, np.append(gt_true, -1)[claimed], gt_true
 
 
 def _score(conf, names, pred, true, gt_true) -> EvalReport:
@@ -183,16 +182,18 @@ def _score(conf, names, pred, true, gt_true) -> EvalReport:
     ties break by detection order."""
     k = len(names)
     matched = true >= 0
-    pairs = np.bincount(true[matched] * k + pred[matched], minlength=k * k).reshape(k, k)
+    # the (true, predicted) code pairs that occur, counted: no k x k matrix
+    pairs, pair_n = np.unique(true[matched] * k + pred[matched], return_counts=True)
     gt_n = np.bincount(gt_true, minlength=k)
-    missed = gt_n - pairs.sum(axis=1)
+    missed = gt_n - np.bincount(true[matched], minlength=k)
     matched_total = int(matched.sum())
-    wrong_total = matched_total - int(pairs.trace())
+    wrong_total = matched_total - int(np.count_nonzero(true[matched] == pred[matched]))
     hits = np.column_stack((conf, pred == true))
-    confusion: dict[str, dict[str, int]] = {}
-    per_class_ap = {}
-    for c in np.flatnonzero(gt_n).tolist():
-        row = {names[p]: n for p, n in enumerate(pairs[c].tolist()) if n}
+    rows: dict[int, dict[str, int]] = {c: {} for c in np.flatnonzero(gt_n).tolist()}
+    for t, p, n in zip((pairs // k).tolist(), (pairs % k).tolist(), pair_n.tolist()):
+        rows[t][names[p]] = n
+    confusion, per_class_ap = {}, {}
+    for c, row in rows.items():
         if missed[c]:
             row[MISS] = int(missed[c])
         confusion[names[c]] = row
@@ -218,14 +219,14 @@ def evaluate_run(
     generator), and ``invoked`` holds each image's invoked generals, both
     aligned with ``images``; a length mismatch is a ValueError. A level
     other than "fine" or "general", and a confidence or box number that
-    is not finite, are a ValidationError. ``invoked`` marks a cascade
-    run: the report then also carries the FN images and the
-    routed-subset and FN-adjusted mAPs, scored from the same matches.
-    Omit it for flat baselines. AP ties break by the order of images.
+    is not finite, are a ValidationError; a label without a code at the
+    level (``ClassTaxonomy.codes``) is an UnknownLabelError. ``invoked``
+    marks a cascade run: the report then also carries the FN images and
+    the routed-subset and FN-adjusted mAPs, scored from the same
+    matches. Omit it for flat baselines. AP ties break by image order.
     """
     check_iou_threshold(iou_threshold)
-    if level not in ("fine", "general"):
-        raise ValidationError(f"unknown level {level!r}")
+    names, code = taxonomy.codes(level)
     dets: list[Detection] = []
     det_counts = []
     for _, image_dets in zip(images, detections, strict=True):
@@ -239,7 +240,7 @@ def evaluate_run(
     det_counts = np.array(det_counts, dtype=np.intp)
     gt_counts = np.array([len(img.objects) for img in images], dtype=np.intp)
     claimed = match_columns(det_xywh, conf, det_counts, gt_xywh, gt_counts, iou_threshold)
-    names, pred, true, gt_true = _label_codes(taxonomy, level, dets, gts, claimed)
+    pred, true, gt_true = _label_codes(code, level, dets, gts, claimed)
     report = _score(conf, names, pred, true, gt_true)
     if invoked is None:
         return report

@@ -223,12 +223,16 @@ def score_loop(matches, taxonomy, level: str) -> dict:
     """The scores of per-image ``(detections, claimed, false_negatives)``
     triples, as ``EvalReport.to_json`` of a flat run writes them, from
     one pass over every detection and missed ground truth."""
+    # each label valid at ``level``, as that level names it
+    project = {g: g for g in taxonomy.fine_of} if level == "general" else {}
+    for g, fines in taxonomy.fine_of.items():
+        project.update((f, g if level == "general" else f) for f in fines)
     records, gt_counts, confusion = {}, {}, {}
     matched_total = wrong_total = 0
     for dets, claimed, fns in matches:
         for det, gt in zip(dets, claimed):
-            det_lbl = taxonomy.label_at_level(det.label, level)
-            true = taxonomy.label_at_level(gt.fine_label, level) if gt is not None else None
+            det_lbl = project[det.label]
+            true = project[gt.fine_label] if gt is not None else None
             records.setdefault(det_lbl, []).append((det.confidence, det_lbl == true))
             if gt is not None:
                 matched_total += 1
@@ -237,7 +241,7 @@ def score_loop(matches, taxonomy, level: str) -> dict:
                 row = confusion.setdefault(true, {})
                 row[det_lbl] = row.get(det_lbl, 0) + 1
         for gt in fns:
-            true = taxonomy.label_at_level(gt.fine_label, level)
+            true = project[gt.fine_label]
             gt_counts[true] = gt_counts.get(true, 0) + 1
             row = confusion.setdefault(true, {})
             row[MISS] = row.get(MISS, 0) + 1

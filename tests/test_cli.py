@@ -588,6 +588,31 @@ def test_unreadable_json_is_one_line_error(tmp_path, taxonomy, capsys, command, 
     assert not list(out.glob("*"))
 
 
+@pytest.mark.parametrize("args", [
+    ["bogus", "--config", "{cfg}"],
+    ["run", "--out", "{out}"],
+    ["run", "--config", "{cfg}", "--seed", "abc", "--out", "{out}"],
+    ["errormodel", "--config", "{cfg}", "--seed", "5", "--out", "{out}"],
+    ["synth", "--config", "{cfg}", "--out", "{out}", "--images", "3"],
+], ids=["unknown-command", "missing-config", "seed-abc", "errormodel-seed", "unknown-flag"])
+def test_bad_command_line_is_one_line_error(tmp_path, taxonomy, capsys, args):
+    cfg = write_config(tmp_path, "config.json", synth_config(taxonomy, 2, 1))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(cfg=cfg, out=out) for a in args])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_help_is_argparse_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: modcascade run [-h] --config CONFIG")
+
+
 @pytest.mark.parametrize("command, code", [("synth", 2), ("run", 0)])
 def test_seed_flag_minus_one(tmp_path, taxonomy, capsys, command, code):
     """``--seed -1`` is a one-line error for synth, whose generator takes

@@ -102,12 +102,19 @@ class TestTaxonomy:
         for fine in taxonomy.fine_labels:
             assert taxonomy.general_of(fine) != taxonomy.negative_label
 
-    def test_label_at_level(self, taxonomy):
-        assert taxonomy.label_at_level("pekinese", "general") == "dog"
-        assert taxonomy.label_at_level("dog", "general") == "dog"
-        assert taxonomy.label_at_level("pekinese", "fine") == "pekinese"
-        with pytest.raises(UnknownLabelError):
-            taxonomy.label_at_level("dog", "fine")
+    def test_codes(self, taxonomy):
+        fines, fine_code = taxonomy.codes("fine")
+        assert fines == taxonomy.fine_labels
+        assert fine_code == {f: c for c, f in enumerate(taxonomy.fine_labels)}
+        assert "dog" not in fine_code  # a general label has no fine code
+        generals, general_code = taxonomy.codes("general")
+        assert generals == taxonomy.generals == tuple(taxonomy.fine_of)
+        for g, fines in taxonomy.fine_of.items():
+            assert general_code[g] == generals.index(g)
+            assert all(general_code[f] == general_code[g] for f in fines)
+        assert set(general_code) == set(taxonomy.generals) | set(taxonomy.fine_labels)
+        with pytest.raises(ValidationError, match="unknown level 'coarse'"):
+            taxonomy.codes("coarse")
 
 
 class TestLoadDataset:

@@ -15,6 +15,7 @@ from modcascade import (
     ValidationError,
     detect,
 )
+from modcascade import detector
 from modcascade._ziggurat import KI_DOUBLE, WI_DOUBLE
 from modcascade.core import AnnotatedImage, BoundingBox, Detection, GroundTruthObject
 from modcascade.detector import (
@@ -421,6 +422,16 @@ def _crowded_images(n_images, seed=0):
     return images
 
 
+def _prepare_counting_draws(handle, images, monkeypatch):
+    """``prepare``'s entries, and how many streams it left to the scalar ``_draw``."""
+    calls = []
+    scalar_draw = detector._draw
+    monkeypatch.setattr(detector, "_draw", lambda *args: calls.append(1) or scalar_draw(*args))
+    prepared = prepare(handle, images)
+    monkeypatch.undo()
+    return prepared, len(calls)
+
+
 LABELS = ("a", "b", "c")
 
 
@@ -522,17 +533,15 @@ class TestBatchedDraws:
         assert 0 < int(np.count_nonzero(~ok)) < len(states) // 5
 
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
-    def test_crowded_batch_takes_both_paths(self, sigma):
+    def test_crowded_batch_takes_both_paths(self, sigma, monkeypatch):
         taxonomy = taxonomy_5x2()
         handle = DetectorHandle(
             flat_profile(taxonomy, error_rate=0.12, loc_noise_sigma=sigma), seed=5
         )
         images = _crowded_images(150)
-        prepared = prepare(handle, images)
-        outcomes = [o for found in prepared for o in found]
-        scalar = sum(type(o) is tuple for o in outcomes)
-        assert [len(found) for found in prepared] == [len(img.objects) for img in images]
-        assert 0 < scalar <= 0.2 * len(outcomes)
+        prepared, scalar = _prepare_counting_draws(handle, images, monkeypatch)
+        assert 0 < scalar <= 0.2 * sum(len(img.objects) for img in images)
+        assert all(type(d) is Detection for found in prepared for d in found)
         assert repr([detect(handle, img, found) for img, found in zip(images, prepared)]) == repr(
             [detect(handle, img) for img in images]
         )
@@ -563,25 +572,25 @@ class TestBatchedDraws:
             [tuple(detect(handle, img)) for img in images]
         )
 
-    def test_spread_at_the_shape_limit_agrees_with_scalar(self):
+    def test_spread_at_the_shape_limit_agrees_with_scalar(self, monkeypatch):
         """At spread 3.73e-155 and mean 0.5, ``9 * ba`` overflows, so
         Marsaglia-Tsang's ``c`` is 0 on both paths, and they still agree."""
         law = ConfidenceLaw(mean_correct=0.5, mean_wrong=0.6, spread=3.73e-155)
         profile = flat_profile(taxonomy_5x2(), error_rate=0.3, confidence_law=law)
         handle = DetectorHandle(profile, seed=11)
         images = _crowded_images(40)
-        prepared = prepare(handle, images)
-        assert any(type(o) is not tuple for found in prepared for o in found)
+        _, scalar = _prepare_counting_draws(handle, images, monkeypatch)
+        assert 0 < scalar <= 0.2 * sum(len(img.objects) for img in images)
         assert repr(detect_all(handle, images)) == repr([tuple(detect(handle, img)) for img in images])
 
-    def test_int_extent_left_to_scalar_path(self):
+    def test_int_extent_left_to_scalar_path(self, monkeypatch):
         """An image of integer size is drawn in the batch too, and both
         paths clamp its box to the float extent 40.0 x 30.0."""
         prof = DetectorProfile(("a",), {"a": {"a": 1.0}}, loc_noise_sigma=500.0)
         handle = DetectorHandle(prof, seed=2)
         img = AnnotatedImage("wide", 40, 30, (GroundTruthObject(BoundingBox(0, 0, 39, 29), "a"),))
-        (found,) = prepare(handle, [img])
-        assert type(found[0]) is Detection  # drawn, not seeded
+        (found,), scalar = _prepare_counting_draws(handle, [img], monkeypatch)
+        assert scalar == 0 and len(found) == 1  # drawn in the batch
         dets = detect(handle, img, found)
         assert repr(dets) == repr(detect(handle, img))
         assert repr((dets[0].box.w, dets[0].box.h)) == "(40.0, 30.0)"

@@ -30,8 +30,9 @@ from modcascade.core import (
     Detection,
     GroundTruthObject,
 )
-from modcascade.errors import ValidationError
+from modcascade.errors import UnknownLabelError, ValidationError
 from modcascade.evaluation import NoGroundTruthError
+from modcascade.reporting import dumps_canonical
 
 from oracles import evaluate_run_oracle, fraction_average_precision, greedy_oracle, iou_raw
 
@@ -532,7 +533,7 @@ class TestEvaluateRun:
         assert r1.classification_error == r2.classification_error
 
     @pytest.mark.parametrize("image, dets, level", [
-        # no label is projected, so the level was never looked at
+        # the level is checked before any label is coded
         (AnnotatedImage("neg", 200, 200), [], "bogus"),
         (AnnotatedImage("neg", 200, 200), [Detection(B(0, 0, 9, 9), "mars", math.nan)], "fine"),
         (AnnotatedImage("neg", 200, 200), [Detection(B(0, 0, 9, 9), "mars", math.inf)], "fine"),
@@ -544,6 +545,47 @@ class TestEvaluateRun:
         # each was scored silently; a NaN also leaves the sort order undefined
         with pytest.raises(ValidationError, match="level|finite"):
             evaluate_run([image], [dets], TAXONOMY, level=level)
+
+    @pytest.mark.parametrize("label, on_detection, level", [
+        ("dog", True, "fine"),
+        ("dog", False, "fine"),
+        ("unicorn", True, "fine"),
+        ("unicorn", False, "general"),
+    ], ids=["general-detection-at-fine", "general-object-at-fine", "foreign-detection",
+            "foreign-object"])
+    def test_label_without_a_code_is_unknown_label_error(self, label, on_detection, level):
+        box = B(10, 10, 50, 50)
+        dets = [Detection(box, label, 0.9)] if on_detection else []
+        objects = () if on_detection else (GroundTruthObject(box, label),)
+        with pytest.raises(UnknownLabelError, match=f"label '{label}' is not a {level} label"):
+            evaluate_run([AnnotatedImage("a", 200, 200, objects)], [dets], TAXONOMY, level=level)
+
+    def test_report_bytes_do_not_depend_on_the_taxonomy_order(self):
+        # codes follow the taxonomy's own order; the canonical writer sorts
+        # every key and the mAP is an exact sum, so no order reaches the bytes
+        from modcascade import DetectorHandle
+        from modcascade.detector import detect_all
+        from modcascade.profiles import flat_profile
+        from conftest import taxonomy_5x2
+        from test_detector import _crowded_images
+
+        taxonomy = taxonomy_5x2()
+        reversed_taxonomy = ClassTaxonomy(
+            {g: fs[::-1] for g, fs in reversed(taxonomy.fine_of.items())}
+        )
+        assert reversed_taxonomy.fine_labels == taxonomy.fine_labels[::-1]
+        images = _crowded_images(60, seed=3) + [AnnotatedImage("neg", 800.0, 800.0)]
+        profile = flat_profile(taxonomy, error_rate=0.3, miss_rate=0.1, loc_noise_sigma=15.0,
+                               negative_fp_rate=1.0)
+        dets = detect_all(DetectorHandle(profile, seed=9), images)
+        rng = random.Random(9)
+        invoked = [tuple(g for g in taxonomy.generals if rng.random() < 0.7) for _ in images]
+        for level in ("fine", "general"):
+            for inv in (None, invoked):
+                docs = [dumps_canonical(evaluate_run(images, dets, tax, level=level,
+                                                     invoked=inv).to_json())
+                        for tax in (taxonomy, reversed_taxonomy)]
+                assert docs[0] == docs[1], (level, inv is not None)
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_misaligned_sequences_raise(self, extra):

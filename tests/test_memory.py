@@ -6,7 +6,8 @@ shows up here, not first at the 110k-image scale."""
 import tracemalloc
 from unittest import mock
 
-from modcascade import DetectorHandle, _kernels, evaluate_run
+from modcascade import ClassTaxonomy, DetectorHandle, _kernels, evaluate_run
+from modcascade.core import AnnotatedImage, BoundingBox, Detection, GroundTruthObject
 from modcascade.detector import detect_all
 from modcascade.profiles import flat_profile
 
@@ -48,3 +49,21 @@ def test_peak_grows_by_a_bounded_amount_per_image():
     assert (n1, n2) == (2200, 8800)
     assert (detect2 - detect1) / (n2 - n1) < DETECT_BYTES_PER_IMAGE
     assert (evaluate2 - evaluate1) / (n2 - n1) < EVALUATE_BYTES_PER_IMAGE
+
+
+def test_evaluation_memory_does_not_grow_with_the_square_of_the_taxonomy():
+    # labels are coded over the whole level of the taxonomy: a count of
+    # every (true, predicted) code pair would hold 3,000 x 3,000 integers,
+    # 72 MB, to score this one image
+    taxonomy = ClassTaxonomy({f"g{i}": (f"f{i}a", f"f{i}b") for i in range(1500)})
+    box = BoundingBox(0.0, 0.0, 10.0, 10.0)
+    image = AnnotatedImage("i", 100.0, 100.0, (GroundTruthObject(box, "f0a"),))
+    tracemalloc.start()
+    try:
+        report = evaluate_run([image], [[Detection(box, "f0b", 0.9)]], taxonomy,
+                              invoked=[("g0",)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.confusion == {"f0a": {"f0b": 1}}
+    assert peak < 1_000_000
