@@ -9,15 +9,16 @@ image): bit-identical results regardless of call order or thread.
 Both draw paths read one draw table, compiled with the profile.
 ``detect`` draws a stream with numpy's ``Generator``, one object at a
 time: the scalar path, and the reference. ``prepare`` makes the same
-draws for a whole detector pass at once. It seeds every stream, steps
-its PCG64 state and replays numpy's C transforms (uniform, the ziggurat
-normal's fast path, Marsaglia-Tsang's gamma on its first trial) on
-integer and float arrays, bit for bit. A stream whose draws leave those
-paths is drawn by the scalar path, in the same batch. ``prepare``
-returns each image's final detections in image order, and ``detect_all``
-hands them to ``detect``, which returns them as they are. The replicas
-assume numpy's C rounds each operation on its own (no fused
-multiply-add); the tests compare them with the installed numpy.
+draws for a whole detector pass, in one walk over its images and a
+batch per ``_CHUNK`` streams. It seeds every stream, steps its PCG64
+state and replays numpy's C transforms (uniform, the ziggurat normal's
+fast path, Marsaglia-Tsang's gamma on its first trial) on integer and
+float arrays, bit for bit. A stream whose draws leave those paths is
+drawn by the scalar path, in the same batch. ``prepare`` returns each
+image's final detections in image order, and ``detect_all`` hands them
+to ``detect``, which returns them as they are. The replicas assume
+numpy's C rounds each operation on its own (no fused multiply-add); the
+tests compare them with the installed numpy.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._ziggurat import KI_DOUBLE, WI_DOUBLE
-from .core import AnnotatedImage, BoundingBox, Detection, check_int, check_number
+from .core import AnnotatedImage, BoundingBox, Detection, check_int, check_number, read_object
 from .errors import ValidationError
 
 _ROW_TOL = 1e-9
@@ -73,10 +74,11 @@ class ConfidenceLaw:
     def beta_shapes(self, correct: bool) -> tuple[float, float] | None:
         """Shapes ``(a, b)`` of the Beta law a confidence is drawn from, or
         None when the confidence is the mean itself (spread 0, mean 0 or 1)."""
-        mean = self.mean_correct if correct else self.mean_wrong
-        if self.spread == 0.0 or mean in (0.0, 1.0):
+        # a float spread: the square of a large integer one does not convert to a double
+        mean, spread = self.mean_correct if correct else self.mean_wrong, float(self.spread)
+        if spread == 0.0 or mean in (0.0, 1.0):
             return None
-        conc = max(mean * (1.0 - mean) / (self.spread * self.spread) - 1.0, 1e-3)
+        conc = max(mean * (1.0 - mean) / (spread * spread) - 1.0, 1e-3)
         return mean * conc, (1.0 - mean) * conc
 
 
@@ -114,6 +116,9 @@ class DetectorProfile:
     def validate(self) -> None:
         if not self.label_space:
             raise ValidationError("empty label space")
+        for label in self.label_space:  # checked before it is hashed: a list is unhashable
+            if not isinstance(label, str):
+                raise ValidationError(f"label_space label {label!r} is not a string")
         space = set(self.label_space)
         if len(space) != len(self.label_space):
             raise ValidationError(
@@ -161,32 +166,32 @@ class DetectorProfile:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "DetectorProfile":
-        """Build and validate a profile, each number through ``core.check_number``;
-        a malformed document is a ValidationError."""
-        try:
-            law = obj.get("confidence_law", {})
-            label_space, confusion = obj["label_space"], obj["confusion"]
-            # a string is iterable too, and a list of pairs converts to a dict
-            if not isinstance(label_space, list):
-                raise ValidationError("malformed detector profile: label_space is not a list")
-            if not all(isinstance(r, Mapping) for r in confusion.values()):
-                raise ValidationError("malformed detector profile: confusion row not an object")
-            return cls(
-                label_space=tuple(label_space),
-                confusion={t: dict(r) for t, r in confusion.items()},
-                negative_fp_rate=obj.get("negative_fp_rate", 0.0),
-                loc_noise_sigma=obj.get("loc_noise_sigma", 0.0),
-                confidence_law=ConfidenceLaw(
-                    mean_correct=law.get("mean_correct", 0.9),
-                    mean_wrong=law.get("mean_wrong", 0.6),
-                    spread=law.get("spread", 0.08),
-                ),
-                correct_for=obj.get("correct_for"),
-            )
-        except ValidationError:
-            raise
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed detector profile: {exc!r}") from None
+        """Build and validate a profile. ``confusion`` and ``confidence_law``
+        are read by ``core.read_object``, each number by ``core.check_number``;
+        every malformed field is a ValidationError that names it."""
+        path = "malformed detector profile: "
+        if not isinstance(obj, Mapping):
+            raise ValidationError(f"{path}not an object")
+        confusion = read_object(obj, "confusion", path=path)
+        law = read_object(obj, "confidence_law", {}, path=path)
+        label_space = obj.get("label_space")
+        # a string is iterable too, and a list of pairs converts to a dict
+        if not isinstance(label_space, list):
+            raise ValidationError(f"{path}label_space is not a list")
+        if not all(isinstance(r, Mapping) for r in confusion.values()):
+            raise ValidationError(f"{path}confusion row not an object")
+        return cls(
+            label_space=tuple(label_space),
+            confusion={t: dict(r) for t, r in confusion.items()},
+            negative_fp_rate=obj.get("negative_fp_rate", 0.0),
+            loc_noise_sigma=obj.get("loc_noise_sigma", 0.0),
+            confidence_law=ConfidenceLaw(
+                mean_correct=law.get("mean_correct", 0.9),
+                mean_wrong=law.get("mean_wrong", 0.6),
+                spread=law.get("spread", 0.08),
+            ),
+            correct_for=obj.get("correct_for"),
+        )
 
 
 @dataclass(frozen=True)
@@ -313,21 +318,16 @@ def _pcg64_states(entropy: bytes) -> list[tuple[int, int]]:
         return _as_ints(*_seeded(entropy))
 
 
-def _stream_tags(profile: DetectorProfile, image: AnnotatedImage):
-    """Tags of the RNG streams ``detect`` draws from for ``image``: one
-    per object, or on an image without objects one ``negfp`` stream when
-    ``negative_fp_rate > 0``."""
-    if image.objects:
-        return range(len(image.objects))
-    return ("negfp",) if profile.negative_fp_rate > 0.0 else ()
-
-
 def _stream_keys(profile: DetectorProfile, seed: int, image: AnnotatedImage) -> list[bytes]:
-    """The 16-byte entropy of each stream of ``image``: the blake2b digest
-    of "seed|image id|tag", hashed as the image's prefix, then each tag."""
+    """The 16-byte entropy of each stream ``detect`` draws from for ``image``
+    (one per object, or without objects one ``negfp`` stream when
+    ``negative_fp_rate > 0``): the blake2b digest of "seed|image id|tag"."""
+    if not image.objects and profile.negative_fp_rate == 0.0:
+        return []
+    tags = range(len(image.objects)) if image.objects else ("negfp",)
     prefix = hashlib.blake2b(f"{seed}|{image.id}|".encode("utf-8"), digest_size=16)
     keys = []
-    for tag in _stream_tags(profile, image):
+    for tag in tags:
         key = prefix.copy()
         key.update(str(tag).encode("ascii"))
         keys.append(key.digest())
@@ -534,50 +534,36 @@ def prepare(handle: DetectorHandle, images: Sequence[AnnotatedImage]) -> list[tu
     """Per image of ``images``, in order, its detections: the same ones
     ``detect(handle, image)`` gives.
 
-    Every stream of the batch is seeded, stepped and transformed on
-    arrays, ``_CHUNK`` streams at a time, with the draws ``detect``
-    would make from the profile's draw table. The few streams whose
-    draws leave the replicated fast paths (a ziggurat wedge or tail, a
-    gamma that needs a second trial, a Beta shape <= 1, a negative
+    One walk over the images gathers each stream's key, row, object and
+    image size. Once the batch holds ``_CHUNK`` streams, and after the
+    last image, its streams are drawn together on arrays, with the draws
+    ``detect`` would make from the profile's draw table. The few streams
+    whose draws leave the replicated fast paths (a ziggurat wedge or tail,
+    a gamma that needs a second trial, a Beta shape <= 1, a negative
     image's spurious detection) are drawn within the batch by the scalar
-    path, from their seeded state. Both paths take an image's width and
-    height as floats, whatever their type.
+    path. An image without streams gets an empty entry. Both paths take
+    an image's width and height as floats.
     """
     profile = handle.profile
-    out: list = []
-    batch: list[AnnotatedImage] = []  # the images not yet drawn
-    count = 0
-    with np.errstate(over="ignore"):
-        for img in images:
-            batch.append(img)
-            count += len(_stream_tags(profile, img))
-            if count >= _CHUNK:
-                out += _prepare_batch(handle, batch)
-                batch, count = [], 0
-        if batch:
-            out += _prepare_batch(handle, batch)
-    return out
-
-
-def _prepare_batch(handle: DetectorHandle, images: list[AnnotatedImage]) -> list[tuple]:
-    """The detections of each of ``images``, their streams drawn together."""
-    profile = handle.profile
     row_of = profile._table.row_of
-    rows, digests, objects, dims, counts = [], [], [], [], []
-    for img in images:
-        keys = _stream_keys(profile, handle.seed, img)
-        digests.extend(keys)
-        if img.objects:
-            rows.extend([row_of.get(obj.fine_label, _NO_ROW) for obj in img.objects])
-            objects.extend(img.objects)
-        else:
-            rows.extend([_NEGFP] * len(keys))
-            objects.extend([None] * len(keys))
-        dims.extend([(img.width, img.height)] * len(keys))
-        counts.append(len(keys))
-    dims = np.array(dims, dtype=np.float64).reshape(-1, 2)
-    it = iter(_draw_batch(profile, rows, b"".join(digests), objects, dims))
-    return [tuple(filter(None, islice(it, n))) for n in counts]
+    out: list = []
+    keys, rows, objects, dims, counts = [], [], [], [], []  # the batch; counts per image
+    last = len(images) - 1
+    with np.errstate(over="ignore"):
+        for k, img in enumerate(images):
+            found = _stream_keys(profile, handle.seed, img)
+            keys += found
+            streams = img.objects or (None,) * len(found)  # a negative image's stream has none
+            objects += streams
+            rows += [_NEGFP if o is None else row_of.get(o.fine_label, _NO_ROW) for o in streams]
+            dims += [(img.width, img.height)] * len(found)
+            counts.append(len(found))
+            if len(keys) >= _CHUNK or k == last:
+                sizes = np.array(dims, dtype=np.float64).reshape(-1, 2)
+                it = iter(_draw_batch(profile, rows, b"".join(keys), objects, sizes))
+                out += [tuple(filter(None, islice(it, n))) for n in counts]
+                keys, rows, objects, dims, counts = [], [], [], [], []
+    return out
 
 
 _thread = threading.local()

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import check_int, check_number, read_object
+from .core import check_int, check_number, read_number, read_object
 from .errors import UnknownLabelError, ValidationError
 
 _TOL = 1e-9
@@ -141,11 +141,12 @@ class FeatureBudget:
 
     @classmethod
     def from_json(cls, obj: Mapping, max_features: float | None = None) -> "FeatureBudget":
+        """The counts ``L``, ``T``, ``U``, ``n`` as written; a missing one is None."""
         return cls(
-            transfer=obj["L"],
-            finetuned=obj["T"],
-            shared=obj["U"],
-            n_classes=obj["n"],
+            transfer=obj.get("L"),
+            finetuned=obj.get("T"),
+            shared=obj.get("U"),
+            n_classes=obj.get("n"),
             max_features=max_features,
         )
 
@@ -277,19 +278,15 @@ def modular_advantage(a: float, delta1: float, delta2: float) -> AdvantageResult
 
 def model_file_to_parts(obj: Mapping) -> tuple[FeatureClassModel, FeatureBudget | None]:
     """Parse a model file: feature statistics plus optional budget, whose
-    bound is the capacity's supK; other capacity keys are ignored.
-
-    A malformed or invalid document is a ValidationError; each scalar is
-    checked by ``core.check_number`` (``check_int`` for the class count).
+    bound is a present capacity's supK (> 0); other capacity keys are
+    ignored. Each field goes through a ``core`` reader or checker, so a
+    malformed one is a ValidationError that names it.
     """
     model = FeatureClassModel.from_json(obj)
-    budget = None
-    if "budget" in obj:
-        try:
-            max_features = obj["capacity"]["supK"] if "capacity" in obj else None
-            budget = FeatureBudget.from_json(obj["budget"], max_features=max_features)
-        except KeyError as exc:
-            raise ValidationError(f"model file budget or capacity missing key {exc}") from None
-        except TypeError as exc:
-            raise ValidationError(f"malformed budget or capacity: {exc}") from None
-    return model, budget
+    if "budget" not in obj:
+        return model, None
+    budget, bound = read_object(obj, "budget", path="model file "), None
+    if "capacity" in obj:
+        capacity = read_object(obj, "capacity", path="model file ")
+        bound = read_number(capacity, "supK", path="model file capacity ", above=0)
+    return model, FeatureBudget.from_json(budget, max_features=bound)

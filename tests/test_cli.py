@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -450,13 +451,9 @@ BAD_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("command, mutate", list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS))
-def test_bad_run_config_is_one_line_error(
-    tmp_path, taxonomy, capsys, monkeypatch, command, mutate
-):
-    """Every malformed config of every command: exit 2, one stderr line,
-    no output file, and every input file as it was."""
-    monkeypatch.chdir(tmp_path)
+def _write_bad_config(tmp_path, taxonomy, command, mutate):
+    """Write a valid config of ``command`` and its inputs to ``tmp_path``,
+    the working directory, changed by ``mutate``; the config's path."""
     if command == "run":
         cfg_dict = run_config(taxonomy, _small_dataset(tmp_path, taxonomy))
     elif command == "synth":
@@ -466,7 +463,17 @@ def test_bad_run_config_is_one_line_error(
         (tmp_path / "list.json").write_text("[1, 2]")
         cfg_dict = {"model": "model.json", "pair": ["c0", "c1"]}
     mutate(cfg_dict)
-    cfg = write_config(tmp_path, "config.json", cfg_dict)
+    return write_config(tmp_path, "config.json", cfg_dict)
+
+
+@pytest.mark.parametrize("command, mutate", list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS))
+def test_bad_run_config_is_one_line_error(
+    tmp_path, taxonomy, capsys, monkeypatch, command, mutate
+):
+    """Every malformed config of every command: exit 2, one stderr line,
+    no output file, and every input file as it was."""
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_bad_config(tmp_path, taxonomy, command, mutate)
     inputs = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
@@ -474,6 +481,47 @@ def test_bad_run_config_is_one_line_error(
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not list(out.glob("*"))
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == inputs
+
+
+# a Python exception's repr, such as ``KeyError('n')``, or a TypeError's text
+EXCEPTION_REPR = re.compile(r"[A-Z]\w*Error\(|list indices")
+
+# command, mutation, and the field the error line names
+FIELD_ERRORS = {
+    "profile-no-label-space": (
+        "run", lambda cfg: cfg["profiles"]["stage1"].pop("label_space"), "label_space"
+    ),
+    "profile-confusion-list": ("run", _set([], "profiles", "baseline", "confusion"), "confusion"),
+    "profile-confidence-law-list": (
+        "run", _set([], "profiles", "stage1", "confidence_law"), "confidence_law"
+    ),
+    "profile-label-list": ("run", _set([["a"]], "profiles", "baseline", "label_space"), "label_space"),
+    "profile-label-number": ("run", _set([1, 2], "profiles", "baseline", "label_space"), "label_space"),
+    "model-budget-list": ("errormodel", _model_file(_set([80, 20, 5, 10], "budget")), "budget"),
+    "model-budget-no-n": (
+        "errormodel", _model_file(lambda model: model["budget"].pop("n")), "budget n"
+    ),
+    "model-capacity-list": ("errormodel", _model_file(_set([120], "capacity")), "capacity"),
+    "model-capacity-supk-null": (
+        "errormodel", _model_file(_set(None, "capacity", "supK")), "capacity supK"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, mutate, field", list(FIELD_ERRORS.values()), ids=list(FIELD_ERRORS)
+)
+def test_profile_and_model_file_errors_name_the_field(
+    tmp_path, taxonomy, capsys, monkeypatch, command, mutate, field
+):
+    """A malformed profile or model-file field: exit 2 and one stderr
+    line that names the field, not a Python exception's repr."""
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_bad_config(tmp_path, taxonomy, command, mutate)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert field in err and not EXCEPTION_REPR.search(err), err
 
 
 def _dataset_doc(taxonomy):
@@ -870,7 +918,8 @@ def _assert_runs_cleanly(kind, path, mutation, work):
     "drop", "wrap", a new value, or bytes written there as raw JSON text
     (a new key when ``path`` names none). Write the five documents to
     ``work`` and run the command: exit 0, 2 or 4, and a failure is one
-    stderr line and leaves no output file. Returns the code and stderr."""
+    stderr line, without a Python exception's repr, and leaves no output
+    file. Returns the code and stderr."""
     command, config_file, file = FUZZ_KINDS[kind]
     docs = copy.deepcopy(_fuzz_documents())
     parent = docs[file]
@@ -897,6 +946,7 @@ def _assert_runs_cleanly(kind, path, mutation, work):
     assert code in (0, 2, 4), err.getvalue()
     if code:
         assert err.getvalue().count("\n") == 1, err.getvalue()
+        assert not EXCEPTION_REPR.search(err.getvalue()), err.getvalue()
         assert not list(out.glob("*"))
     return code, err.getvalue()
 

@@ -2,6 +2,7 @@
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -135,6 +136,13 @@ class TestProfileValidation:
     def test_malformed_json_is_validation_error(self, doc):
         with pytest.raises(ValidationError, match="malformed detector profile"):
             DetectorProfile.from_json(doc)
+
+    def test_integer_spread_beyond_a_double_squared(self):
+        """A spread of 10**200 is valid: squared as an integer it would not
+        convert to a double, so it is squared as the double 1e200."""
+        law = ConfidenceLaw(spread=10**200)
+        law.validate()
+        assert law.beta_shapes(True) == ConfidenceLaw(spread=1e200).beta_shapes(True)
 
     def test_handle_needs_profile_and_seed(self):
         prof = identity_profile(["a"])
@@ -547,7 +555,10 @@ class TestBatchedDraws:
         )
 
     @settings(max_examples=150, deadline=None)
-    @given(profile=batch_profiles(), images=batch_images(), seed=st.integers(0, 2**64 - 1))
+    @given(
+        profile=batch_profiles(), images=batch_images(), seed=st.integers(0, 2**64 - 1),
+        chunk=st.integers(1, 8),
+    )
     # an integer-size image whose box is clamped to 40.0 x 30.0; its row's
     # first cumulative sum is the stream's label uniform, on which
     # bisect_right and bisect_left part
@@ -557,20 +568,24 @@ class TestBatchedDraws:
             loc_noise_sigma=500.0,
         ),
         images=[AnnotatedImage("im0", 40, 30, (GroundTruthObject(BoundingBox(0, 0, 39, 29), "a"),))],
-        seed=10,
+        seed=10, chunk=8,
     )
     # an integer-size negative image, its spurious box drawn from 40 x 30
     @example(
         profile=DetectorProfile(("a", "b"), {}, negative_fp_rate=1.0),
         images=[AnnotatedImage("n0", 40, 30)],
-        seed=10,
+        seed=10, chunk=8,
     )
-    def test_prepared_equals_scalar(self, profile, images, seed):
-        # reprs tell -0.0 from 0.0, which == does not
+    def test_prepared_equals_scalar(self, profile, images, seed, chunk):
+        """The batch gives the scalar path's detections, also when a pass
+        is cut into batches of ``chunk`` streams, one of which may hold
+        only images without streams."""
         handle = DetectorHandle(profile, seed)
-        assert repr(detect_all(handle, images)) == repr(
-            [tuple(detect(handle, img)) for img in images]
-        )
+        with mock.patch.object(detector, "_CHUNK", chunk):
+            # reprs tell -0.0 from 0.0, which == does not
+            assert repr(detect_all(handle, images)) == repr(
+                [tuple(detect(handle, img)) for img in images]
+            )
 
     def test_spread_at_the_shape_limit_agrees_with_scalar(self, monkeypatch):
         """At spread 3.73e-155 and mean 0.5, ``9 * ba`` overflows, so

@@ -375,7 +375,7 @@ def test_model_file_capacity_is_read_for_supk_alone():
     for capacity, bound in (({"supK": 7}, 7), ({"r": "x", "q": None, "supK": 20.5}, 20.5)):
         _, budget = model_file_to_parts({**doc, "capacity": capacity})
         assert budget.max_features == bound
-    for capacity in ({"r": 1e7}, {"supK": 0}, ["supK"]):
+    for capacity in ({"r": 1e7}, {"supK": 0}, {"supK": None}, ["supK"]):
         with pytest.raises(ValidationError):
             model_file_to_parts({**doc, "capacity": capacity})
 
