@@ -1,8 +1,8 @@
 """Command-line surface: reproducible synth / run / errormodel experiments.
 
-One experiment = one JSON config = one report; no implicit state. All
-emitted files go through the canonical JSON writer, so identical config
-and seed give byte-identical outputs.
+One experiment = one JSON config = one report: every setting, the seed
+included, comes from the config. All emitted files go through the
+canonical JSON writer, so identical configs give byte-identical outputs.
 
 Exit codes: 0 success, 2 config or validation error, 4 I/O error.
 """
@@ -137,19 +137,19 @@ def check_outputs(inputs: Mapping[str, Path], outputs: Mapping[str, Path]) -> No
         seen[real] = name
 
 
-def cmd_synth(config: dict, out_dir: Path, config_path: Path) -> Path:
+def cmd_synth(config: dict, out_dir: Path, config_path: Path) -> tuple[Path]:
     """Generate a synthetic annotation file (see ``synth_dataset``)."""
     synth = parse_synth_config(config)
     out_path = out_dir / synth.filename
     check_outputs({"the config": config_path}, {"filename": out_path})
     save_dataset(synth_dataset(synth), out_path)
-    return out_path
+    return (out_path,)
 
 
 # ------------------------------------------------------------------ run
 
 
-def cmd_run(config: dict, seed: int, out_dir: Path, config_path: Path) -> Path:
+def cmd_run(config: dict, out_dir: Path, config_path: Path) -> tuple[Path]:
     """Run the experiment of ``experiment.py`` and write its report."""
     # the cascade's layers load here, so synth and errormodel never import them
     from .experiment import parse_run_config, run_experiment
@@ -158,8 +158,8 @@ def cmd_run(config: dict, seed: int, out_dir: Path, config_path: Path) -> Path:
     out_path = out_dir / run_config.report_filename
     inputs = {"the config": config_path, "the dataset": run_config.dataset}
     check_outputs(inputs, {"report_filename": out_path})
-    dump_canonical(run_experiment(run_config, seed), out_path)
-    return out_path
+    dump_canonical(run_experiment(run_config), out_path)
+    return (out_path,)
 
 
 # ------------------------------------------------------------ errormodel
@@ -247,8 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON config")
-        if name != "errormodel":  # the error model draws nothing
-            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
     return parser
 
@@ -262,20 +260,12 @@ def main(argv=None) -> int:
     try:
         config_path = Path(args.config)
         config = read_json(config_path, "config")
-        if getattr(args, "seed", None) is not None:
-            config["seed"] = args.seed
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "synth":
-            path = cmd_synth(config, out_dir, config_path)
+        # looked up here, not at import, so a wrapped cmd_* is the one called
+        command = {"synth": cmd_synth, "run": cmd_run, "errormodel": cmd_errormodel}
+        for path in command[args.command](config, out_dir, config_path):
             print(path)
-        elif args.command == "run":
-            path = cmd_run(config, read_int(config, "seed", 0), out_dir, config_path)
-            print(path)
-        else:
-            curves, summary = cmd_errormodel(config, out_dir, config_path)
-            print(curves)
-            print(summary)
         return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

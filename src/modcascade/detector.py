@@ -180,17 +180,14 @@ class DetectorProfile:
             raise ValidationError(f"{path}label_space is not a list")
         if not all(isinstance(r, Mapping) for r in confusion.values()):
             raise ValidationError(f"{path}confusion row not an object")
+        # only the fields present: each default lives in its dataclass alone
+        optional = ("negative_fp_rate", "loc_noise_sigma", "correct_for")
+        law_keys = ("mean_correct", "mean_wrong", "spread")
         return cls(
             label_space=tuple(label_space),
             confusion={t: dict(r) for t, r in confusion.items()},
-            negative_fp_rate=obj.get("negative_fp_rate", 0.0),
-            loc_noise_sigma=obj.get("loc_noise_sigma", 0.0),
-            confidence_law=ConfidenceLaw(
-                mean_correct=law.get("mean_correct", 0.9),
-                mean_wrong=law.get("mean_wrong", 0.6),
-                spread=law.get("spread", 0.08),
-            ),
-            correct_for=obj.get("correct_for"),
+            confidence_law=ConfidenceLaw(**{k: law[k] for k in law_keys if k in law}),
+            **{k: obj[k] for k in optional if k in obj},
         )
 
 

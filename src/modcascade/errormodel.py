@@ -278,15 +278,16 @@ def modular_advantage(a: float, delta1: float, delta2: float) -> AdvantageResult
 
 def model_file_to_parts(obj: Mapping) -> tuple[FeatureClassModel, FeatureBudget | None]:
     """Parse a model file: feature statistics plus optional budget, whose
-    bound is a present capacity's supK (> 0); other capacity keys are
-    ignored. Each field goes through a ``core`` reader or checker, so a
-    malformed one is a ValidationError that names it.
+    bound is the supK (> 0) that a present capacity needs, budget or not;
+    other capacity keys are ignored. Each field goes through a ``core``
+    reader or checker, so a malformed one is a ValidationError that names it.
     """
     model = FeatureClassModel.from_json(obj)
-    if "budget" not in obj:
-        return model, None
-    budget, bound = read_object(obj, "budget", path="model file "), None
+    bound = None
     if "capacity" in obj:
         capacity = read_object(obj, "capacity", path="model file ")
         bound = read_number(capacity, "supK", path="model file capacity ", above=0)
+    if "budget" not in obj:
+        return model, None
+    budget = read_object(obj, "budget", path="model file ")
     return model, FeatureBudget.from_json(budget, max_features=bound)

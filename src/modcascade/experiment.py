@@ -1,9 +1,10 @@
 """The baseline-vs-cascade experiment behind ``modcascade run``.
 
 ``parse_run_config`` turns a run config document into a validated
-``RunConfig``; ``run_experiment`` loads the dataset, simulates the flat
-baseline and the routed cascade, evaluates both and returns the report
-as a dict for the canonical writer, its per-image trace built lazily.
+``RunConfig``, which holds every setting of the run, its seed included;
+``run_experiment`` loads the dataset, simulates the flat baseline and
+the routed cascade, evaluates both and returns the report as a dict for
+the canonical writer, its per-image trace built lazily.
 Every per-image result (the baseline's detections, each column of the
 cascade's ``RoutingTrace``) is a sequence in dataset order, and an
 image's entries are found by its position ``k``. Each (run, image) pair
@@ -18,7 +19,7 @@ Run config schema (unknown keys are ignored)::
      "routing": {"tau": 0.5, "mode": "v1" | "v2"},
      "eval": {"iou_threshold": 0.5},
      "report_filename": "report.json",
-     "seed": 0}                           # read by the CLI
+     "seed": 0}
 
 ``parse_run_config`` raises ``ValidationError`` for every malformed value,
 before the dataset is loaded. ``run_experiment`` checks the baseline's
@@ -34,18 +35,18 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .core import Dataset, Detection, check_number, load_dataset, read_name, read_object
+from .core import Dataset, Detection, load_dataset, read_int, read_name, read_object
 from .detector import DetectorHandle, DetectorProfile, detect_all
 from .errormodel import modular_advantage
 from .errors import ValidationError
 from .evaluation import check_iou_threshold, evaluate_run
 from .reporting import LazyList
-from .router import RoutingTrace, compare_tree_vs_flat, route_v1, route_v2
+from .router import RoutingTrace, check_tau, compare_tree_vs_flat, route_v1, route_v2
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated ``run`` config; ``dataset`` is already resolved."""
+    """A validated ``run`` config, seed included; ``dataset`` is already resolved."""
 
     dataset: Path
     baseline: DetectorProfile
@@ -53,8 +54,9 @@ class RunConfig:
     stage2: Mapping[str, DetectorProfile]
     tau: float
     mode: str
-    iou_threshold: float = 0.5
-    report_filename: str = "report.json"
+    iou_threshold: float
+    report_filename: str
+    seed: int
 
 
 def _profile(doc: Mapping, key: str, path: str) -> DetectorProfile:
@@ -68,14 +70,14 @@ def _profile(doc: Mapping, key: str, path: str) -> DetectorProfile:
 def _routing(routing: Mapping) -> dict:
     """``tau`` and ``mode``, each checked and kept as written."""
     tau, mode = routing.get("tau", 0.5), routing.get("mode", "v1")
-    check_number(tau, "tau", at_least=0, at_most=1)
+    check_tau(tau)
     if mode not in ("v1", "v2"):
         raise ValidationError(f"mode must be 'v1' or 'v2', got {mode!r}")
     return {"tau": tau, "mode": mode}
 
 
 def parse_run_config(config: Mapping, base_dir: Path) -> RunConfig:
-    """Validate a run config document; every fault is a ValidationError."""
+    """Validate a run config document, seed included; every fault is a ValidationError."""
     profiles = read_object(config, "profiles", {})
     stage2 = read_object(profiles, "stage2", {}, path="profiles.")
     routing = read_object(config, "routing", {})
@@ -91,6 +93,7 @@ def parse_run_config(config: Mapping, base_dir: Path) -> RunConfig:
         **_routing(routing),
         iou_threshold=iou_threshold,
         report_filename=read_name(config, "report_filename", "report.json"),
+        seed=read_int(config, "seed", 0),
     )
 
 
@@ -100,8 +103,9 @@ def _role_seed(seed: int, role: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-def run_experiment(config: RunConfig, seed: int) -> dict:
+def run_experiment(config: RunConfig) -> dict:
     """Execute a full baseline-vs-cascade comparison; returns the report.
+    Every detector role's seed is derived from ``config.seed``.
 
     The trace block's ``images`` is a ``reporting.LazyList``: each
     image's entry is built only while it is encoded.
@@ -109,7 +113,7 @@ def run_experiment(config: RunConfig, seed: int) -> dict:
     dataset = load_dataset(config.dataset)
     if set(config.baseline.label_space) != set(dataset.taxonomy.fine_labels):
         raise ValidationError("baseline profile must emit exactly the fine labels")
-    iou_threshold = config.iou_threshold
+    iou_threshold, seed = config.iou_threshold, config.seed
 
     baseline_handle = DetectorHandle(config.baseline, _role_seed(seed, "baseline"))
     stage1_handle = DetectorHandle(config.stage1, _role_seed(seed, "stage1"))

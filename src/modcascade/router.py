@@ -27,6 +27,11 @@ from .detector import DetectorHandle, detect_all
 from .errors import ValidationError
 
 
+def check_tau(value) -> float:
+    """The one rule of a routing threshold: a finite number in [0, 1]."""
+    return check_number(value, "tau", at_least=0, at_most=1)
+
+
 @dataclass(frozen=True)
 class RoutingTrace:
     """The cascade's result: four columns aligned with ``dataset.images``.
@@ -149,7 +154,7 @@ def _route(
     """Stage 1 over every image, then each image's invoked stage-2
     detectors: the union of the triggered sets over the image's sequence,
     or its own triggered set if it is in none of ``sequences``."""
-    check_number(tau, "tau", at_least=0, at_most=1)
+    check_tau(tau)
     _check_contract(dataset.taxonomy, stage1, stage2)
     images = dataset.images
     s1 = detect_all(stage1, images)
@@ -162,7 +167,7 @@ def _route(
         )
     ]
     invoked = list(triggered)
-    position = {img.id: k for k, img in enumerate(images)}
+    position = {img.id: k for k, img in enumerate(images)} if sequences else None
     for seq in sequences:
         members = [position[i] for i in seq]
         union = tuple(sorted(set().union(*(triggered[k] for k in members))))

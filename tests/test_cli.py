@@ -124,12 +124,19 @@ class TestSynth:
         main(["synth", "--config", str(cfg), "--out", str(b)])
         assert (a / "dataset.json").read_bytes() == (b / "dataset.json").read_bytes()
 
-    def test_seed_flag_overrides_config(self, tmp_path, taxonomy):
-        a, b = tmp_path / "a", tmp_path / "b"
-        cfg = write_config(tmp_path, "synth.json", synth_config(taxonomy, 8, 0, seed=1))
-        main(["synth", "--config", str(cfg), "--out", str(a)])
-        main(["synth", "--config", str(cfg), "--seed", "2", "--out", str(b)])
-        assert (a / "dataset.json").read_bytes() != (b / "dataset.json").read_bytes()
+    def test_seed_comes_from_config(self, tmp_path, taxonomy):
+        """Config seeds 1 and 2 give different datasets, and different
+        reports on one dataset."""
+        dataset = tmp_path / "1" / "dataset.json"
+        for seed in (1, 2):
+            out = tmp_path / str(seed)
+            synth = synth_config(taxonomy, 8, 2, seq_len=4, seed=seed)
+            cfg = write_config(tmp_path, f"synth{seed}.json", synth)
+            assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+            cfg = write_config(tmp_path, f"run{seed}.json", run_config(taxonomy, dataset, seed=seed))
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        for name in ("dataset.json", "report.json"):
+            assert (tmp_path / "1" / name).read_bytes() != (tmp_path / "2" / name).read_bytes()
 
 
 def _small_dataset(tmp_path, taxonomy):
@@ -662,17 +669,17 @@ def test_help_is_argparse_usage(capsys):
 
 
 @pytest.mark.parametrize("command, code", [("synth", 2), ("run", 0)])
-def test_seed_flag_minus_one(tmp_path, taxonomy, capsys, command, code):
-    """``--seed -1`` is a one-line error for synth, whose generator takes
-    seeds >= 0; run takes any integer seed."""
+def test_config_seed_minus_one(tmp_path, taxonomy, capsys, command, code):
+    """A config ``"seed": -1`` is a one-line error for synth, whose
+    generator takes seeds >= 0; run takes a negative seed."""
     if command == "synth":
-        config = synth_config(taxonomy, 2, 1)
+        config = synth_config(taxonomy, 2, 1, seed=-1)
     else:
-        config = run_config(taxonomy, _small_dataset(tmp_path, taxonomy))
+        config = run_config(taxonomy, _small_dataset(tmp_path, taxonomy), seed=-1)
     cfg = write_config(tmp_path, "config.json", config)
     out = tmp_path / "out"
     capsys.readouterr()
-    assert main([command, "--config", str(cfg), "--seed", "-1", "--out", str(out)]) == code
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == code
     err = capsys.readouterr().err
     if code:
         assert err.startswith("error: ") and err.count("\n") == 1 and "seed" in err

@@ -1,6 +1,7 @@
 """Analytic error-model tests: Bayes overlap vs sampling oracle, class
 merging, the deformation inequality, and the cascade-advantage condition."""
 
+import itertools
 import math
 
 import numpy as np
@@ -365,17 +366,19 @@ def test_model_file_round_trip():
 
 def test_model_file_capacity_is_read_for_supk_alone():
     """A capacity's other keys are ignored, whatever they hold; a
-    missing or zero supK is an error."""
+    missing or zero supK is an error, with or without a budget."""
     doc = {
         "priors": {"c0": 0.5, "c1": 0.5},
         "conditionals": {"c0": [1.0, 0.0], "c1": [0.0, 1.0]},
         "weights": {"c0": [1.0, 1.0], "c1": [1.0, 1.0]},
-        "budget": {"L": 8, "T": 2, "U": 1, "n": 2},
     }
+    budgeted = {**doc, "budget": {"L": 8, "T": 2, "U": 1, "n": 2}}
     for capacity, bound in (({"supK": 7}, 7), ({"r": "x", "q": None, "supK": 20.5}, 20.5)):
-        _, budget = model_file_to_parts({**doc, "capacity": capacity})
+        _, budget = model_file_to_parts({**budgeted, "capacity": capacity})
         assert budget.max_features == bound
-    for capacity in ({"r": 1e7}, {"supK": 0}, {"supK": None}, ["supK"]):
+        assert model_file_to_parts({**doc, "capacity": capacity})[1] is None
+    bad = ({"r": 1e7}, {"supK": 0}, {"supK": None}, {"supK": "x"}, {}, ["supK"], [1])
+    for base, capacity in itertools.product((budgeted, doc), bad):
         with pytest.raises(ValidationError):
-            model_file_to_parts({**doc, "capacity": capacity})
+            model_file_to_parts({**base, "capacity": capacity})
 

@@ -104,7 +104,7 @@ def test_report_streamed_in_one_fragment_chunks(tmp_path, monkeypatch, case):
     the same bytes on every pass."""
     build, digest = GOLDEN[case]
     cfg = build(tmp_path)
-    report = run_experiment(parse_run_config(cfg, tmp_path), cfg["seed"])
+    report = run_experiment(parse_run_config(cfg, tmp_path))
     monkeypatch.setattr(reporting, "_FLUSH_FRAGMENTS", 1)
     dump_canonical(report, tmp_path / "report.json")
     data = (tmp_path / "report.json").read_bytes()
