@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
-
-import numpy as np
 
 from .core import (
     AnnotatedImage,
@@ -33,15 +32,7 @@ from .core import (
     read_object,
     save_dataset,
 )
-from .errormodel import (
-    FeatureBudget,
-    FeatureClassModel,
-    bayes_error,
-    feature_count,
-    model_file_to_parts,
-    over_capacity,
-    pdf_curves,
-)
+from .errormodel import feature_count, model_file_to_parts, over_capacity, pdf_curves
 from .errors import UnknownLabelError, ValidationError
 from .reporting import dump_canonical, output_file
 
@@ -93,6 +84,9 @@ def synth_dataset(synth: SynthConfig) -> Dataset:
     """A synthetic dataset: K images per fine class, one centered-at-random
     object each, plus negative images; optional grouping of each class's
     images into sequences of ``seq_len``. Deterministic given the seed."""
+    # loaded on call, so that the errormodel command imports no numpy
+    import numpy as np
+
     width, height = synth.width, synth.height
     lo, hi = synth.min_box_size, synth.max_box_size
     seq_len = synth.seq_len
@@ -165,22 +159,12 @@ def cmd_run(config: dict, out_dir: Path, config_path: Path) -> tuple[Path]:
 # ------------------------------------------------------------ errormodel
 
 
-@dataclass(frozen=True)
-class ErrormodelConfig:
-    """A validated ``errormodel`` config, its model file already parsed."""
-
-    model: FeatureClassModel
-    model_path: Path
-    budget: FeatureBudget | None
-    pair: tuple[str, str]
-    curves_filename: str
-    summary_filename: str
-
-
-def parse_errormodel_config(config: Mapping, base_dir: Path) -> ErrormodelConfig:
-    """Validate an errormodel config and parse its model file, a path
-    relative to ``base_dir``; every fault is a ValidationError."""
-    model_path = base_dir / read_name(config, "model")
+def cmd_errormodel(config: dict, out_dir: Path, config_path: Path) -> tuple[Path, Path]:
+    """Evaluate the model file's ``pair`` of classes; every config or model
+    file fault is a ValidationError. Write the curves and the summary,
+    both or neither: if either write fails, neither file remains and the
+    error is re-raised."""
+    model_path = config_path.parent / read_name(config, "model")
     model, budget = model_file_to_parts(read_json(model_path, "model file"))
     pair = config.get("pair")
     if not (isinstance(pair, list) and len(pair) == 2 and pair[0] != pair[1]):
@@ -189,36 +173,27 @@ def parse_errormodel_config(config: Mapping, base_dir: Path) -> ErrormodelConfig
     for c in pair:
         if c not in model.classes:
             raise UnknownLabelError(f"pair names unknown class {c!r}")
-    return ErrormodelConfig(
-        model=model,
-        model_path=model_path,
-        budget=budget,
-        pair=(pair[0], pair[1]),
-        curves_filename=read_name(config, "curves_filename", "curves.csv"),
-        summary_filename=read_name(config, "summary_filename", "summary.json"),
-    )
-
-
-def cmd_errormodel(config: dict, out_dir: Path, config_path: Path) -> tuple[Path, Path]:
-    """Write the curves and the summary, both or neither: if either write
-    fails, neither file remains and the error is re-raised."""
-    em = parse_errormodel_config(config, config_path.parent)
-    curves_path = out_dir / em.curves_filename
-    summary_path = out_dir / em.summary_filename
-    inputs = {"the config": config_path, "the model file": em.model_path}
+    curves_path = out_dir / read_name(config, "curves_filename", "curves.csv")
+    summary_path = out_dir / read_name(config, "summary_filename", "summary.json")
+    inputs = {"the config": config_path, "the model file": model_path}
     check_outputs(inputs, {"curves_filename": curves_path, "summary_filename": summary_path})
-    model, budget = em.model, em.budget
-    c0, c1 = em.pair
+    c0, c1 = pair
 
     rows = pdf_curves(model, c0, c1)
+    lines = ["feature_index,w_density_c0,w_density_c1,min_term\n"]
+    for i, d0, d1, _ in rows:
+        s0, s1 = "%.17g" % d0, "%.17g" % d1
+        # the min term is bitwise d0 if d0 < d1 and d1 otherwise, ties
+        # and signed zeros included, so it reuses that density's string
+        lines.append(f"{i},{s0},{s1},{s0 if d0 < d1 else s1}\n")
     summary = {
-        "bayes_error": bayes_error(model, c0, c1),
+        # bayes_error is the fsum of the min column (see pdf_curves)
+        "bayes_error": math.fsum([row[3] for row in rows]),
         "feature_count": feature_count(budget) if budget is not None else None,
         "over_capacity": over_capacity(budget) if budget is not None else None,
     }
     with output_file(curves_path) as fh:
-        fh.write("feature_index,w_density_c0,w_density_c1,min_term\n")
-        fh.write("".join(["%d,%.17g,%.17g,%.17g\n" % row for row in rows]))
+        fh.write("".join(lines))
         dump_canonical(summary, summary_path)
     return curves_path, summary_path
 

@@ -11,7 +11,8 @@ class more dedicated features (fewer classes per detector) shrinks it.
 
 Summations run in fixed feature order via math.fsum for
 bit-reproducibility. A model file's ``capacity`` is read for its bound
-``supK`` alone, and its per-feature lists hold JSON numbers only.
+``supK`` alone, and its per-feature lists hold JSON numbers only. They
+are kept as tuples of floats, so this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import AbstractSet, Iterable, Mapping
 
 from .core import check_int, check_number, read_number, read_object
 from .errors import UnknownLabelError, ValidationError
@@ -36,22 +35,27 @@ class FeatureClassModel:
     Attributes:
         priors: class label -> prior probability (sums to 1).
         conditional: class label -> activation distribution over the
-            feature axis (each sums to 1).
+            feature axis, a tuple of floats (each sums to 1).
         weights: class label -> per-feature significance in [0, 1]
-            (fraction of activations where the feature was essential).
+            (fraction of activations where the feature was essential),
+            a tuple of floats. ``float`` converts each value of the
+            iterable given; a string, a mapping or a set is not a list.
     """
 
     priors: Mapping[str, float]
-    conditional: Mapping[str, np.ndarray]
-    weights: Mapping[str, np.ndarray]
+    conditional: Mapping[str, tuple[float, ...]]
+    weights: Mapping[str, tuple[float, ...]]
 
     def __post_init__(self) -> None:
         for name in ("conditional", "weights"):
             try:
-                arrays = {c: np.asarray(v, np.float64) for c, v in getattr(self, name).items()}
+                not_lists = (str, bytes, Mapping, AbstractSet)
+                if any(isinstance(v, not_lists) for v in getattr(self, name).values()):
+                    raise TypeError("a string, a mapping or a set is not a list")
+                lists = {c: tuple(map(float, v)) for c, v in getattr(self, name).items()}
             except (OverflowError, TypeError, ValueError) as exc:
                 raise ValidationError(f"{name} is not a list of doubles: {exc}") from None
-            object.__setattr__(self, name, arrays)
+            object.__setattr__(self, name, lists)
         self.validate()
 
     @property
@@ -63,6 +67,11 @@ class FeatureClassModel:
         return len(next(iter(self.conditional.values())))
 
     def validate(self) -> None:
+        """The rules, in order: a class; one label set; priors finite, >= 0,
+        summing to 1 +- 1e-9; every per-feature value finite (read value by
+        value only when a list's ``sum`` is not); one feature-axis length;
+        a conditional's ``min`` >= 0 and ``fsum`` 1 +- 1e-9; a weight list's
+        ``min`` >= 0 and ``max`` <= 1. Each check is one builtin per list."""
         if not self.priors:
             raise ValidationError("model has no classes")
         if set(self.priors) != set(self.conditional) or set(self.priors) != set(self.weights):
@@ -71,20 +80,21 @@ class FeatureClassModel:
             check_number(p, f"prior of class {c!r}", at_least=0)
         if abs(sum(self.priors.values()) - 1.0) > _TOL:
             raise ValidationError(f"priors sum to {sum(self.priors.values())}, not 1")
-        for name, arrays in (("conditional", self.conditional), ("weights", self.weights)):
-            for c, v in arrays.items():
-                if v.ndim != 1 or not np.isfinite(v).all():
+        for name, lists in (("conditional", self.conditional), ("weights", self.weights)):
+            for c, v in lists.items():
+                if not math.isfinite(sum(v)) and not all(map(math.isfinite, v)):
                     raise ValidationError(f"{name} of class {c!r} is not a list of finite numbers")
         n = {len(v) for v in self.conditional.values()} | {len(v) for v in self.weights.values()}
         if len(n) != 1:
             raise ValidationError("inconsistent feature-axis lengths")
         for c, v in self.conditional.items():
-            if (v < 0).any():
+            if min(v, default=0.0) < 0:
                 raise ValidationError(f"negative conditional probability for class {c!r}")
-            if abs(float(v.sum()) - 1.0) > _TOL:
-                raise ValidationError(f"conditional for class {c!r} sums to {v.sum()}, not 1")
+            total = math.fsum(v)
+            if abs(total - 1.0) > _TOL:
+                raise ValidationError(f"conditional for class {c!r} sums to {total}, not 1")
         for c, w in self.weights.items():
-            if (w < 0).any() or (w > 1).any():
+            if min(w, default=0.0) < 0 or max(w, default=0.0) > 1:
                 raise ValidationError(f"weights for class {c!r} outside [0, 1]")
 
     def _check(self, label: str) -> None:
@@ -94,8 +104,9 @@ class FeatureClassModel:
     @classmethod
     def from_json(cls, obj: Mapping) -> "FeatureClassModel":
         """Build and validate a model; a malformed document is a ValidationError.
-        Each per-feature list holds JSON numbers only: a bool, a string or
-        null would convert to a double too."""
+        Each per-feature list holds JSON numbers only (``set(map(type, v))``
+        within {int, float}): a bool, a string or null would convert to a
+        double too."""
         keys = ("priors", "conditionals", "weights")
         priors, conditional, weights = (read_object(obj, k, path="model file ") for k in keys)
         for name, lists in (("conditionals", conditional), ("weights", weights)):
@@ -164,32 +175,33 @@ def over_capacity(budget: FeatureBudget) -> bool | None:
     return budget.total > budget.max_features
 
 
-def _weighted_masses(model: FeatureClassModel, c0: str, c1: str) -> tuple[np.ndarray, np.ndarray]:
+def _weighted_masses(model: FeatureClassModel, c0: str, c1: str) -> list[list[float]]:
     """The weighted per-feature activation masses, conditional * prior *
-    weights, of two distinct classes of ``model``."""
+    weights (multiplied in that order), of two distinct classes of ``model``."""
     model._check(c0)
     model._check(c1)
     if c0 == c1:
         raise ValidationError("the overlap needs two distinct classes")
-    return tuple(model.conditional[c] * model.priors[c] * model.weights[c] for c in (c0, c1))
+    pair = ((c, model.priors[c]) for c in (c0, c1))
+    return [[x * p * w for x, w in zip(model.conditional[c], model.weights[c])] for c, p in pair]
 
 
 def bayes_error(model: FeatureClassModel, c0: str, c1: str) -> float:
     """Irreducible two-class confusion: summed minima of the weighted
     per-feature activation masses of the two classes."""
-    t0, t1 = _weighted_masses(model, c0, c1)
-    return math.fsum(np.minimum(t0, t1).tolist())
+    return math.fsum([row[3] for row in pdf_curves(model, c0, c1)])
 
 
 def pdf_curves(model: FeatureClassModel, c0: str, c1: str) -> list[tuple[int, float, float, float]]:
     """Per-feature weighted densities of both classes and their minimum.
 
     Rows are (feature index, weighted density of c0, weighted density of
-    c1, min term); the min column sums (fsum) to bayes_error exactly.
+    c1, min term). The min term is the c0 density where that is smaller,
+    else the c1 density (numpy's ``minimum`` rule, ties of 0.0 and -0.0
+    included), and the min column sums (fsum) to bayes_error exactly.
     """
     t0, t1 = _weighted_masses(model, c0, c1)
-    mins = np.minimum(t0, t1)
-    return list(zip(range(len(t0)), t0.tolist(), t1.tolist(), mins.tolist()))
+    return list(zip(range(len(t0)), t0, t1, [a if a < b else b for a, b in zip(t0, t1)]))
 
 
 def merge_general(
@@ -198,9 +210,10 @@ def merge_general(
     """Union member classes into one general class.
 
     The general's prior is the member sum; its activation distribution
-    is the prior-weighted mixture; its per-feature weight is the member
-    maximum (essential for at least one member). Confusion among the
-    merged members vanishes by construction.
+    is the prior-weighted mixture, summed left to right from 0 and
+    divided by that prior; its per-feature weight is the member maximum
+    (essential for at least one member), the later member on a tie.
+    Confusion among the merged members vanishes by construction.
     """
     members = tuple(dict.fromkeys(members))
     if len(members) < 2:
@@ -212,13 +225,17 @@ def merge_general(
     prior_g = sum(model.priors[m] for m in members)
     if prior_g <= 0.0:
         raise ValidationError("member priors sum to zero; mixture undefined")
-    cond_g = sum(model.conditional[m] * model.priors[m] for m in members) / prior_g
-    weights_g = np.maximum.reduce([model.weights[m] for m in members])
+    mixture = [0.0] * model.n_features  # from 0.0, so a -0.0 mass sums to 0.0
+    for m in members:
+        mixture = [s + x * model.priors[m] for s, x in zip(mixture, model.conditional[m])]
+    # max keeps the first of equal values: over the members in reverse,
+    # the later member wins a tie, as in numpy's maximum.reduce
+    weights_g = list(map(max, *(model.weights[m] for m in reversed(members))))
 
     priors = {c: p for c, p in model.priors.items() if c not in members}
     priors[general] = prior_g
     conditional = {c: v for c, v in model.conditional.items() if c not in members}
-    conditional[general] = cond_g
+    conditional[general] = [s / prior_g for s in mixture]
     weights = {c: v for c, v in model.weights.items() if c not in members}
     weights[general] = weights_g
     return FeatureClassModel(priors=priors, conditional=conditional, weights=weights)
@@ -240,6 +257,8 @@ def deformation_check(A, B, G: Iterable[tuple[int, int]]) -> DeformationResult:
     G; strictness is decided by that exact predicate so float rounding
     cannot mask it.
     """
+    import numpy as np
+
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     if A.shape != B.shape:

@@ -209,8 +209,8 @@ def evaluate_run(
     detections: Iterable[Sequence[Detection]],
     taxonomy: ClassTaxonomy,
     *,
+    iou_threshold: float,
     level: str = "fine",
-    iou_threshold: float = 0.5,
     invoked: Sequence[Sequence[str]] | None = None,
 ) -> EvalReport:
     """Match and score a whole run at the given label level.

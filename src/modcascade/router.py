@@ -92,7 +92,7 @@ def route_v1(
     dataset: Dataset,
     stage1: DetectorHandle,
     stage2: Mapping[str, DetectorHandle],
-    tau: float = 0.5,
+    tau: float,
 ) -> RoutingTrace:
     """Per-image cascade routing.
 
@@ -109,7 +109,7 @@ def route_v2(
     dataset: Dataset,
     stage1: DetectorHandle,
     stage2: Mapping[str, DetectorHandle],
-    tau: float = 0.5,
+    tau: float,
 ) -> RoutingTrace:
     """Per-sequence cascade routing.
 

@@ -77,8 +77,7 @@ def mc_bayes_error(model: FeatureClassModel, c0: str, c1: str, n: int, seed: int
     rng = np.random.default_rng(seed)
     p0, p1 = model.priors[c0], model.priors[c1]
     pair_mass = p0 + p1
-    t0 = model.conditional[c0] * p0 * model.weights[c0]
-    t1 = model.conditional[c1] * p1 * model.weights[c1]
+    t0, t1 = weighted_masses_oracle(model, c0, c1)
 
     is_c0 = rng.random(n) < (p0 / pair_mass)
     cum0 = np.cumsum(model.conditional[c0])
@@ -90,8 +89,8 @@ def mc_bayes_error(model: FeatureClassModel, c0: str, c1: str, n: int, seed: int
         np.searchsorted(cum1, u * cum1[-1], side="right"),
     )
     feats = np.clip(feats, 0, model.n_features - 1)
-    w0 = model.weights[c0][feats]
-    w1 = model.weights[c1][feats]
+    w0 = np.asarray(model.weights[c0])[feats]
+    w1 = np.asarray(model.weights[c1])[feats]
     essential = rng.random(n) < np.where(is_c0, w0, w1)
     # classifier: c0 wins ties; an essential activation errs when the
     # true class's weighted mass loses
@@ -102,6 +101,31 @@ def mc_bayes_error(model: FeatureClassModel, c0: str, c1: str, n: int, seed: int
     estimate = pair_mass * freq
     se = pair_mass * float(np.sqrt(max(freq * (1.0 - freq), 1e-300) / n))
     return estimate, se
+
+
+def weighted_masses_oracle(model: FeatureClassModel, c0: str, c1: str):
+    """``errormodel``'s weighted masses as numpy arrays, computed by its
+    former numpy formula conditional * prior * weights."""
+    return tuple(
+        np.asarray(model.conditional[c]) * model.priors[c] * np.asarray(model.weights[c])
+        for c in (c0, c1)
+    )
+
+
+def pdf_curves_oracle(model: FeatureClassModel, c0: str, c1: str):
+    """``pdf_curves`` by its former numpy formula: ``np.minimum`` of the masses."""
+    t0, t1 = weighted_masses_oracle(model, c0, c1)
+    return list(zip(range(len(t0)), t0.tolist(), t1.tolist(), np.minimum(t0, t1).tolist()))
+
+
+def merge_general_oracle(model: FeatureClassModel, members, general: str):
+    """The general class ``merge_general`` adds, by its former numpy formula:
+    (prior, mixture conditional, member-maximum weights)."""
+    members = tuple(dict.fromkeys(members))
+    prior_g = sum(model.priors[m] for m in members)
+    cond_g = sum(np.asarray(model.conditional[m]) * model.priors[m] for m in members) / prior_g
+    weights_g = np.maximum.reduce([np.asarray(model.weights[m]) for m in members])
+    return prior_g, cond_g.tolist(), weights_g.tolist()
 
 
 def random_model(rng: np.random.Generator, n_features: int, n_classes: int,

@@ -245,7 +245,7 @@ def test_criterion_7_metric_golden_values():
     }
     out = route_v1(dataset, s1, s2, tau=0.5)
     report = evaluate_run(
-        dataset.images, out.detections, taxonomy, invoked=out.invoked,
+        dataset.images, out.detections, taxonomy, invoked=out.invoked, iou_threshold=0.5,
     )
     assert report.map == 1.0
     assert report.classification_error == 0.0

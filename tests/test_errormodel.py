@@ -1,11 +1,15 @@
 """Analytic error-model tests: Bayes overlap vs sampling oracle, class
 merging, the deformation inequality, and the cascade-advantage condition."""
 
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modcascade import (
     FeatureBudget,
@@ -20,9 +24,15 @@ from modcascade import (
     over_capacity,
     pdf_curves,
 )
+from modcascade.cli import main
 from modcascade.errormodel import model_file_to_parts
 
-from oracles import mc_bayes_error, random_model
+from oracles import (
+    mc_bayes_error,
+    merge_general_oracle,
+    pdf_curves_oracle,
+    random_model,
+)
 
 
 def two_class_model(cond0, cond1, p0=0.5, w0=None, w1=None):
@@ -53,6 +63,13 @@ class TestModelValidation:
     def test_weights_in_unit_interval(self):
         with pytest.raises(ValidationError, match="weights"):
             two_class_model([1.0], [1.0], w0=[1.5])
+
+    @pytest.mark.parametrize(
+        "value", ["1", b"1", {1.0: "x"}, {1.0}, 1.0, [None], [[1.0]], ["x"], [10**400]]
+    )
+    def test_per_feature_list_must_convert_to_doubles(self, value):
+        with pytest.raises(ValidationError, match="not a list of doubles"):
+            FeatureClassModel(priors={"a": 1.0}, conditional={"a": value}, weights={"a": [1.0]})
 
     def test_unknown_class(self):
         m = two_class_model([1.0], [1.0])
@@ -100,7 +117,7 @@ class TestBayesError:
             base = bayes_error(m, "c0", "c1")
             i = int(rng.integers(12))
             w = dict(m.weights)
-            w_new = w["c0"].copy()
+            w_new = np.asarray(w["c0"]).copy()
             w_new[i] *= float(rng.random())
             lowered = FeatureClassModel(
                 priors=m.priors, conditional=m.conditional,
@@ -123,7 +140,7 @@ class TestBayesError:
             base = bayes_error(m, "c0", "c1")
             shared = int(rng.integers(n - 1))
             delta = m.conditional["c1"][shared] * float(rng.random())
-            cond1_new = m.conditional["c1"].copy()
+            cond1_new = np.asarray(m.conditional["c1"]).copy()
             cond1_new[shared] -= delta
             cond1_new[-1] += delta
             moved = FeatureClassModel(
@@ -157,6 +174,61 @@ class TestPdfCurves:
             m = random_model(rng, n_features=40, n_classes=2, sparse=(k % 3 == 0))
             rows = pdf_curves(m, "c0", "c1")
             assert math.fsum(r[3] for r in rows) == bayes_error(m, "c0", "c1")
+
+
+def same_doubles(xs, ys) -> bool:
+    """Equal sequences of doubles, bit for bit: the sign of a zero counts."""
+    return len(xs) == len(ys) and all(
+        x == y and math.copysign(1.0, x) == math.copysign(1.0, y) for x, y in zip(xs, ys)
+    )
+
+
+# per-feature values drawn mostly from a few exact ones, so that equal
+# masses (0.0 against -0.0 included) are common
+TIE_VALUES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0])
+
+
+@st.composite
+def tie_models(draw) -> FeatureClassModel:
+    """Models of 2-4 classes whose priors and conditionals are small
+    integer counts over their total, and whose weights are mostly
+    TIE_VALUES; a zero activation may be -0.0."""
+    labels = [f"c{i}" for i in range(draw(st.integers(2, 4)))]
+    n = draw(st.integers(1, 12))
+    counts = draw(st.lists(st.integers(1, 3), min_size=len(labels), max_size=len(labels)))
+    conditional, weights = {}, {}
+    for c in labels:
+        raw = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        if not any(raw):
+            raw[0] = 1
+        signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n))
+        conditional[c] = [k / sum(raw) if k else math.copysign(0.0, s) for k, s in zip(raw, signs)]
+        weights[c] = draw(st.lists(TIE_VALUES | st.floats(0, 1), min_size=n, max_size=n))
+    return FeatureClassModel(
+        priors={c: k / sum(counts) for c, k in zip(labels, counts)},
+        conditional=conditional,
+        weights=weights,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_models(), st.data())
+def test_formulas_equal_numpy_oracle_bitwise(model, data):
+    """pdf_curves, bayes_error and merge_general compute the doubles of
+    their former numpy formulas (``oracles``), signs of zero included."""
+    c0, c1 = data.draw(st.permutations(model.classes))[:2]
+    rows, want = pdf_curves(model, c0, c1), pdf_curves_oracle(model, c0, c1)
+    assert [r[0] for r in rows] == [r[0] for r in want]
+    for k in (1, 2, 3):
+        assert same_doubles([r[k] for r in rows], [r[k] for r in want])
+    assert same_doubles([bayes_error(model, c0, c1)], [math.fsum(r[3] for r in want)])
+
+    members = data.draw(st.lists(st.sampled_from(model.classes), min_size=2, unique=True))
+    merged = merge_general(model, members, "g")
+    prior_g, cond_g, weights_g = merge_general_oracle(model, members, "g")
+    assert same_doubles([merged.priors["g"]], [prior_g])
+    assert same_doubles(merged.conditional["g"], cond_g)
+    assert same_doubles(merged.weights["g"], weights_g)
 
 
 class TestMergeGeneral:
@@ -360,7 +432,7 @@ def test_model_file_round_trip():
     assert model.classes == ("c0", "c1")
     assert feature_count(budget) == 15.0
     assert budget.max_features == 120
-    assert model.conditional["c1"].tolist() == [0.0, 0.25, 0.75]
+    assert np.asarray(model.conditional["c1"]).tolist() == [0.0, 0.25, 0.75]
     assert budget.to_json() == {"L": 80, "T": 20, "U": 5, "n": 10}
 
 
@@ -382,3 +454,56 @@ def test_model_file_capacity_is_read_for_supk_alone():
         with pytest.raises(ValidationError):
             model_file_to_parts({**base, "capacity": capacity})
 
+
+def tie_model_doc() -> dict:
+    """A model file from a seeded random model of 2,000 features, with
+    integer entries, signed zeros and equal-mass ties between c0 and c1."""
+    m = random_model(np.random.default_rng(2026), n_features=2000, n_classes=3, sparse=True)
+    cond = {c: np.asarray(v).tolist() for c, v in m.conditional.items()}
+    weights = {c: np.asarray(v).tolist() for c, v in m.weights.items()}
+    # c1 shares c0's prior and its statistics on the first 1,000 features,
+    # so each of those features is a tie of equal masses
+    cond["c1"] = cond["c0"][:1000] + cond["c0"][1000:][::-1]
+    weights["c1"][:1000] = weights["c0"][:1000]
+    cond["c0"] = [0 if x == 0 else x for x in cond["c0"]]
+    weights["c0"][1000:1100] = [1] * 100
+    weights["c1"][1100:1200] = [0] * 100
+    # masses 0.0 against -0.0 and -0.0 against 0.0, and a -0.0 activation
+    weights["c0"][1500:1502] = [0.0, -0.0]
+    weights["c1"][1500:1502] = [-0.0, 0.0]
+    cond["c0"][cond["c0"].index(0)] = -0.0
+    return {
+        "priors": {"c0": 0.25, "c1": 0.25, "c2": 0.5},
+        "conditionals": cond,
+        "weights": weights,
+        "budget": {"L": 80, "T": 20, "U": 5, "n": 3},
+        "capacity": {"supK": 50},
+    }
+
+
+# the model file of CI's end-to-end step
+CI_MODEL_DOC = {
+    "priors": {"c0": 0.5, "c1": 0.5},
+    "conditionals": {"c0": [0.7, 0.3], "c1": [0.2, 0.8]},
+    "weights": {"c0": [1.0, 1.0], "c1": [1.0, 1.0]},
+}
+
+
+@pytest.mark.parametrize("doc, digests", [
+    (tie_model_doc(), {
+        "curves.csv": "11733be16246dfdab2f4060663e63da15b9c7e1da13f43b2e97598981c6c8759",
+        "summary.json": "dfaa1f4928de5d8b56d330e1f40f69103c1155f5cb787c65f50966f6c0f547a9",
+    }),
+    (CI_MODEL_DOC, {
+        "curves.csv": "7c6b3cf0f2be6e5e97c32b1a5ed80b9a72971526a8913656330bb314ebb4f80b",
+        "summary.json": "c2b8c23a396114c5d80131d1c0beb89117a7b0210ec2897837a7c1a00573e016",
+    }),
+], ids=["ties-2000", "ci-two-features"])
+def test_errormodel_output_digests(tmp_path, doc, digests):
+    """The bytes ``modcascade errormodel`` writes, pinned by sha256."""
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    (tmp_path / "em.json").write_text(json.dumps({"model": "model.json", "pair": ["c0", "c1"]}))
+    out = tmp_path / "out"
+    assert main(["errormodel", "--config", str(tmp_path / "em.json"), "--out", str(out)]) == 0
+    written = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in digests}
+    assert written == digests

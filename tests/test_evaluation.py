@@ -54,7 +54,8 @@ def assign(dets, gts, iou_threshold):
 
 def evaluate_image(dets, gts, level="fine"):
     """``evaluate_run`` of one image holding ``gts``."""
-    return evaluate_run([AnnotatedImage("i", 1e4, 1e4, tuple(gts))], [dets], TAXONOMY, level=level)
+    return evaluate_run([AnnotatedImage("i", 1e4, 1e4, tuple(gts))], [dets], TAXONOMY,
+                        level=level, iou_threshold=0.5)
 
 
 class TestIoU:
@@ -461,7 +462,7 @@ class TestEvaluateRun:
             [Detection(B(20, 20, 60, 60), "mars", 0.9)],
             [],
         ]
-        rep = evaluate_run(imgs, dets, TAXONOMY)
+        rep = evaluate_run(imgs, dets, TAXONOMY, iou_threshold=0.5)
         assert rep.map == 1.0
         assert rep.classification_error == 0.0
         assert rep.per_class_ap == {"mars": 1.0, "pekinese": 1.0}
@@ -469,14 +470,15 @@ class TestEvaluateRun:
     def test_map_is_mean_over_classes_with_gt(self):
         imgs = self._images()
         dets = [[Detection(B(10, 10, 50, 50), "pekinese", 0.95)], [], []]
-        rep = evaluate_run(imgs, dets, TAXONOMY)
+        rep = evaluate_run(imgs, dets, TAXONOMY, iou_threshold=0.5)
         # mars undetected: AP 0; spaniel/saturn have no GT: excluded
         assert set(rep.per_class_ap) == {"pekinese", "mars"}
         assert rep.map == 0.5
 
     def test_fn_image_count_uses_invoked_coverage(self):
         imgs = self._images()
-        rep = evaluate_run(imgs, [(), (), ()], TAXONOMY, invoked=[("dog",), (), ()])
+        rep = evaluate_run(imgs, [(), (), ()], TAXONOMY, invoked=[("dog",), (), ()],
+                           iou_threshold=0.5)
         # b's planet object had no covering invocation; negatives never count
         assert rep.fn_image_count == 1
         assert fn_image_flags(imgs, [("dog",), (), ()], TAXONOMY) == (False, True, False)
@@ -490,23 +492,24 @@ class TestEvaluateRun:
 
     def test_cascade_run_scores_fn_accounting(self):
         imgs, dets = self._images(), self._perfect_dets()
-        rep = evaluate_run(imgs, dets, TAXONOMY, invoked=[("dog",), (), ()])
+        rep = evaluate_run(imgs, dets, TAXONOMY, invoked=[("dog",), (), ()], iou_threshold=0.5)
         # b is an FN image: only a is routed, and b is rated zero
         assert rep.map == 1.0
         assert (rep.fn_image_count, rep.routed_positive_images) == (1, 1)
-        assert rep.map_stage2_routed == evaluate_run(imgs[:1], dets[:1], TAXONOMY).map == 1.0
+        routed = evaluate_run(imgs[:1], dets[:1], TAXONOMY, iou_threshold=0.5)
+        assert rep.map_stage2_routed == routed.map == 1.0
         assert rep.map_fn_adjusted == map_with_fn_accounting(1.0, 1, 1) == 0.5
 
     def test_cascade_run_without_positive_images(self):
         # neither routed nor FN images: the FN-adjusted mAP is the run's own
         imgs = [AnnotatedImage("neg", 200, 200)]
         dets = [[Detection(B(0, 0, 10, 10), "mars", 0.5)]]
-        rep = evaluate_run(imgs, dets, TAXONOMY, invoked=[("planet",)])
+        rep = evaluate_run(imgs, dets, TAXONOMY, invoked=[("planet",)], iou_threshold=0.5)
         assert rep.routed_positive_images == rep.fn_image_count == 0
         assert rep.map_stage2_routed == rep.map_fn_adjusted == rep.map == 0.0
 
     def test_flat_run_has_no_cascade_fields(self):
-        rep = evaluate_run(self._images(), self._perfect_dets(), TAXONOMY)
+        rep = evaluate_run(self._images(), self._perfect_dets(), TAXONOMY, iou_threshold=0.5)
         assert rep.routed_positive_images is rep.map_stage2_routed is rep.map_fn_adjusted is None
         assert set(rep.to_json()) == {
             "per_class_ap", "map", "classification_error", "confusion",
@@ -516,7 +519,8 @@ class TestEvaluateRun:
     def test_cascade_report_serializes_every_field(self):
         # the report holds exactly what it prints: no unserialized side channel
         rep = evaluate_run(
-            self._images(), self._perfect_dets(), TAXONOMY, invoked=[("dog",), (), ()]
+            self._images(), self._perfect_dets(), TAXONOMY, invoked=[("dog",), (), ()],
+            iou_threshold=0.5,
         )
         assert set(rep.to_json()) == {f.name for f in dataclasses.fields(EvalReport)}
 
@@ -527,8 +531,8 @@ class TestEvaluateRun:
             [Detection(B(20, 20, 60, 60), "mars", 0.9)],
             [],
         ]
-        r1 = evaluate_run(imgs, dets, TAXONOMY)
-        r2 = evaluate_run(imgs[::-1], dets[::-1], TAXONOMY)
+        r1 = evaluate_run(imgs, dets, TAXONOMY, iou_threshold=0.5)
+        r2 = evaluate_run(imgs[::-1], dets[::-1], TAXONOMY, iou_threshold=0.5)
         assert r1.map == r2.map
         assert r1.classification_error == r2.classification_error
 
@@ -544,7 +548,7 @@ class TestEvaluateRun:
     def test_unscorable_input_is_validation_error(self, image, dets, level):
         # each was scored silently; a NaN also leaves the sort order undefined
         with pytest.raises(ValidationError, match="level|finite"):
-            evaluate_run([image], [dets], TAXONOMY, level=level)
+            evaluate_run([image], [dets], TAXONOMY, level=level, iou_threshold=0.5)
 
     @pytest.mark.parametrize("label, on_detection, level", [
         ("dog", True, "fine"),
@@ -558,7 +562,8 @@ class TestEvaluateRun:
         dets = [Detection(box, label, 0.9)] if on_detection else []
         objects = () if on_detection else (GroundTruthObject(box, label),)
         with pytest.raises(UnknownLabelError, match=f"label '{label}' is not a {level} label"):
-            evaluate_run([AnnotatedImage("a", 200, 200, objects)], [dets], TAXONOMY, level=level)
+            evaluate_run([AnnotatedImage("a", 200, 200, objects)], [dets], TAXONOMY, level=level,
+                         iou_threshold=0.5)
 
     def test_report_bytes_do_not_depend_on_the_taxonomy_order(self):
         # codes follow the taxonomy's own order; the canonical writer sorts
@@ -583,7 +588,7 @@ class TestEvaluateRun:
         for level in ("fine", "general"):
             for inv in (None, invoked):
                 docs = [dumps_canonical(evaluate_run(images, dets, tax, level=level,
-                                                     invoked=inv).to_json())
+                                                     invoked=inv, iou_threshold=0.5).to_json())
                         for tax in (taxonomy, reversed_taxonomy)]
                 assert docs[0] == docs[1], (level, inv is not None)
 
@@ -595,9 +600,9 @@ class TestEvaluateRun:
         wrong = [()] * (len(imgs) + extra)
         misaligned = r"argument 2 is (shorter|longer) than argument 1"
         with pytest.raises(ValueError, match=misaligned):
-            evaluate_run(imgs, wrong, TAXONOMY)
+            evaluate_run(imgs, wrong, TAXONOMY, iou_threshold=0.5)
         with pytest.raises(ValueError, match=misaligned):
-            evaluate_run(imgs, [()] * len(imgs), TAXONOMY, invoked=wrong)
+            evaluate_run(imgs, [()] * len(imgs), TAXONOMY, invoked=wrong, iou_threshold=0.5)
         with pytest.raises(ValueError, match=misaligned):
             fn_image_flags(imgs, wrong, TAXONOMY)
 
@@ -620,9 +625,10 @@ class TestEvaluateRun:
         dets = [detect(DetectorHandle(profile, 4), img) for img in ds.images]
         # every third image invokes no general: a positive one is an FN image
         invoked = [() if k % 3 == 1 else taxonomy.generals for k in range(len(ds.images))]
-        cascade = evaluate_run(ds.images, dets, taxonomy, invoked=invoked)
+        cascade = evaluate_run(ds.images, dets, taxonomy, invoked=invoked, iou_threshold=0.5)
         keep = [k for k, img in enumerate(ds.images) if img.objects and k % 3 != 1]
-        routed = evaluate_run([ds.images[k] for k in keep], [dets[k] for k in keep], taxonomy)
+        routed = evaluate_run([ds.images[k] for k in keep], [dets[k] for k in keep], taxonomy,
+                              iou_threshold=0.5)
         assert cascade.routed_positive_images == len(keep)
         assert 0 < cascade.fn_image_count < len(ds.images) - len(keep)  # negatives are neither
         assert cascade.map_stage2_routed == routed.map
@@ -647,7 +653,7 @@ class TestEvaluateRun:
                 )
                 handle = DetectorHandle(profile, seed)
                 dets = [detect(handle, img) for img in ds.images]
-                per_seed.append(evaluate_run(ds.images, dets, taxonomy).map)
+                per_seed.append(evaluate_run(ds.images, dets, taxonomy, iou_threshold=0.5).map)
             maps.append(sum(per_seed) / len(per_seed))
         assert maps[0] == 1.0
         assert all(a >= b for a, b in zip(maps, maps[1:]))
@@ -747,5 +753,6 @@ class TestRunOracle:
         assert 40 * 20 * 25 > _kernels._CHUNK
         for level in ("fine", "general"):
             for inv in (None, invoked):
-                got = evaluate_run(images, dets, TAXONOMY, level=level, invoked=inv).to_json()
+                got = evaluate_run(images, dets, TAXONOMY, level=level, invoked=inv,
+                                   iou_threshold=0.5).to_json()
                 assert got == evaluate_run_oracle(images, dets, TAXONOMY, level=level, invoked=inv)

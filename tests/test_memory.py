@@ -34,7 +34,7 @@ def _peaks(per_fine):
         detections = detect_all(HANDLE, dataset.images)
         after_detect, detect_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        evaluate_run(dataset.images, detections, TAXONOMY)
+        evaluate_run(dataset.images, detections, TAXONOMY, iou_threshold=0.5)
         evaluate_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -61,7 +61,7 @@ def test_evaluation_memory_does_not_grow_with_the_square_of_the_taxonomy():
     tracemalloc.start()
     try:
         report = evaluate_run([image], [[Detection(box, "f0b", 0.9)]], taxonomy,
-                              invoked=[("g0",)])
+                              invoked=[("g0",)], iou_threshold=0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

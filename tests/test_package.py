@@ -84,10 +84,16 @@ class TestColdStart:
             "from modcascade.cli import main\n"
             "assert main(['errormodel', '--config', 'em.json', '--out', 'out']) == 0\n" + LOADED
         )
-        loaded, _ = fresh(code, cwd=tmp_path)
+        loaded, numpy_loaded = fresh(code, cwd=tmp_path)
         assert (tmp_path / "out" / "curves.csv").is_file()
         assert "modcascade.errormodel" in loaded
         assert not set(CASCADE_LAYERS) & set(loaded)
+        assert not numpy_loaded
+
+    def test_errormodel_loads_no_numpy(self):
+        loaded, numpy_loaded = fresh("import modcascade.errormodel\n" + LOADED)
+        assert "modcascade.errormodel" in loaded
+        assert not numpy_loaded
 
     def test_submodules_resolve_after_a_bare_import(self):
         code = (

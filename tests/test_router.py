@@ -131,7 +131,7 @@ class TestRouteV1:
         s1, s2 = perfect_handles(taxonomy)
         del s2["dog"]
         with pytest.raises(ValidationError, match="dog"):
-            route_v1(ds, s1, s2)
+            route_v1(ds, s1, s2, tau=0.5)
 
     @pytest.mark.parametrize(
         "route, break_contract, tau, message", list(BAD_CALLS.values()), ids=list(BAD_CALLS)
@@ -301,12 +301,12 @@ class TestRouteV2:
         ds = synth_dataset(taxonomy, per_fine=2)
         s1, s2 = perfect_handles(taxonomy)
         with pytest.raises(ValidationError, match="sequences"):
-            route_v2(ds, s1, s2)
+            route_v2(ds, s1, s2, tau=0.5)
 
     def test_unsequenced_images_become_singletons(self, taxonomy):
         ds = synth_dataset(taxonomy, per_fine=4, negatives=3, seq_len=2)
         s1, s2 = perfect_handles(taxonomy)
-        out = route_v2(ds, s1, s2)
+        out = route_v2(ds, s1, s2, tau=0.5)
         final_detections(out)
         assert_stage2_scoped(out, taxonomy)
         assert out.stage1_inferences == len(ds.images)
